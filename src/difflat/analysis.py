@@ -5,9 +5,13 @@ and the forward/backward/general classification via rank conditions.
 The pipeline mirrors the constructive proofs: transform the first output
 component's relevant shift into a new input (ubar1) and/or a new g-function
 history (zetabar1), rebuild the system in the transformed coordinates, and
-read the index structure off the shifts of the second component. Forward
-detection runs first (it needs no inverse map), then backward, then the
-combined case; component and input permutations are tried deterministically.
+read the index structure off the shifts of the second component. One tower
+search serves all three constructions, since the combined one (Prop. 4) is
+the prolongation (Prop. 2) or the prelongation (Prop. 3) when one of its
+chains is empty. Forward detection runs first (it needs no inverse map),
+then backward, then the combined case; component and input permutations are
+tried deterministically. `analyze` verifies the inverted tower once, along a
+seeded random trajectory, before classifying; a failure raises.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from .expr import (
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    ProbeSet, RankProbe, depends_on, eval_matrix, newton_solve, numeric_rank,
-    probe_rank, simulate,
+    ProbeSet, RankProbe, SimulationError, depends_on, eval_matrix,
+    newton_solve, numeric_rank, probe_rank, random_inputs, simulate,
+    verify_parameterization,
 )
 from .solve import SolveError, solve_equations
 
@@ -111,8 +116,6 @@ class TowerContext:
     base_model: SystemModel        # the analyzed model (psi resolved if used)
     sigma_y: tuple
     sigma_u: tuple | None          # (index of u solved for ubar1, the other)
-    sigma_z: tuple | None
-    u_transform: tuple | None      # new-input definitions over (x, u)
     u_inverse: dict | None         # {original u leaf: expr over (x, ubar)}
     zeta_inverse: dict | None      # {zeta_j[-1]: expr over (x, zetabar[-1])}
     gbar: tuple | None             # transformed g (over sys_bar coordinates)
@@ -199,16 +202,7 @@ class ImplicitParameterization:
         def jac(w):
             return eval_matrix(self._jac, self._point(w))
 
-        seeds = [self.seed_center] if seed is None else [seed]
-        last = None
-        for s in seeds:
-            try:
-                w = newton_solve(residual, jac, s)
-                break
-            except EvalError as ex:
-                last = ex
-        else:
-            raise last
+        w = newton_solve(residual, jac, self.seed_center if seed is None else seed)
         pt = self._point(w)
         xs = [pt[v] for v in self.state_vars]
         us = [evaluate(self.u_recovery[v], pt) for v in self.input_vars]
@@ -239,10 +233,6 @@ class Parameterization:
     source: str                    # "tower_inverted" | "user_supplied" | "tower_implicit"
     tower: Tower
     diagnostics: list = field(default_factory=list)
-
-    @property
-    def symbolic(self) -> bool:
-        return self.F_x is not None
 
 
 @dataclass
@@ -372,7 +362,8 @@ def _input_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, rho,
 def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
                     opts: AnalyzeOptions):
     """zetabar1[-1] = delta^-gamma1 phi_first solved for one zeta component;
-    the other history becomes zetabar2[-1]. Also builds gbar1 over (x, u)."""
+    the other history becomes zetabar2[-1]. Returns (zeta_inverse map,
+    gbar), gbar1 being over (x, u)."""
     first = cand.phi[sigma_y[0]]
     gamma1 = gamma[sigma_y[0]]
     zb1, zb2 = Var("zetabar", 1, -1), Var("zetabar", 2, -1)
@@ -381,52 +372,48 @@ def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
     solved_z, sol = _solve_single(sys, definition, zb1, hist, opts)
     other = next(v for v in hist if v != solved_z)
     zeta_inverse = {other: zb2, solved_z: substitute(sol, {other: zb2})}
-    sigma_z = (hist.index(solved_z), hist.index(other))
     gbar1 = sys.shift(first, -(gamma1 - 1))  # = phi_first shifted by -(gamma1-1): over (x,u)
     bad = [v for v in vars_of(gbar1) if v.family == sys.gvalue_family]
     if bad:
         raise AnalysisError(
             "gbar1 still contains history leaves "
             f"{[to_text(v) for v in bad]}; inconsistent backward depth")
-    gbar2 = sys.g[sigma_z[1]]
-    return zeta_inverse, (definition, other), sigma_z, (gbar1, gbar2)
+    gbar2 = sys.g[hist.index(other)]
+    return zeta_inverse, (gbar1, gbar2)
 
 
-def _make_sys_bar(sys: SystemModel, mode: str, u_inverse, transform_def,
-                  gbar, opts: AnalyzeOptions, name_suffix: str):
-    """Transformed system per mode; inputs become (ubar1, ubar2) unless the
-    mode is 'backward' (which keeps the original inputs, per the
-    prelongation construction)."""
-    if mode == "backward":
-        f_bar = sys.f
-        inputs = sys.input_vars
-        point = dict(sys.point)
-    else:
+def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar):
+    """The system in the tower's coordinates. An input transform makes the
+    inputs (ubar1, ubar2); without one the original inputs stay, per the
+    prelongation construction. A history transform makes g = gbar."""
+    f_bar = sys.f
+    inputs = sys.input_vars
+    point = dict(sys.point)
+    g_bar = gbar
+    if u_inverse is not None:
         f_bar = tuple(substitute(fi, u_inverse) for fi in sys.f)
         inputs = (Var("ubar", 1, 0), Var("ubar", 2, 0))
-        point = dict(sys.point)
         base = sys.analysis_point()
         definition, other = transform_def
-        point[Var("ubar", 1, 0)] = evaluate(definition, base)
-        point[Var("ubar", 2, 0)] = base[other]
+        point[inputs[0]] = evaluate(definition, base)
+        point[inputs[1]] = base[other]
         for v in sys.input_vars:
             point.pop(v, None)
-    g_bar = None
-    if gbar is not None:
-        g_bar = tuple(gbar if mode == "backward"
-                      else (substitute(gj, u_inverse) for gj in gbar))
+        if gbar is not None:
+            g_bar = tuple(substitute(gj, u_inverse) for gj in gbar)
     bar = SystemModel(
         n=sys.n, m=sys.m, f=f_bar, state_vars=sys.state_vars,
         input_vars=inputs, g=g_bar,
         gvalue_family="zetabar" if g_bar is not None else sys.gvalue_family,
-        params=sys.params, point=point, name=sys.name + name_suffix)
-    if g_bar is not None:
-        bar = invert_extension(bar)
-    return bar
+        params=sys.params, point=point, name=sys.name + "~bar")
+    return bar if g_bar is None else invert_extension(bar)
 
 
 # ---------------------------------------------------------------------------
 # Tower construction.
+
+_SIGMA_Y = ((0, 1), (1, 0))
+
 
 def build_tower(sys: SystemModel, cand: FlatCandidate,
                 opts: AnalyzeOptions | None = None,
@@ -445,8 +432,8 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
     rho = rho if rho is not None else relative_degrees(sys, cand, opts)
     diags = []
 
-    for sigma_y in ((0, 1), (1, 0)):
-        t = _try_forward(sys, cand, rho, sigma_y, opts, diags)
+    for sigma_y in _SIGMA_Y:
+        t = _try_tower(sys, cand, rho, None, sigma_y, "forward", opts, diags)
         if t is not None:
             return t
 
@@ -460,17 +447,97 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
         sysb = invert_extension(sysb)
     gamma = gamma if gamma is not None else backward_depths(sysb, cand, opts)
 
-    for sigma_y in ((0, 1), (1, 0)):
-        t = _try_backward(sysb, cand, rho, gamma, sigma_y, opts, diags)
-        if t is not None:
-            return t
-    for sigma_y in ((0, 1), (1, 0)):
-        t = _try_combined(sysb, cand, rho, gamma, sigma_y, opts, diags)
-        if t is not None:
-            return t
+    for mode in ("backward", "combined"):
+        for sigma_y in _SIGMA_Y:
+            t = _try_tower(sysb, cand, rho, gamma, sigma_y, mode, opts, diags)
+            if t is not None:
+                return t
     raise AnalysisError(
         "no permutation admits the Prop. 2-4 tower structure:\n  - "
         + "\n  - ".join(diags))
+
+
+def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
+    """One permutation of the tower search; records why it fails in diags.
+
+    The mode names the chains of the tower: "forward" a forward chain on
+    ubar1 (Prop. 2), "backward" a backward chain on zetabar1 (Prop. 3),
+    "combined" both (Prop. 4). A forward chain brings the input transform
+    ubar1 = delta^rho1 phi_first, the ubar2 search for r22 and the forward
+    checks; a backward chain brings the history transform
+    zetabar1[-1] = delta^-gamma1 phi_first and the backward checks.
+    """
+    tag = f"{mode} sigma_y={sigma_y}"
+    forward, backward = mode != "backward", mode != "forward"
+    if mode == "backward":
+        # Prop. 3 hypothesis: the outputs jointly regular in u
+        rp = probe_rank(list(cand.phi), list(sys.input_vars),
+                        _jet_probes(sys, set().union(*[vars_of(p) for p in cand.phi])
+                                    | set(sys.input_vars), opts),
+                        tol_rel=opts.tol_rank, required=sys.m)
+        if rp.generic != sys.m:
+            diags.append(f"{tag}: rank d_u phi = {rp.generic} < m "
+                         "(candidate routed to the combined construction)")
+            return None
+    u_inverse = tdef = sigma_u = zeta_inverse = gbar = None
+    try:
+        if forward:
+            u_inverse, tdef, sigma_u = _input_transform(sys, cand, sigma_y, rho, opts)
+        if backward:
+            zeta_inverse, gbar = _zeta_transform(sys, cand, sigma_y, gamma, opts)
+        sys_bar = _make_sys_bar(sys, u_inverse, tdef, gbar)
+    except (AnalysisError, ModelError, SolveError, EvalError) as ex:
+        diags.append(f"{tag}: {ex}")
+        return None
+    phi_bar = _bar_phi(cand, sigma_y, u_inverse)
+
+    r11 = r12 = r21 = r22 = d1 = d2 = 0
+    if forward:
+        rho1, rho2 = rho[sigma_y[0]], rho[sigma_y[1]]
+        cap = _shift_cap(sys)
+        r22 = _search_r22(sys_bar, phi_bar[1], rho2, cap, opts)
+        if r22 is None:
+            diags.append(f"{tag}: no ubar2 dependence up to shift {cap}")
+            return None
+        if not backward and rho1 + r22 != sys.n:
+            diags.append(f"{tag}: square count rho1 + r22 = {rho1 + r22} != n = {sys.n}")
+            return None
+        d2 = r22 - rho2
+        r21 = rho1 + d2
+    if backward:
+        gamma1, gamma2 = gamma[sigma_y[0]], gamma[sigma_y[1]]
+        r12 = sys.n + 1 - gamma1 - (rho1 + r22 if forward else 0)
+        if r12 < max(gamma2, 1):
+            lhs = "region identity gives r12" if forward else "r12 = n+1-gamma1"
+            diags.append(f"{tag}: {lhs} = {r12} < gamma2 = {gamma2}")
+            return None
+        r11 = gamma1 + (r12 - gamma2)
+        d1 = r11 + 1 - gamma1
+    why = None
+    if forward:
+        why = _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts)
+    if backward and why is None:
+        why = _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts)
+    if why is not None:
+        diags.append(f"{tag}: {why}")
+        return None
+
+    rows, variables = _rows_and_vars(sys_bar, phi_bar, sigma_y,
+                                     (r11, r21), (r12, r22), d1, d2)
+    rp = _tower_probe(sys_bar, rows, variables, opts)
+    if not _rank_ok(rp):
+        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
+        return None
+    idx = ShiftIndices(rho=rho, gamma=gamma,
+                       r1=_unpermute(sigma_y, r11, r12),
+                       r2=_unpermute(sigma_y, r21, r22),
+                       d1=d1, d2=d2, sigma_y=sigma_y)
+    ctx = TowerContext(mode=mode, sys_bar=sys_bar, base_model=sys,
+                       sigma_y=sigma_y, sigma_u=sigma_u, u_inverse=u_inverse,
+                       zeta_inverse=zeta_inverse, gbar=gbar,
+                       diagnostics=list(diags))
+    return Tower(rows=rows, variables=variables, indices=idx, context=ctx,
+                 rank_probe=rp)
 
 
 def _bar_phi(cand, sigma_y, u_inverse):
@@ -483,19 +550,18 @@ def _bar_phi(cand, sigma_y, u_inverse):
 def _search_r22(sys_bar: SystemModel, phi2_bar: Expr, rho2: int, cap: int,
                 opts: AnalyzeOptions):
     """Smallest s >= rho2 where the s-th forward shift depends on ubar2."""
-    ubar2_fam = [sys_bar.input_vars[1]]
+    ubar2 = sys_bar.input_vars[1]
     e = sys_bar.shift(phi2_bar, rho2)
     for s in range(rho2, cap + 1):
-        leaves = vars_of(e) | set(ubar2_fam)
+        leaves = vars_of(e) | {ubar2}
         probes = _jet_probes(sys_bar, leaves, opts)
-        dep_vars = [v for v in leaves | set(ubar2_fam)
-                    if (v.family, v.component) == (ubar2_fam[0].family,
-                                                   ubar2_fam[0].component)
-                    and v.shift >= ubar2_fam[0].shift]
+        dep_vars = [v for v in leaves
+                    if (v.family, v.component) == (ubar2.family, ubar2.component)
+                    and v.shift >= ubar2.shift]
         if depends_on(e, dep_vars, probes):
-            return s, e
+            return s
         e = sys_bar.shift(e, 1)
-    return None, None
+    return None
 
 
 def _independent_of(sys_bar, e, fam_comp_list, opts) -> bool:
@@ -514,8 +580,10 @@ def _depends(sys_bar, e, target_vars, opts) -> bool:
     return depends_on(e, list(target_vars), probes)
 
 
-def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2, mode):
-    """Tower rows keyed by (original component, shift) plus the variable list."""
+def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
+    """Tower rows keyed by (original component, shift) plus the variable
+    list: the zetabar1 chain, the states, the input chain ubar1[0..d2] (the
+    first input when d2 = 0) and the second input."""
     rows = {}
     j_first, j_second = sigma_y[0] + 1, sigma_y[1] + 1
     lo1, hi1 = r_first
@@ -524,14 +592,10 @@ def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2, mode):
     lo2, hi2 = r_second
     for s in range(-lo2, hi2 + 1):
         rows[(j_second, s)] = sys_bar.shift(phi_bar[1], s)
-    variables = []
-    variables += [Var("zetabar", 1, -k) for k in range(d1, 0, -1)]
+    u1, u2 = sys_bar.input_vars
+    variables = [Var("zetabar", 1, -k) for k in range(d1, 0, -1)]
     variables += list(sys_bar.state_vars)
-    if mode == "backward":
-        variables += list(sys_bar.input_vars)
-    else:
-        variables += [Var("ubar", 1, k) for k in range(0, d2 + 1)]
-        variables += [Var("ubar", 2, 0)]
+    variables += [u1.shifted(k) for k in range(d2 + 1)] + [u2]
     return rows, tuple(variables)
 
 
@@ -551,67 +615,26 @@ def _rank_ok(rp: RankProbe) -> bool:
         r == rp.required for r in perturbed)
 
 
-def _try_forward(sys, cand, rho, sigma_y, opts, diags):
-    tag = f"forward sigma_y={sigma_y}"
-    try:
-        u_inverse, tdef, sigma_u = _input_transform(sys, cand, sigma_y, rho, opts)
-        sys_bar = _make_sys_bar(sys, "forward", u_inverse, tdef, None, opts, "~fwd")
-    except (AnalysisError, ModelError, SolveError, EvalError) as ex:
-        diags.append(f"{tag}: {ex}")
-        return None
-    phi_bar = _bar_phi(cand, sigma_y, u_inverse)
-    rho1, rho2 = rho[sigma_y[0]], rho[sigma_y[1]]
-    cap = _shift_cap(sys)
-    r22, top = _search_r22(sys_bar, phi_bar[1], rho2, cap, opts)
-    if r22 is None:
-        diags.append(f"{tag}: no ubar2 dependence up to shift {cap}")
-        return None
-    if rho1 + r22 != sys.n:
-        diags.append(f"{tag}: square count rho1 + r22 = {rho1 + r22} != n = {sys.n}")
-        return None
-    d2 = r22 - rho2
-    r21 = rho1 + d2
-    ok, why = _forward_checks(sys_bar, phi_bar, rho1, rho2, r21, r22, opts)
-    if not ok:
-        diags.append(f"{tag}: {why}")
-        return None
-    rows, variables = _rows_and_vars(sys_bar, phi_bar, sigma_y,
-                                     (0, r21), (0, r22), 0, d2, "forward")
-    rp = _tower_probe(sys_bar, rows, variables, opts)
-    if not _rank_ok(rp):
-        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
-        return None
-    r1 = (0, 0)
-    r2 = _unpermute(sigma_y, r21, r22)
-    idx = ShiftIndices(rho=rho, gamma=None, r1=r1, r2=r2, d1=0, d2=d2,
-                       sigma_y=sigma_y)
-    ctx = TowerContext(mode="forward", sys_bar=sys_bar, base_model=sys,
-                       sigma_y=sigma_y, sigma_u=sigma_u, sigma_z=None,
-                       u_transform=tdef, u_inverse=u_inverse,
-                       zeta_inverse=None, gbar=None, diagnostics=list(diags))
-    return Tower(rows=rows, variables=variables, indices=idx, context=ctx,
-                 rank_probe=rp)
-
-
-def _forward_checks(sys_bar, phi_bar, rho1, rho2, r21, r22, opts):
+def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
+    """Why the forward chain's rows violate Prop. 2, or None."""
     ub1 = Var("ubar", 1, 0)
     for s in range(rho1):
         e = sys_bar.shift(phi_bar[0], s)
         if not _independent_of(sys_bar, e, [("ubar", 1), ("ubar", 2)], opts):
-            return False, f"phi1_[{s}] already depends on an input"
+            return f"phi1_[{s}] already depends on an input"
     e = sys_bar.shift(phi_bar[0], rho1)
     if e != ub1 and _numeric_differs(sys_bar, e, ub1, opts):
-        return False, f"phi1_[{rho1}] != ubar1 (got {to_text(e)})"
+        return f"phi1_[{rho1}] != ubar1 (got {to_text(e)})"
     for s in range(rho2, r22):
         e = sys_bar.shift(phi_bar[1], s)
         if not _independent_of(sys_bar, e, [("ubar", 2)], opts):
-            return False, f"phi2_[{s}] depends on ubar2 below r22"
+            return f"phi2_[{s}] depends on ubar2 below r22"
     if r22 > rho2:
         # with a nonempty chain the top row must reach its deepest ubar1 shift
         top = sys_bar.shift(phi_bar[1], r22)
         if not _depends(sys_bar, top, [Var("ubar", 1, r22 - rho2)], opts):
-            return False, f"phi2_[{r22}] does not reach ubar1[{r22 - rho2}]"
-    return True, ""
+            return f"phi2_[{r22}] does not reach ubar1[{r22 - rho2}]"
+    return None
 
 
 def _numeric_differs(sys_bar, a, b, opts, tol=1e-9) -> bool:
@@ -633,125 +656,25 @@ def _unpermute(sigma_y, first_val, second_val):
     return tuple(out)
 
 
-def _try_backward(sys, cand, rho, gamma, sigma_y, opts, diags):
-    tag = f"backward sigma_y={sigma_y}"
-    # Prop. 3 hypothesis: the outputs jointly regular in u
-    rp = probe_rank(list(cand.phi), list(sys.input_vars),
-                    _jet_probes(sys, set().union(*[vars_of(p) for p in cand.phi])
-                                | set(sys.input_vars), opts),
-                    tol_rel=opts.tol_rank, required=sys.m)
-    if rp.generic != sys.m:
-        diags.append(f"{tag}: rank d_u phi = {rp.generic} < m "
-                     "(candidate routed to the combined construction)")
-        return None
-    try:
-        zeta_inverse, zdef, sigma_z, gbar = _zeta_transform(
-            sys, cand, sigma_y, gamma, opts)
-        sys_bar = _make_sys_bar(sys, "backward", None, None, gbar, opts, "~bwd")
-    except (AnalysisError, ModelError, SolveError, EvalError) as ex:
-        diags.append(f"{tag}: {ex}")
-        return None
-    phi_bar = _bar_phi(cand, sigma_y, None)
-    gamma1, gamma2 = gamma[sigma_y[0]], gamma[sigma_y[1]]
-    r12 = sys.n + 1 - gamma1
-    if r12 < max(gamma2, 1):
-        diags.append(f"{tag}: r12 = n+1-gamma1 = {r12} < gamma2 = {gamma2}")
-        return None
-    r11 = gamma1 + (r12 - gamma2)
-    d1 = r11 + 1 - gamma1
-    ok, why = _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r11, r12, opts)
-    if not ok:
-        diags.append(f"{tag}: {why}")
-        return None
-    rows, variables = _rows_and_vars(sys_bar, phi_bar, sigma_y,
-                                     (r11, 0), (r12, 0), d1, 0, "backward")
-    rp = _tower_probe(sys_bar, rows, variables, opts)
-    if not _rank_ok(rp):
-        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
-        return None
-    idx = ShiftIndices(rho=rho, gamma=gamma,
-                       r1=_unpermute(sigma_y, r11, r12), r2=(0, 0),
-                       d1=d1, d2=0, sigma_y=sigma_y)
-    ctx = TowerContext(mode="backward", sys_bar=sys_bar, base_model=sys,
-                       sigma_y=sigma_y, sigma_u=None, sigma_z=sigma_z,
-                       u_transform=None, u_inverse=None,
-                       zeta_inverse=zeta_inverse, gbar=gbar,
-                       diagnostics=list(diags))
-    return Tower(rows=rows, variables=variables, indices=idx, context=ctx,
-                 rank_probe=rp)
-
-
-def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r11, r12, opts):
+def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
+    """Why the backward chain's rows violate Prop. 3, or None."""
     zb1 = Var("zetabar", 1, -1)
     for s in range(1, gamma1):
         e = sys_bar.shift(phi_bar[0], -s)
         if not _independent_of(sys_bar, e, [("zetabar", 1), ("zetabar", 2)], opts):
-            return False, f"phi1_[-{s}] depends on a history before gamma1"
+            return f"phi1_[-{s}] depends on a history before gamma1"
     e = sys_bar.shift(phi_bar[0], -gamma1)
     if e != zb1 and _numeric_differs(sys_bar, e, zb1, opts):
-        return False, f"phi1_[-{gamma1}] != zetabar1[-1] (got {to_text(e)})"
+        return f"phi1_[-{gamma1}] != zetabar1[-1] (got {to_text(e)})"
     for s in range(gamma2, r12 + 1):
         e = sys_bar.shift(phi_bar[1], -s)
         if not _independent_of(sys_bar, e, [("zetabar", 2)], opts):
-            return False, f"phi2_[-{s}] depends on zetabar2"
+            return f"phi2_[-{s}] depends on zetabar2"
     bottom = sys_bar.shift(phi_bar[1], -r12)
     if not _depends(sys_bar, bottom, [Var("zetabar", 1, -(r12 - gamma2 + 1))], opts):
-        return False, (f"phi2_[-{r12}] does not reach "
-                       f"zetabar1[{-(r12 - gamma2 + 1)}]")
-    return True, ""
-
-
-def _try_combined(sys, cand, rho, gamma, sigma_y, opts, diags):
-    tag = f"combined sigma_y={sigma_y}"
-    try:
-        u_inverse, tdef, sigma_u = _input_transform(sys, cand, sigma_y, rho, opts)
-        zeta_inverse, zdef, sigma_z, gbar = _zeta_transform(
-            sys, cand, sigma_y, gamma, opts)
-        sys_bar = _make_sys_bar(sys, "combined", u_inverse, tdef, gbar, opts, "~cmb")
-    except (AnalysisError, ModelError, SolveError, EvalError) as ex:
-        diags.append(f"{tag}: {ex}")
-        return None
-    phi_bar = _bar_phi(cand, sigma_y, u_inverse)
-    rho1, rho2 = rho[sigma_y[0]], rho[sigma_y[1]]
-    gamma1, gamma2 = gamma[sigma_y[0]], gamma[sigma_y[1]]
-    cap = _shift_cap(sys)
-    r22, _ = _search_r22(sys_bar, phi_bar[1], rho2, cap, opts)
-    if r22 is None:
-        diags.append(f"{tag}: no ubar2 dependence up to shift {cap}")
-        return None
-    d2 = r22 - rho2
-    r21 = rho1 + d2
-    r12 = sys.n + 1 - gamma1 - rho1 - r22
-    if r12 < max(gamma2, 1):
-        diags.append(f"{tag}: region identity gives r12 = {r12} < gamma2 = {gamma2}")
-        return None
-    r11 = gamma1 + (r12 - gamma2)
-    d1 = r11 + 1 - gamma1
-    okf, whyf = _forward_checks(sys_bar, phi_bar, rho1, rho2, r21, r22, opts)
-    if not okf:
-        diags.append(f"{tag}: {whyf}")
-        return None
-    okb, whyb = _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r11, r12, opts)
-    if not okb:
-        diags.append(f"{tag}: {whyb}")
-        return None
-    rows, variables = _rows_and_vars(sys_bar, phi_bar, sigma_y,
-                                     (r11, r21), (r12, r22), d1, d2, "combined")
-    rp = _tower_probe(sys_bar, rows, variables, opts)
-    if not _rank_ok(rp):
-        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
-        return None
-    idx = ShiftIndices(rho=rho, gamma=gamma,
-                       r1=_unpermute(sigma_y, r11, r12),
-                       r2=_unpermute(sigma_y, r21, r22),
-                       d1=d1, d2=d2, sigma_y=sigma_y)
-    ctx = TowerContext(mode="combined", sys_bar=sys_bar, base_model=sys,
-                       sigma_y=sigma_y, sigma_u=sigma_u, sigma_z=sigma_z,
-                       u_transform=tdef, u_inverse=u_inverse,
-                       zeta_inverse=zeta_inverse, gbar=gbar,
-                       diagnostics=list(diags))
-    return Tower(rows=rows, variables=variables, indices=idx, context=ctx,
-                 rank_probe=rp)
+        return (f"phi2_[-{r12}] does not reach "
+                f"zetabar1[{-(r12 - gamma2 + 1)}]")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +707,8 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     Stage A solves states and chain variables from the rows below the top
     shifts (so F_x only sees y_[-R1, R2-1], the Eq.-(7) zero-block shape);
     stage B recovers the inputs from the top rows. Falls back to the
-    user-supplied map, then to the implicit (Newton) parameterization."""
+    user-supplied map, then to the implicit (Newton) parameterization.
+    The result is not verified along a trajectory; `analyze` does that."""
     opts = opts or AnalyzeOptions()
     idx = tower.indices
     rows_cnt = len(tower.rows)
@@ -794,22 +718,16 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     diags = list(tower.context.diagnostics)
     probe_pts = _tower_probe_points(tower, opts)
 
-    mode = tower.context.mode
     top_shift = {j: idx.r2[j - 1] for j in (1, 2)}
     eq_low, eq_top = [], []
     for (j, s), e in sorted(tower.rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         resid = esub(e, Var("y", j, s))
         (eq_top if s == top_shift[j] else eq_low).append(resid)
 
-    if mode == "backward":
-        low_unknowns = list(tower.variables[:-sys.m])
-        top_unknowns = list(tower.variables[-sys.m:])
-    else:
-        low_unknowns = [v for v in tower.variables
-                        if not (v.family == "ubar" and
-                                ((v.component == 1 and v.shift == idx.d2)
-                                 or v.component == 2))]
-        top_unknowns = [v for v in tower.variables if v not in low_unknowns]
+    # the top rows determine the current inputs of the tower's coordinates
+    u1, u2 = tower.context.sys_bar.input_vars
+    top_unknowns = [u1.shifted(idx.d2), u2]
+    low_unknowns = [v for v in tower.variables if v not in top_unknowns]
 
     F_x = F_u = None
     implicit = None
@@ -837,30 +755,22 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
         _check_shapes(param, sys)
         if cand.user_F is not None and source == "tower_inverted":
             _cross_check_user_F(sys, cand, param, probe_pts, diags)
-    if not opts.skip_verification:
-        _quick_verify(sys, cand, param, opts)
     return param
 
 
+def _input_recovery(sys, tower: Tower) -> dict:
+    """{original u leaf: expr over the tower variables}."""
+    return dict(tower.context.u_inverse or {v: v for v in sys.input_vars})
+
+
 def _recover_inputs(sys, tower: Tower, sol):
-    ctx = tower.context
-    if ctx.mode == "backward":
-        return tuple(sol[v] for v in sys.input_vars)
-    out = []
-    chain_sub = dict(sol)
-    for v in sys.input_vars:
-        expr = ctx.u_inverse[v]
-        out.append(substitute(expr, chain_sub))
-    return tuple(out)
+    recovery = _input_recovery(sys, tower)
+    return tuple(substitute(recovery[v], sol) for v in sys.input_vars)
 
 
 def _implicit_param(sys, tower: Tower) -> ImplicitParameterization:
-    ctx = tower.context
-    sys_bar = ctx.sys_bar
-    if ctx.mode == "backward":
-        u_recovery = {v: v for v in sys.input_vars}
-    else:
-        u_recovery = dict(ctx.u_inverse)
+    sys_bar = tower.context.sys_bar
+    u_recovery = _input_recovery(sys, tower)
     center = sys_bar.jet_center(set(tower.variables))
     seed = np.array([center[v] for v in tower.variables])
     return ImplicitParameterization(
@@ -902,37 +812,38 @@ def _cross_check_user_F(sys, cand, param, probe_pts, diags, tol=1e-8):
     diags.append(f"user_F cross-checked against the inverted tower ({worst:.3g})")
 
 
-def _quick_verify(sys, cand, param, opts: AnalyzeOptions):
-    from .numeric import verify_parameterization
-    traj, window = _default_trajectory(sys, param.indices, opts,
-                                       steps=opts.verify_steps)
-    report = verify_parameterization(sys, cand, param, traj, window,
-                                     tol=opts.tol_verify)
+def _verify(sys, cand, param, opts: AnalyzeOptions) -> dict:
+    """Residuals of the parameterization along a seeded random trajectory;
+    raises AnalysisError when they exceed the tolerance or cannot be
+    computed."""
+    why = "parameterization failed trajectory verification"
+    try:
+        traj, window = _default_trajectory(sys, param.indices, opts)
+        report = verify_parameterization(sys, cand, param, traj, window,
+                                         tol=opts.tol_verify)
+    except (EvalError, SimulationError) as ex:
+        raise AnalysisError(f"{why}: {ex}") from ex
     if not report.passed:
         raise AnalysisError(
-            f"parameterization failed trajectory verification: max residual "
+            f"{why}: max residual "
             f"{max(report.max_residual_x, report.max_residual_u):.3g} at "
             f"k = {report.worst_k}")
+    return report.to_json()
 
 
-def _default_trajectory(sys, idx: ShiftIndices, opts: AnalyzeOptions,
-                        steps: int, seed_offset: int = 0):
-    rng = random.Random(opts.seed + seed_offset)
+def _default_trajectory(sys, idx: ShiftIndices, opts: AnalyzeOptions):
+    """The verification trajectory and its step window: inputs drawn from the
+    [simulation] boxes with seed opts.seed + 1."""
+    rng = random.Random(opts.seed + 1)
+    steps = opts.verify_steps
     H = max(idx.r1) + 1
     K = steps + max(idx.r2) + 1
     pt = sys.analysis_point()
-    u0 = [pt[v] for v in sys.input_vars]
-    us = []
-    for _ in range(H + K):
-        u = []
-        for j in range(sys.m):
-            lo, hi = opts.input_boxes.get(j + 1, (u0[j] - 0.2, u0[j] + 0.2))
-            u.append(rng.uniform(lo, hi))
-        us.append(u)
+    us = random_inputs(rng, [pt[v] for v in sys.input_vars], opts.input_boxes,
+                       H + K)
     x0 = [pt[v] for v in sys.state_vars]
     traj = simulate(sys, x0, us, H, K)
-    window = range(0, steps)
-    return traj, window
+    return traj, range(0, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1229,15 +1140,8 @@ def analyze(sys: SystemModel, cand: FlatCandidate,
         gamma = backward_depths(sys, cand, opts)
         tower.indices = replace(tower.indices, gamma=gamma)
     param = invert_tower(sys, cand, tower, opts)
+    residuals = {} if opts.skip_verification else _verify(sys, cand, param, opts)
     cls = classify(sys, cand, param, opts)
-    residuals = {}
-    if not opts.skip_verification:
-        traj, window = _default_trajectory(sys, param.indices, opts,
-                                           steps=opts.verify_steps, seed_offset=1)
-        from .numeric import verify_parameterization
-        rep = verify_parameterization(sys, cand, param, traj, window,
-                                      tol=opts.tol_verify)
-        residuals = rep.to_json()
     return AnalysisReport(system=sys.name, indices=param.indices,
                           classification=cls, tower=tower,
                           parameterization=param, validation=vrep,

@@ -1,7 +1,8 @@
 """Command-line interface: analyze | extend | verify | print.
 
-Exit codes: 0 ok, 1 input error, 2 classification assertion failure,
-3 certificate failure, 4 numeric verification failure.
+Exit codes: 0 ok, 1 input or analysis error (a failed trajectory check in
+analyze/extend included), 2 classification assertion failure, 3 certificate
+failure, 4 numeric verification failure (verify).
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .analysis import (
 from .expr import EvalError
 from .extension import build_combined, certify_linearizing
 from .model import ModelError
-from .numeric import SimulationError, simulate, verify_parameterization
+from .numeric import (
+    SimulationError, random_inputs, simulate, verify_parameterization,
+)
 from .parsing import ParseError
 from .sysfile import (
     SystemFile, SystemFileError, load_system, loads_system, print_system,
@@ -140,21 +143,12 @@ def cmd_verify(args) -> int:
     x0 = [pt[v] for v in sys_model.state_vars]
     u0 = [pt[v] for v in sys_model.input_vars]
 
-    trials = []
     if args.trials == 0:
-        trials.append([list(u0) for _ in range(H + K)])
+        trials = [[list(u0) for _ in range(H + K)]]
     else:
         rng = random.Random(args.seed)
-        for _ in range(args.trials):
-            seq = []
-            for _ in range(H + K):
-                u = []
-                for j in range(sys_model.m):
-                    lo, hi = opts.input_boxes.get(
-                        j + 1, (u0[j] - 0.2, u0[j] + 0.2))
-                    u.append(rng.uniform(lo, hi))
-                seq.append(u)
-            trials.append(seq)
+        trials = [random_inputs(rng, u0, opts.input_boxes, H + K)
+                  for _ in range(args.trials)]
 
     worst = {"max_residual_x": 0.0, "max_residual_u": 0.0, "worst_k": 0,
              "tolerance": args.tol_verify, "pass": True}
@@ -180,9 +174,7 @@ def cmd_verify(args) -> int:
                     print(f"trial {t}: pole persisted after 10 resamples",
                           file=sys.stderr)
                     return EXIT_VERIFY
-                seq = [[rng.uniform(*opts.input_boxes.get(j + 1,
-                                                          (u0[j] - 0.2, u0[j] + 0.2)))
-                        for j in range(sys_model.m)] for _ in range(H + K)]
+                seq = random_inputs(rng, u0, opts.input_boxes, H + K)
         j = rep.to_json()
         if max(j["max_residual_x"], j["max_residual_u"]) > max(
                 worst["max_residual_x"], worst["max_residual_u"]):

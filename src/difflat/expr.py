@@ -21,8 +21,7 @@ __all__ = [
     "Expr", "Num", "Par", "Var", "Add", "Mul", "Pow", "Fun",
     "ExprError", "EvalError", "UnboundLeafError", "PoleError",
     "FAMILIES", "num", "par", "var", "add", "sub", "neg", "mul", "div",
-    "pow_", "sin", "cos", "tan", "cot", "canonical", "ratio_normal",
-    "differentiate",
+    "pow_", "sin", "cos", "tan", "cot", "canonical", "differentiate",
     "substitute", "evaluate", "jacobian", "vars_of", "params_of",
     "shift_vars", "to_text", "ZERO", "ONE",
 ]
@@ -562,57 +561,6 @@ def cot(arg) -> Expr:
 _FUNCTIONS: Mapping[str, Callable[[Expr], Expr]] = {
     "sin": sin, "cos": cos, "tan": tan, "cot": cot,
 }
-
-
-def ratio_normal(e: Expr) -> Expr:
-    """Clear nested fractions: rewrite e as a single quotient num/den with
-    the denominator a product of factors (no fractions inside fractions).
-    Values are preserved exactly; only the canonical shape changes."""
-    num, den = _ratio(e)
-    return div(num, den)
-
-
-def _ratio(e: Expr):
-    if isinstance(e, (Num, Par, Var)):
-        return e, ONE
-    if isinstance(e, Fun):
-        return _FUNCTIONS[e.name](ratio_normal(e.arg)), ONE
-    if isinstance(e, Pow):
-        n, d = _ratio(e.base)
-        if e.exp > 0:
-            return pow_(n, e.exp), pow_(d, e.exp)
-        return pow_(d, -e.exp), pow_(n, -e.exp)
-    if isinstance(e, Mul):
-        nums, dens = [], []
-        for f in e.factors:
-            n, d = _ratio(f)
-            nums.append(n)
-            dens.append(d)
-        return mul(*nums), mul(*dens)
-    if isinstance(e, Add):
-        pairs = [_ratio(t) for t in e.terms]
-        # least common denominator over the factor monomials
-        lcm: dict = {}
-        decomps = []
-        for _, d in pairs:
-            coeff, mono = _as_coeff_monomial(d)
-            decomps.append((coeff, dict((_key(b), (b, x)) for b, x in mono)))
-            for b, x in mono:
-                k = _key(b)
-                if k not in lcm or lcm[k][1] < x:
-                    lcm[k] = (b, x)
-        den = _from_coeff_monomial(Fraction(1), tuple(
-            lcm[k] for k in sorted(lcm)))
-        terms = []
-        for (n, _), (coeff, mono_map) in zip(pairs, decomps):
-            cofactor = [Num(Fraction(1) / coeff)]
-            for k, (b, x) in lcm.items():
-                have = mono_map.get(k, (b, 0))[1]
-                if x - have:
-                    cofactor.append(pow_(b, x - have))
-            terms.append(mul(n, *cofactor))
-        return add(*terms), den
-    raise ExprError(f"unknown node {e!r}")
 
 
 def canonical(e: Expr) -> Expr:

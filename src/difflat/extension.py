@@ -114,36 +114,11 @@ def build_prolongation(sys: SystemModel, cand: FlatCandidate,
     ubar1 = delta^rho1 phi_first; state [x, ubar1_[0..d2-1]], input
     (ubar1[d2], ubar2)."""
     _require_two_inputs(sys)
-    idx = tower.indices
-    ctx = tower.context
-    if idx.r1 != (0, 0) or ctx.mode != "forward":
+    if tower.indices.r1 != (0, 0) or tower.context.mode != "forward":
         raise ExtensionError(
             "prolongation applies to forward-flat candidates (R1 = 0); "
-            f"got R1 = {idx.r1}")
-    d2 = idx.d2
-    sys_bar = ctx.sys_bar
-    state = list(sys.state_vars) + [Var("ubar", 1, k) for k in range(d2)]
-    if d2 == 0:
-        inputs = (Var("ubar", 1, 0), Var("ubar", 2, 0))
-        f_ext = list(sys_bar.f)
-    else:
-        inputs = (Var("ubar", 1, d2), Var("ubar", 2, 0))
-        f_ext = list(sys_bar.f) + [Var("ubar", 1, k + 1) for k in range(d2)]
-    point = dict(sys.point)
-    chain_vals = _chain_point_forward(sys, cand, tower, d2)
-    for v in sys.input_vars:
-        point.pop(v, None)
-    point.update(chain_vals)
-    model = SystemModel(
-        n=len(state), m=2, f=tuple(f_ext), state_vars=tuple(state),
-        input_vars=inputs, params=sys.params, point=point,
-        name=sys.name + "_ext")
-    output = tuple(substitute(p, ctx.u_inverse) for p in cand.phi)
-    ext = ExtendedSystem(base=sys, model=model, d1=0, d2=d2,
-                         input_transform=dict(ctx.u_inverse),
-                         zeta_transform=None, tower=tower, output=output)
-    _check_transform_ranks(ext)
-    return ext
+            f"got R1 = {tower.indices.r1}")
+    return build_combined(sys, cand, tower)
 
 
 def build_prelongation(sys: SystemModel, cand: FlatCandidate,
@@ -152,66 +127,51 @@ def build_prelongation(sys: SystemModel, cand: FlatCandidate,
     g-function gbar1 = phi_first shifted by -(gamma1 - 1); state
     [zetabar1_[-d1..-1], x], original inputs."""
     _require_two_inputs(sys)
-    idx = tower.indices
-    ctx = tower.context
-    if idx.r2 != (0, 0) or ctx.mode != "backward":
+    if tower.indices.r2 != (0, 0) or tower.context.mode != "backward":
         raise ExtensionError(
             "prelongation applies to backward-flat candidates (R2 = 0); "
-            f"got R2 = {idx.r2}")
-    d1 = idx.d1
-    gbar1 = ctx.gbar[0]
-    state = [Var("zetabar", 1, -k) for k in range(d1, 0, -1)] + list(sys.state_vars)
-    chain = [Var("zetabar", 1, -k + 1) for k in range(d1, 1, -1)]
-    f_ext = chain + ([gbar1] if d1 else []) + list(sys.f)
-    point = dict(sys.point)
-    point.update(_chain_point_backward(sys, cand, tower, d1))
-    model = SystemModel(
-        n=len(state), m=2, f=tuple(f_ext), state_vars=tuple(state),
-        input_vars=sys.input_vars, params=sys.params, point=point,
-        name=sys.name + "_ext")
-    ext = ExtendedSystem(base=sys, model=model, d1=d1, d2=0,
-                         input_transform=None,
-                         zeta_transform=dict(ctx.zeta_inverse),
-                         tower=tower, output=tuple(cand.phi))
-    _check_transform_ranks(ext)
-    return ext
+            f"got R2 = {tower.indices.r2}")
+    return build_combined(sys, cand, tower)
 
 
 def build_combined(sys: SystemModel, cand: FlatCandidate,
                    tower: Tower) -> ExtendedSystem:
-    """Prop.-4 extension; degenerates to the pure constructions when one
-    chain is empty (so the degeneration equalities hold structurally)."""
+    """Prop.-4 extension over the tower's transformed system: a backward
+    chain of length d1 on gbar1 and a forward chain of length d2 on ubar1;
+    state [zetabar1_[-d1..-1], x, ubar1_[0..d2-1]], input (ubar1[d2], ubar2).
+    An empty chain leaves the Prop.-2 prolongation or the Prop.-3
+    prelongation; without an input transform the inputs stay the original
+    ones."""
     _require_two_inputs(sys)
-    idx = tower.indices
     ctx = tower.context
-    if ctx.mode == "forward" or idx.d1 == 0:
-        return build_prolongation(sys, cand, tower)
-    if ctx.mode == "backward" or idx.d2 == 0:
-        return build_prelongation(sys, cand, tower)
-    d1, d2 = idx.d1, idx.d2
+    d1, d2 = tower.indices.d1, tower.indices.d2
     sys_bar = ctx.sys_bar
-    gbar1_bar = sys_bar.g[0]  # gbar1 composed with the input transform
-    state = ([Var("zetabar", 1, -k) for k in range(d1, 0, -1)]
-             + list(sys.state_vars)
-             + [Var("ubar", 1, k) for k in range(d2)])
-    inputs = (Var("ubar", 1, d2), Var("ubar", 2, 0))
-    chain_z = [Var("zetabar", 1, -k + 1) for k in range(d1, 1, -1)]
-    chain_u = [Var("ubar", 1, k + 1) for k in range(d2)]
-    f_ext = chain_z + [gbar1_bar] + list(sys_bar.f) + chain_u
+    u1, u2 = sys_bar.input_vars
+    chain_z = [Var("zetabar", 1, -k) for k in range(d1, 0, -1)]
+    chain_u = [u1.shifted(k) for k in range(d2)]
+    state = chain_z + list(sys.state_vars) + chain_u
+    # zetabar1[-k]+ = zetabar1[-k+1], the last one is gbar1 (composed with
+    # the input transform); ubar1[k]+ = ubar1[k+1]
+    f_z = chain_z[1:] + [sys_bar.g[0]] if d1 else []
+    f_ext = f_z + list(sys_bar.f) + [v.shifted(1) for v in chain_u]
     point = dict(sys.point)
-    for v in sys.input_vars:
-        point.pop(v, None)
-    point.update(_chain_point_forward(sys, cand, tower, d2))
-    point.update(_chain_point_backward(sys, cand, tower, d1))
+    output = tuple(cand.phi)
+    if ctx.u_inverse is not None:
+        for v in sys.input_vars:
+            point.pop(v, None)
+        point.update(_chain_point_forward(sys, cand, tower, d2))
+        output = tuple(substitute(p, ctx.u_inverse) for p in cand.phi)
+    if ctx.zeta_inverse is not None:
+        point.update(_chain_point_backward(sys, cand, tower, d1))
     model = SystemModel(
         n=len(state), m=2, f=tuple(f_ext), state_vars=tuple(state),
-        input_vars=inputs, params=sys.params, point=point,
+        input_vars=(u1.shifted(d2), u2), params=sys.params, point=point,
         name=sys.name + "_ext")
-    output = tuple(substitute(p, ctx.u_inverse) for p in cand.phi)
-    ext = ExtendedSystem(base=sys, model=model, d1=d1, d2=d2,
-                         input_transform=dict(ctx.u_inverse),
-                         zeta_transform=dict(ctx.zeta_inverse),
-                         tower=tower, output=output)
+    ext = ExtendedSystem(
+        base=sys, model=model, d1=d1, d2=d2,
+        input_transform=dict(ctx.u_inverse) if ctx.u_inverse else None,
+        zeta_transform=dict(ctx.zeta_inverse) if ctx.zeta_inverse else None,
+        tower=tower, output=output)
     _check_transform_ranks(ext)
     return ext
 

@@ -12,7 +12,7 @@ from .expr import (
     EvalError, Expr, Par, Var, evaluate, substitute, to_text, vars_of,
     params_of,
 )
-from .numeric import ProbeSet, eval_matrix, numeric_rank
+from .numeric import eval_matrix, numeric_rank
 from .solve import SolveError, solve_equations
 
 __all__ = [
@@ -102,14 +102,6 @@ class SystemModel:
             if isinstance(v, Var) and v not in pt:
                 pt[v] = self.seed_value(v)
         return pt
-
-    def probes(self, leaves=(), radius: float = 1e-2, count: int = 10,
-               seed: int = 2023) -> ProbeSet:
-        extra = set(leaves)
-        for e in list(self.f) + list(self.g or ()):
-            extra |= vars_of(e)
-        return ProbeSet(center=self.jet_center(extra), radius=radius,
-                        count=count, seed=seed)
 
     # -- shift operators ----------------------------------------------------
 

@@ -9,13 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    EvalError, Par, Var, differentiate, evaluate, vars_of,
+    EvalError, Par, Var, ZERO, differentiate, evaluate, vars_of,
 )
 
 __all__ = [
     "numeric_rank", "fd_jacobian_check", "eval_matrix", "ProbeSet",
-    "RankProbe", "probe_rank", "Trajectory", "simulate", "SimulationError",
-    "verify_parameterization", "ResidualReport", "newton_solve",
+    "RankProbe", "probe_rank", "Trajectory", "random_inputs", "simulate",
+    "SimulationError", "verify_parameterization", "ResidualReport",
+    "newton_solve",
 ]
 
 RANK_TOL = 1e-8
@@ -90,10 +91,6 @@ class ProbeSet:
                     p[k] = v + rng.uniform(-self.radius, self.radius)
             yield p
 
-    def perturbed_only(self, leaves=None):
-        pts = list(self.points(leaves))
-        return pts[1:]
-
 
 def _probe_points(probes):
     return probes.points() if isinstance(probes, ProbeSet) else probes
@@ -106,7 +103,7 @@ def depends_on(exprs, variables, probes, tol: float = DEPEND_TOL) -> bool:
     for e in exprs if isinstance(exprs, (list, tuple)) else [exprs]:
         for v in variables:
             d = differentiate(e, v)
-            if d != _zero():
+            if d != ZERO:
                 partials.append(d)
     if not partials:
         return False
@@ -120,21 +117,12 @@ def depends_on(exprs, variables, probes, tol: float = DEPEND_TOL) -> bool:
     return False
 
 
-def _zero():
-    from .expr import ZERO
-    return ZERO
-
-
 @dataclass
 class RankProbe:
     at_point: int | None
     generic: int
     per_point: list
     required: int | None = None
-
-    @property
-    def full(self) -> bool:
-        return self.required is not None and self.generic == self.required
 
 
 def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL,
@@ -212,6 +200,13 @@ class Trajectory:
             for j in range(sys.m):
                 pt[Var(sys.gvalue_family, j + 1, -b)] = zk[j]
         return pt
+
+
+def random_inputs(rng: random.Random, u0, boxes: dict, count: int) -> list:
+    """`count` input samples, each component drawn uniformly from its
+    1-based `boxes` entry, or from u0[j] +- 0.2 when it has none."""
+    return [[rng.uniform(*boxes.get(j + 1, (u0[j] - 0.2, u0[j] + 0.2)))
+             for j in range(len(u0))] for _ in range(count)]
 
 
 def simulate(sys, x_start, u_sequence, H: int, K: int) -> Trajectory:

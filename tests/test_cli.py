@@ -57,6 +57,54 @@ def test_analyze_input_error_exit_code(paths, tmp_path, capsys):
     assert "dynamics" in err
 
 
+# vtol with its states relabeled x1..x6 -> x6, x1, x5, x4, x3, x2 and its
+# outputs swapped: the implicit parameterization's Newton iteration stagnates
+# on the verification trajectory
+VTOL_RELABELED_SWAPPED = """
+[params]
+T_s = 1/10
+eps = 1/5
+g_grav = 981/100
+
+[dims]
+n = 6
+m = 2
+
+[dynamics]
+x1+ = x1 + T_s*x4
+x2+ = x2 + T_s*u2
+x3+ = x3 + T_s*x2
+x4+ = x4 + T_s*cos(x3)*(u1 - eps*x2^2) - g_grav*T_s
+x5+ = x5 + T_s*sin(x3)*(eps*x2^2 - u1)
+x6+ = x6 + T_s*x5
+
+[extension]
+g1 = x6
+g2 = x3
+
+[output]
+y1 = x1
+y2 = x6
+
+[equilibrium]
+x3 = pi/2
+u1 = g_grav
+
+[simulation]
+u1 = g_grav - 1/2 .. g_grav + 1/2
+u2 = -1/4 .. 1/4
+"""
+
+
+def test_failed_trajectory_verification_is_a_typed_error(tmp_path, capsys):
+    p = tmp_path / "vtol_relabeled.sys"
+    p.write_text(VTOL_RELABELED_SWAPPED, encoding="utf-8")
+    rc, _, err = run(capsys, "analyze", str(p))
+    assert rc == 1
+    assert "analysis error: parameterization failed trajectory verification" in err
+    assert "Traceback" not in err
+
+
 def test_extend_academic(paths, tmp_path, capsys):
     out_file = tmp_path / "academic_ext.sys"
     rc, out, _ = run(capsys, "extend", paths["academic"], "--json",

@@ -114,6 +114,27 @@ def test_combined_degenerates_to_prelongation(reports, corpus):
     assert a.model.input_vars == b.model.input_vars
 
 
+def test_combined_extension_with_empty_forward_chain():
+    # x1+ = x2, x2+ = x3 + u2, x3+ = u1 with y = (x3, u2): the combined
+    # construction with a transformed input but no prolongation chain (d2 = 0)
+    from difflat.analysis import build_tower
+    x = [var("x", i) for i in (1, 2, 3)]
+    u = [var("u", j) for j in (1, 2)]
+    sysm = SystemModel(n=3, m=2, f=(x[1], P("x3 + u2", 3, 2), u[0]),
+                       state_vars=tuple(x), input_vars=tuple(u),
+                       g=(x[0], x[2]), point={v: 0.0 for v in x + u})
+    cand = FlatCandidate(phi=(x[2], u[1]))
+    tower = build_tower(sysm, cand)
+    idx = tower.indices
+    assert tower.context.mode == "combined"
+    assert (idx.r1, idx.r2, idx.d1, idx.d2) == ((2, 2), (1, 0), 2, 0)
+    ext = build_combined(tower.context.base_model, cand, tower)
+    assert (ext.d1, ext.d2) == (2, 0)
+    assert ext.model.n == 5
+    cert = certify_linearizing(ext)
+    assert cert.passed and cert.rank == cert.required == 7
+
+
 def test_prolongation_rejects_wrong_class(reports, corpus):
     rep = reports["academic"]
     with pytest.raises(ExtensionError):

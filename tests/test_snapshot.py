@@ -70,7 +70,8 @@ RESIDUAL_KEYS = ("max_residual_x", "max_residual_u", "worst_k")
 
 
 def _run(argv):
-    """(exit code, parsed JSON report or None, stderr) of one CLI call."""
+    """Exit code, JSON report (None when none was printed) and stderr of one
+    CLI call."""
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(list(argv))
@@ -106,6 +107,7 @@ def _y_points(count=3):
 
 
 def _values(texts, sf):
+    """The F entries given as text, evaluated at the fixed output jets."""
     if texts is None:
         return None
     table = DimTable(sf.model.n, sf.model.m, frozenset(sf.model.params))
