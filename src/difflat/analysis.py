@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, differentiate, evaluate, shift_vars,
+    EvalError, Expr, Par, Var, differentiate, evaluate, jacobian, shift_vars,
     sub as esub, substitute, to_text, vars_of,
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    ProbeSet, RankProbe, SimulationError, depends_on, eval_matrix,
-    newton_solve, numeric_rank, probe_rank, random_inputs, simulate,
-    verify_parameterization,
+    PROBE_COUNT, RankProbe, SimulationError, depends_on, eval_matrix,
+    newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
+    simulate, verify_parameterization,
 )
 from .solve import SolveError, solve_equations
 
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 SHIFT_CAP_FACTOR = 2
+VERIFY_STEPS = 12
 
 
 class AnalysisError(Exception):
@@ -73,9 +74,6 @@ class AnalyzeOptions:
     seed: int = 2023
     tol_rank: float = 1e-8
     tol_verify: float = 1e-8
-    probe_radius: float = 1e-2
-    probe_count: int = 10
-    verify_steps: int = 12
     skip_verification: bool = False
 
 
@@ -154,9 +152,7 @@ class ImplicitParameterization:
     _jac: list = None
 
     def __post_init__(self):
-        rows = self.tower.row_exprs()
-        cols = list(self.tower.variables)
-        self._jac = [[differentiate(r, v) for v in cols] for r in rows]
+        self._jac = jacobian(self.tower.row_exprs(), self.tower.variables)
 
     def _point(self, w):
         pt = dict(self.params)
@@ -218,8 +214,8 @@ class ImplicitParameterization:
         state_rows = [vars_.index(v) for v in self.state_vars]
         dFx = M[state_rows, :]
         # chain rule for u = Phi_u(vars)
-        dU = np.array([[evaluate(differentiate(self.u_recovery[v], w_), pt)
-                        for w_ in vars_] for v in self.input_vars])
+        dU = eval_matrix(jacobian([self.u_recovery[v] for v in self.input_vars],
+                                  vars_), pt)
         dFu = dU @ M
         return dFx, dFu, M
 
@@ -312,11 +308,8 @@ def backward_depths(sys: SystemModel, cand: FlatCandidate,
     return tuple(out)
 
 
-def _jet_probes(sys: SystemModel, leaves, opts: AnalyzeOptions,
-                radius=None) -> ProbeSet:
-    center = sys.jet_center(leaves)
-    return ProbeSet(center=center, radius=radius or opts.probe_radius,
-                    count=opts.probe_count, seed=opts.seed)
+def _jet_probes(sys: SystemModel, leaves, opts: AnalyzeOptions):
+    return probe_points(sys.jet_center(leaves), opts.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +320,8 @@ def _solve_single(sys: SystemModel, definition: Expr, target: Var, unknowns,
     """Solve definition == target for one of the unknowns, tried in order;
     returns (unknown, solution expr over remaining coordinates + target)."""
     leaves = vars_of(definition) | set(unknowns)
-    probes = list(_jet_probes(sys, leaves, opts).points())
-    for pt in probes:
-        pt[target] = evaluate(definition, pt)
+    probes = list(probe_points(sys.jet_center(leaves), opts.seed,
+                               bind=[(target, definition)]))
     last = None
     for u in unknowns:
         try:
@@ -565,13 +557,8 @@ def _search_r22(sys_bar: SystemModel, phi2_bar: Expr, rho2: int, cap: int,
 
 
 def _independent_of(sys_bar, e, fam_comp_list, opts) -> bool:
-    leaves = vars_of(e)
-    targets = [v for v in leaves
-               if any((v.family, v.component) == fc for fc in fam_comp_list)]
-    if not targets:
-        return True
-    probes = _jet_probes(sys_bar, leaves, opts)
-    return not depends_on(e, targets, probes)
+    targets = [v for v in vars_of(e) if (v.family, v.component) in fam_comp_list]
+    return not targets or not _depends(sys_bar, e, targets, opts)
 
 
 def _depends(sys_bar, e, target_vars, opts) -> bool:
@@ -638,9 +625,7 @@ def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
 
 
 def _numeric_differs(sys_bar, a, b, opts, tol=1e-9) -> bool:
-    leaves = vars_of(a) | vars_of(b)
-    probes = _jet_probes(sys_bar, leaves, opts)
-    for pt in probes.points():
+    for pt in _jet_probes(sys_bar, vars_of(a) | vars_of(b), opts):
         try:
             if abs(evaluate(a, pt) - evaluate(b, pt)) > tol:
                 return True
@@ -681,23 +666,15 @@ def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
 # Tower inversion.
 
 def _tower_probe_points(tower: Tower, opts: AnalyzeOptions, count=6):
-    """Consistent probe points binding tower variables and y-leaf targets."""
-    sys_bar = tower.context.sys_bar
+    """`count` consistent probe points, the jet center first: the tower
+    variables perturbed, the y-leaf targets bound to the rows' values."""
     leaves = set(tower.variables)
     for e in tower.rows.values():
         leaves |= vars_of(e)
-    base = sys_bar.jet_center(leaves)
-    rng = random.Random(opts.seed + 7)
-    pts = []
-    for trial in range(count):
-        pt = dict(base)
-        if trial:
-            for v in tower.variables:
-                pt[v] += rng.uniform(-opts.probe_radius, opts.probe_radius)
-        for (j, s), e in tower.rows.items():
-            pt[Var("y", j, s)] = evaluate(e, pt)
-        pts.append(pt)
-    return pts
+    center = tower.context.sys_bar.jet_center(leaves)
+    targets = [(Var("y", j, s), e) for (j, s), e in tower.rows.items()]
+    return list(probe_points(center, opts.seed + 7, count - 1,
+                             perturb=tower.variables, bind=targets))
 
 
 def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
@@ -835,15 +812,14 @@ def _default_trajectory(sys, idx: ShiftIndices, opts: AnalyzeOptions):
     """The verification trajectory and its step window: inputs drawn from the
     [simulation] boxes with seed opts.seed + 1."""
     rng = random.Random(opts.seed + 1)
-    steps = opts.verify_steps
     H = max(idx.r1) + 1
-    K = steps + max(idx.r2) + 1
+    K = VERIFY_STEPS + max(idx.r2) + 1
     pt = sys.analysis_point()
     us = random_inputs(rng, [pt[v] for v in sys.input_vars], opts.input_boxes,
                        H + K)
     x0 = [pt[v] for v in sys.state_vars]
     traj = simulate(sys, x0, us, H, K)
-    return traj, range(0, steps)
+    return traj, range(0, VERIFY_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +887,7 @@ def _param_substitution(sys, param):
     return mapping
 
 
-def _image_probe_points(sys, param, opts, count=11):
+def _image_probe_points(sys, param, opts, count=PROBE_COUNT + 1):
     """y-jet probes taken as images of tower-variable probes (always in the
     chart; the exact analysis-point image may sit on the singular locus)."""
     pts = _tower_probe_points(param.tower, opts, count=count)
@@ -929,14 +905,12 @@ def _implicit_ranks(sys, param, cols_R2, cols_mR1, opts):
     targets = tower.target_vars()
     col_idx_R2 = [targets.index(c) for c in cols_R2]
     col_idx_mR1 = [targets.index(c) for c in cols_mR1]
-    rng = random.Random(opts.seed + 13)
     ranks_fu, ranks_fx, ranks_gf = [], [], []
-    base = imp.seed_center
-    for trial in range(opts.probe_count + 1):
-        w = np.array(base)
-        if trial:
-            w = w + np.array([rng.uniform(-opts.probe_radius, opts.probe_radius)
-                              for _ in w])
+    if sys.g is not None:
+        Dg = jacobian(sys.g, list(sys.state_vars) + list(sys.input_vars))
+    for pt in probe_points(imp._point(imp.seed_center), opts.seed + 13,
+                           perturb=tower.variables):
+        w = np.array([pt[v] for v in tower.variables])
         try:
             dFx, dFu, _ = imp.jacobian_blocks(w)
         except (EvalError, np.linalg.LinAlgError):
@@ -944,19 +918,12 @@ def _implicit_ranks(sys, param, cols_R2, cols_mR1, opts):
         ranks_fu.append(numeric_rank(dFu[:, col_idx_R2], opts.tol_rank))
         ranks_fx.append(numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank))
         if sys.g is not None:
-            pt = imp._point(w)
-            xs = [pt[v] for v in sys.state_vars]
-            us = [evaluate(imp.u_recovery[v], pt) for v in imp.input_vars]
             gpt = dict(imp.params)
-            for v, val in zip(sys.state_vars, xs):
-                gpt[v] = val
-            for v, val in zip(sys.input_vars, us):
-                gpt[v] = val
-            Dg = eval_matrix(
-                [[differentiate(gj, v) for v in
-                  list(sys.state_vars) + list(sys.input_vars)]
-                 for gj in sys.g], gpt)
-            dG = Dg @ np.vstack([dFx, dFu])
+            for v in sys.state_vars:
+                gpt[v] = pt[v]
+            for v in sys.input_vars:
+                gpt[v] = evaluate(imp.u_recovery[v], pt)
+            dG = eval_matrix(Dg, gpt) @ np.vstack([dFx, dFu])
             ranks_gf.append(numeric_rank(dG[:, col_idx_mR1], opts.tol_rank))
     if not ranks_fu:
         raise AnalysisError("no probe point admitted a tower Jacobian inverse")
@@ -991,7 +958,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
         if isinstance(fi, Var) and fi in sys.input_vars and len(chosen) < sys.m:
             if all(sys.f[c] != fi for c in chosen):
                 chosen.append(i)
-    J = [[differentiate(fi, v) for v in sys.input_vars] for fi in sys.f]
+    J = jacobian(sys.f, sys.input_vars)
 
     def rank_of(rows):
         if not rows:
@@ -1013,17 +980,10 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
 
     v_vars = [Var("ubar", k + 1, 0) for k in range(sys.m)]
     eqs = [esub(sys.f[i], v) for i, v in zip(chosen, v_vars)]
-    probes = []
-    base = sys.analysis_point()
-    rng = random.Random(opts.seed + 3)
-    for trial in range(6):
-        p = dict(base)
-        if trial:
-            for v in list(sys.state_vars) + list(sys.input_vars):
-                p[v] += rng.uniform(-opts.probe_radius, opts.probe_radius)
-        for i, v in zip(chosen, v_vars):
-            p[v] = evaluate(sys.f[i], p)
-        probes.append(p)
+    probes = list(probe_points(
+        pt, opts.seed + 3, 5,
+        perturb=list(sys.state_vars) + list(sys.input_vars),
+        bind=[(v, sys.f[i]) for i, v in zip(chosen, v_vars)]))
     try:
         sol = solve_equations(eqs, list(sys.input_vars), probes)
     except SolveError as ex:
@@ -1035,7 +995,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
     for v in sys.input_vars:
         point.pop(v, None)
     for i, v in zip(chosen, v_vars):
-        point[v] = evaluate(sys.f[i], base)
+        point[v] = evaluate(sys.f[i], pt)
     sys_v = SystemModel(
         n=sys.n, m=sys.m, f=f_v, state_vars=sys.state_vars,
         input_vars=tuple(v_vars), g=None, gvalue_family=sys.gvalue_family,

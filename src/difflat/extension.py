@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .expr import Var, evaluate, substitute, to_text, vars_of
 from .model import SystemModel
-from .numeric import ProbeSet, probe_rank
+from .numeric import probe_points, probe_rank
 from .analysis import AnalysisError, AnalyzeOptions, FlatCandidate, Tower
 
 __all__ = [
@@ -181,38 +181,31 @@ def _check_transform_ranks(ext: ExtendedSystem, opts: AnalyzeOptions | None = No
     coordinates)."""
     opts = opts or AnalyzeOptions()
     sys = ext.base
-    if ext.input_transform:
-        rows = [ext.input_transform[v] for v in sys.input_vars]
-        cols = [Var("ubar", 1, 0), Var("ubar", 2, 0)]
+    hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
+    for what, transform, keys, cols in (
+            ("input", ext.input_transform, sys.input_vars,
+             [Var("ubar", 1, 0), Var("ubar", 2, 0)]),
+            ("history", ext.zeta_transform, hist,
+             [Var("zetabar", 1, -1), Var("zetabar", 2, -1)])):
+        if not transform:
+            continue
+        rows = [transform[v] for v in keys]
         leaves = set(cols)
         for e in rows:
             leaves |= vars_of(e)
-        center = dict(ext.model.analysis_point())
-        for v in leaves:
-            if v not in center:
-                center[v] = ext.model.seed_value(v)
-        probes = ProbeSet(center=center, radius=opts.probe_radius,
-                          count=opts.probe_count, seed=opts.seed)
-        rp = probe_rank(rows, cols, probes, tol_rel=opts.tol_rank, required=2)
+        if what == "input":
+            center = ext.model.jet_center(leaves)
+        else:
+            # the chain values come from the extended point, the rest from
+            # the base system's jet
+            center = sys.jet_center({v for v in leaves if v.family != "zetabar"})
+            for c in cols:
+                center[c] = ext.model.point.get(c, 0.0)
+        rp = probe_rank(rows, cols, probe_points(center, opts.seed),
+                        tol_rel=opts.tol_rank, required=2)
         if rp.generic != 2:
             raise ExtensionError(
-                f"input transform is not invertible near the point (rank {rp.generic})")
-    if ext.zeta_transform:
-        hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
-        rows = [ext.zeta_transform[v] for v in hist]
-        cols = [Var("zetabar", 1, -1), Var("zetabar", 2, -1)]
-        leaves = set(cols)
-        for e in rows:
-            leaves |= vars_of(e)
-        center = sys.jet_center({v for v in leaves if v.family != "zetabar"})
-        for c in cols:
-            center[c] = ext.model.point.get(c, 0.0)
-        probes = ProbeSet(center=center, radius=opts.probe_radius,
-                          count=opts.probe_count, seed=opts.seed)
-        rp = probe_rank(rows, cols, probes, tol_rel=opts.tol_rank, required=2)
-        if rp.generic != 2:
-            raise ExtensionError(
-                f"history transform is not invertible near the point (rank {rp.generic})")
+                f"{what} transform is not invertible near the point (rank {rp.generic})")
 
 
 def certify_linearizing(ext: ExtendedSystem,
@@ -235,11 +228,8 @@ def certify_linearizing(ext: ExtendedSystem,
         raise ExtensionError(
             "tower rows reference coordinates outside the extended system: "
             + ", ".join(sorted({to_text(v) for v in stray})))
-    center = model.analysis_point()
-    probes = ProbeSet(center=center, radius=opts.probe_radius,
-                      count=opts.probe_count, seed=opts.seed)
-    rp = probe_rank(rows, coords, probes, tol_rel=opts.tol_rank,
-                    required=required)
+    rp = probe_rank(rows, coords, probe_points(model.analysis_point(), opts.seed),
+                    tol_rel=opts.tol_rank, required=required)
     return Certificate(square=True, rank=rp.generic, required=required,
                        points_checked=len(rp.per_point),
                        at_point_rank=rp.at_point)

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, evaluate, substitute, to_text, vars_of,
-    params_of,
+    EvalError, Expr, Par, Var, evaluate, jacobian, sub as esub, substitute,
+    to_text, vars_of, params_of,
 )
-from .numeric import eval_matrix, numeric_rank
+from .numeric import eval_matrix, numeric_rank, probe_points
 from .solve import SolveError, solve_equations
 
 __all__ = [
@@ -248,14 +248,15 @@ def validate(sys: SystemModel, tol_rank: float = 1e-8) -> ValidationReport:
         if v not in pt:
             raise ModelError(f"analysis point does not bind {to_text(v)}")
 
-    J_u = [[e for e in row] for row in _jac(sys.f, sys.input_vars)]
-    input_rank = numeric_rank(eval_matrix(J_u, pt), tol_rank)
+    input_rank = numeric_rank(eval_matrix(jacobian(sys.f, sys.input_vars), pt),
+                              tol_rank)
     cols_xu = list(sys.state_vars) + list(sys.input_vars)
-    sub_rank = numeric_rank(eval_matrix(_jac(sys.f, cols_xu), pt), tol_rank)
+    sub_rank = numeric_rank(eval_matrix(jacobian(sys.f, cols_xu), pt), tol_rank)
     ext_rank = None
     if sys.g is not None:
         stacked = list(sys.f) + list(sys.g)
-        ext_rank = numeric_rank(eval_matrix(_jac(stacked, cols_xu), pt), tol_rank)
+        ext_rank = numeric_rank(eval_matrix(jacobian(stacked, cols_xu), pt),
+                                tol_rank)
 
     fx = [evaluate(fi, pt) for fi in sys.f]
     resid = max(abs(a - pt[v]) for a, v in zip(fx, sys.state_vars))
@@ -275,24 +276,13 @@ def validate(sys: SystemModel, tol_rank: float = 1e-8) -> ValidationReport:
         is_fixed_point=fixed, messages=messages)
 
 
-def _jac(rows, cols):
-    from .expr import differentiate
-    return [[differentiate(r, v) for v in cols] for r in rows]
-
-
-def _psi_residual(sys: SystemModel, count: int = 10, radius: float = 1e-2,
-                  seed: int = 11) -> float:
+def _psi_residual(sys: SystemModel) -> float:
     """Two-sided composition residual of psi against (f,g) at the analysis
-    point and `count` perturbed points."""
-    import random
-    rng = random.Random(seed)
+    point and its seeded perturbations."""
     worst = 0.0
-    base = sys.analysis_point()
-    for trial in range(count + 1):
-        pt = dict(base)
-        if trial:
-            for v in list(sys.state_vars) + list(sys.input_vars):
-                pt[v] += rng.uniform(-radius, radius)
+    for trial, pt in enumerate(probe_points(
+            sys.analysis_point(), 11,
+            perturb=list(sys.state_vars) + list(sys.input_vars))):
         xplus = [evaluate(fi, pt) for fi in sys.f]
         zeta = [evaluate(gj, pt) for gj in sys.g]
         back = dict(sys.param_bindings())
@@ -334,31 +324,17 @@ class ExtensionChoice:
     psi_u: tuple
 
 
-def _solve_psi(sys: SystemModel, g, probes_count: int = 6, seed: int = 5):
+def _solve_psi(sys: SystemModel, g):
     """Solve (f,g)(x,u) = (next, gslot) for (x,u); return applied-form psi."""
     slots_x = [Var("nxt", i + 1, 0) for i in range(sys.n)]
     slots_z = [Var("gsl", j + 1, 0) for j in range(sys.m)]
-    from .expr import sub as esub
     eqs = [esub(fi, s) for fi, s in zip(sys.f, slots_x)]
     eqs += [esub(gj, s) for gj, s in zip(g, slots_z)]
     unknowns = list(sys.state_vars) + list(sys.input_vars)
-
-    import random
-    rng = random.Random(seed)
-    base = sys.analysis_point()
-    probe_points = []
-    for trial in range(probes_count):
-        pt = dict(base)
-        if trial:
-            for v in unknowns:
-                pt[v] += rng.uniform(-1e-2, 1e-2)
-        for s, fi in zip(slots_x, sys.f):
-            pt[s] = evaluate(fi, pt)
-        for s, gj in zip(slots_z, g):
-            pt[s] = evaluate(gj, pt)
-        probe_points.append(pt)
-
-    sol = solve_equations(eqs, unknowns, probe_points)
+    bind = list(zip(slots_x, sys.f)) + list(zip(slots_z, g))
+    probes = list(probe_points(sys.analysis_point(), 5, 5, perturb=unknowns,
+                               bind=bind))
+    sol = solve_equations(eqs, unknowns, probes)
     applied = {s: v for s, v in zip(slots_x, sys.state_vars)}
     applied.update({s: Var(sys.gvalue_family, j + 1, -1)
                     for j, s in enumerate(slots_z)})
@@ -403,7 +379,7 @@ def choose_extension(sys: SystemModel, tol_rank: float = 1e-8) -> ExtensionChoic
     pool = list(sys.state_vars) + list(sys.input_vars)
     cols = pool
     pt = sys.analysis_point()
-    base_rows = eval_matrix(_jac(sys.f, cols), pt)
+    base_rows = eval_matrix(jacobian(sys.f, cols), pt)
     target = sys.n + sys.m
 
     def rank_with(selection):

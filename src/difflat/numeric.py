@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    EvalError, Par, Var, ZERO, differentiate, evaluate, vars_of,
+    EvalError, Par, Var, ZERO, differentiate, evaluate, jacobian, vars_of,
 )
 
 __all__ = [
-    "numeric_rank", "fd_jacobian_check", "eval_matrix", "ProbeSet",
+    "numeric_rank", "fd_jacobian_check", "eval_matrix", "probe_points",
     "RankProbe", "probe_rank", "Trajectory", "random_inputs", "simulate",
     "SimulationError", "verify_parameterization", "ResidualReport",
     "newton_solve",
@@ -21,6 +21,8 @@ __all__ = [
 
 RANK_TOL = 1e-8
 DEPEND_TOL = 1e-9
+PROBE_RADIUS = 1e-2
+PROBE_COUNT = 10
 
 
 def numeric_rank(M, tol_rel: float = RANK_TOL) -> int:
@@ -57,43 +59,27 @@ def fd_jacobian_check(exprs, cols, point, h: float = 1e-6) -> float:
     return worst
 
 
-@dataclass
-class ProbeSet:
-    """Deterministic jet-space probe points around a center binding.
+def probe_points(center, seed, count=PROBE_COUNT, perturb=None, bind=()):
+    """The center, then `count` seeded perturbations of it.
 
-    The coordinates of the jet space (histories, states, input shifts) are
-    independent, so dependence and rank tests may sample them freely; only
-    trajectory verification needs dynamically consistent data.
+    In each copy every leaf of `perturb` (by default every non-`Par` key of
+    the center, in its order) moves by uniform(-PROBE_RADIUS, PROBE_RADIUS);
+    then each (leaf, expr) pair of `bind` is set to expr's value at the
+    point. The coordinates of the jet space (histories, states, input shifts)
+    are independent, so dependence and rank tests may sample them freely;
+    only trajectory verification needs dynamically consistent data.
     """
-
-    center: dict
-    radius: float = 1e-2
-    count: int = 10
-    seed: int = 2023
-    frozen_params: bool = True
-
-    def points(self, leaves=None):
-        """Center first, then `count` perturbed copies; leaves may extend it."""
-        base = dict(self.center)
-        if leaves:
-            missing = [v for v in leaves if v not in base]
-            if missing:
-                raise EvalError(
-                    "probe center does not bind " + ", ".join(map(str, missing)))
-        yield base
-        rng = random.Random(self.seed)
-        for _ in range(self.count):
-            p = {}
-            for k, v in base.items():
-                if self.frozen_params and isinstance(k, Par):
-                    p[k] = v
-                else:
-                    p[k] = v + rng.uniform(-self.radius, self.radius)
-            yield p
-
-
-def _probe_points(probes):
-    return probes.points() if isinstance(probes, ProbeSet) else probes
+    rng = random.Random(seed)
+    if perturb is None:
+        perturb = [k for k in center if not isinstance(k, Par)]
+    for i in range(count + 1):
+        pt = dict(center)
+        if i:
+            for v in perturb:
+                pt[v] += rng.uniform(-PROBE_RADIUS, PROBE_RADIUS)
+        for leaf, e in bind:
+            pt[leaf] = evaluate(e, pt)
+        yield pt
 
 
 def depends_on(exprs, variables, probes, tol: float = DEPEND_TOL) -> bool:
@@ -107,7 +93,7 @@ def depends_on(exprs, variables, probes, tol: float = DEPEND_TOL) -> bool:
                 partials.append(d)
     if not partials:
         return False
-    for pt in _probe_points(probes):
+    for pt in probes:
         for d in partials:
             try:
                 if abs(evaluate(d, pt)) > tol:
@@ -128,18 +114,12 @@ class RankProbe:
 def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL,
                required: int | None = None) -> RankProbe:
     """Numeric rank of the Jacobian of `rows` w.r.t. `cols` at the probe
-    points (a ProbeSet or a list of binding dicts, center first). Reports the
-    at-center rank and the generic (max) rank; evaluation poles at individual
-    probes are skipped."""
-    J = [[differentiate(r, v) for v in cols] for r in rows]
-    return probe_matrix_rank(J, probes, tol_rel, required)
-
-
-def probe_matrix_rank(J, probes, tol_rel: float = RANK_TOL,
-                      required: int | None = None) -> RankProbe:
+    points (binding dicts, center first). Reports the at-center rank and the
+    generic (max) rank; evaluation poles at individual probes are skipped."""
+    J = jacobian(rows, cols)
     at_point = None
     per_point = []
-    for i, pt in enumerate(_probe_points(probes)):
+    for i, pt in enumerate(probes):
         try:
             rank = numeric_rank(eval_matrix(J, pt), tol_rel)
         except (EvalError, ValueError):

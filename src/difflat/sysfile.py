@@ -16,8 +16,9 @@ Sections appear in a fixed order; later optional sections may be omitted:
 
 "#" starts a comment; files are UTF-8 and newline-delimited. Plain systems
 write states x1..xn; extended systems emitted by this library use chain
-states like zetabar1[-2] or ubar1[1] on the dynamics LHS, and their input
-variables are inferred from the remaining leaves.
+states like zetabar1[-2] or ubar1[1] on the dynamics LHS. The input variables
+are the dynamics leaves that are not states (u1..um in a plain system,
+ubar1, ubar2 after an input transform).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import AnalyzeOptions, FlatCandidate
-from .expr import Par, Var, evaluate, to_text, vars_of
+from .expr import _FAMILY_RANK, Par, Var, evaluate, to_text, vars_of
 from .model import SystemModel
 from .parsing import DimTable, ParseError, parse_expression
 
@@ -53,9 +54,6 @@ class SystemFile:
     candidate: FlatCandidate
     options: AnalyzeOptions
     path: str = ""
-
-    def dims(self):
-        return self.model.n, self.model.m
 
 
 def _split_sections(text: str):
@@ -144,21 +142,16 @@ def loads_system(text: str, path: str = "") -> SystemFile:
         except ParseError as ex:
             raise SystemFileError(str(ex), ln) from ex
 
-    standard = state_vars == [Var("x", i + 1) for i in range(n)]
-    if standard:
-        input_vars = [Var("u", j + 1) for j in range(m)]
-    else:
-        from .expr import _FAMILY_RANK
-        seen = set(state_vars)
-        leaves = set()
-        for e in f:
-            leaves |= {v for v in vars_of(e) if v not in seen}
-        input_vars = sorted(
-            leaves, key=lambda v: (_FAMILY_RANK[v.family], v.component, v.shift))
-        if len(input_vars) != m:
-            raise SystemFileError(
-                f"cannot infer {m} input variables from the dynamics "
-                f"(found {[to_text(v) for v in input_vars]})")
+    seen = set(state_vars)
+    leaves = set()
+    for e in f:
+        leaves |= {v for v in vars_of(e) if v not in seen}
+    input_vars = sorted(
+        leaves, key=lambda v: (_FAMILY_RANK[v.family], v.component, v.shift))
+    if len(input_vars) != m:
+        raise SystemFileError(
+            f"cannot infer {m} input variables from the dynamics "
+            f"(found {[to_text(v) for v in input_vars]})", dyn[0][2])
 
     def parse_rows(name, expect=None):
         rows = sections.get(name, [])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -133,6 +134,22 @@ def test_combined_extension_with_empty_forward_chain():
     assert ext.model.n == 5
     cert = certify_linearizing(ext)
     assert cert.passed and cert.rank == cert.required == 7
+
+
+@pytest.mark.parametrize("field, image, what", [
+    ("u_inverse", Var("ubar", 1, 0), "input"),
+    ("zeta_inverse", Var("zetabar", 1, -1), "history"),
+])
+def test_singular_transform_is_rejected(reports, corpus, field, image, what):
+    # both original coordinates mapped to one new coordinate: rank 1 < m
+    rep = reports["robot"]
+    ctx = rep.tower.context
+    singular = {k: image for k in getattr(ctx, field)}
+    tower = replace(rep.tower, context=replace(ctx, **{field: singular}))
+    with pytest.raises(ExtensionError) as ei:
+        build_combined(rep.model, corpus["robot"].candidate, tower)
+    assert str(ei.value) == (
+        f"{what} transform is not invertible near the point (rank 1)")
 
 
 def test_prolongation_rejects_wrong_class(reports, corpus):

@@ -6,8 +6,8 @@ import pytest
 
 from difflat.expr import Par, Var, evaluate, pow_, var
 from difflat.numeric import (
-    SimulationError, fd_jacobian_check, numeric_rank, simulate,
-    verify_parameterization,
+    PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
+    numeric_rank, probe_points, simulate, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -57,6 +57,50 @@ def test_rank_scaling_invariance(corpus):
 def test_rank_rejects_non_finite():
     with pytest.raises(ValueError):
         numeric_rank([[1.0, float("nan")]])
+
+
+# ---------------------------------------------------------------------------
+# probe points
+
+X1, X2, U1, K = var("x", 1), var("x", 2), var("u", 1), Par("k")
+CENTER = {K: 2.0, X1: 1.0, X2: -1.0, U1: 0.5}
+
+
+def test_probe_points_start_at_the_center():
+    center = dict(CENTER)
+    pts = list(probe_points(center, seed=3, count=4))
+    assert len(pts) == 5
+    assert pts[0] == CENTER and center == CENTER
+    assert len(list(probe_points(CENTER, seed=3))) == PROBE_COUNT + 1
+
+
+def test_probe_points_move_only_the_perturbed_leaves():
+    pts = list(probe_points(CENTER, seed=3, count=4, perturb=[U1, X1]))
+    for pt in pts[1:]:
+        assert pt[K] == CENTER[K] and pt[X2] == CENTER[X2]
+        for v in (X1, U1):
+            assert 0.0 < abs(pt[v] - CENTER[v]) <= PROBE_RADIUS
+
+
+def test_probe_points_keep_parameters_fixed_by_default():
+    for pt in list(probe_points(CENTER, seed=3))[1:]:
+        assert pt[K] == CENTER[K]
+        for v in (X1, X2, U1):
+            assert 0.0 < abs(pt[v] - CENTER[v]) <= PROBE_RADIUS
+
+
+def test_probe_points_bind_after_the_perturbation():
+    y = Var("y", 1, 0)
+    e = P("k*x1*x2", 2, 1, ("k",))
+    pts = list(probe_points(CENTER, seed=3, count=4, bind=[(y, e)]))
+    assert pts[0][y] == -2.0
+    for pt in pts:
+        assert pt[y] == evaluate(e, pt)
+
+
+def test_probe_points_repeat_for_the_same_seed():
+    assert list(probe_points(CENTER, seed=7)) == list(probe_points(CENTER, seed=7))
+    assert list(probe_points(CENTER, seed=7)) != list(probe_points(CENTER, seed=8))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from difflat.analysis import AnalyzeOptions, FlatCandidate
 from difflat.expr import Var, var
+from difflat.model import SystemModel
 from difflat.sysfile import (
-    SystemFileError, loads_system, print_system,
+    SystemFile, SystemFileError, loads_system, print_system,
 )
 
 MINIMAL = """
@@ -25,9 +27,8 @@ y2 = x2
 
 
 def test_bundled_files_parse(corpus):
-    assert corpus["vtol"].dims() == (6, 2)
-    assert corpus["academic"].dims() == (5, 2)
-    assert corpus["robot"].dims() == (3, 2)
+    dims = {name: (sf.model.n, sf.model.m) for name, sf in corpus.items()}
+    assert dims == {"vtol": (6, 2), "academic": (5, 2), "robot": (3, 2)}
 
 
 def test_vtol_file_details(vtol):
@@ -120,3 +121,26 @@ y2 = x2
     sf = loads_system(text)
     assert sf.model.state_vars == (Var("zetabar", 1, -1), var("x", 1), var("x", 2))
     assert sf.model.input_vars == (Var("ubar", 1, 0), Var("ubar", 2, 0))
+
+
+def test_round_trip_keeps_transformed_inputs_of_plain_states():
+    # a static forward extension: states x1..x3, inputs ubar1, ubar2
+    x = tuple(var("x", i) for i in (1, 2, 3))
+    ubar = (Var("ubar", 1, 0), Var("ubar", 2, 0))
+    model = SystemModel(n=3, m=2, f=(x[1], ubar[0], ubar[1]), state_vars=x,
+                        input_vars=ubar, point={ubar[0]: 0.5}, name="chain")
+    sf = SystemFile(model=model, candidate=FlatCandidate(phi=(x[0], x[2])),
+                    options=AnalyzeOptions())
+    back = loads_system(print_system(sf))
+    assert back.model.state_vars == x
+    assert back.model.input_vars == ubar
+    assert back.model.f == model.f
+    assert back.model.point[ubar[0]] == 0.5
+
+
+def test_input_inference_error_reports_the_first_dynamics_line():
+    bad = MINIMAL.replace("x2+ = u2", "x2+ = x1")
+    with pytest.raises(SystemFileError) as ei:
+        loads_system(bad)
+    assert "cannot infer 2 input variables" in str(ei.value)
+    assert ei.value.line == MINIMAL.splitlines().index("x1+ = u1") + 1
