@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, differentiate, evaluate, jacobian, shift_vars,
-    sub as esub, substitute, to_text, vars_of,
+    EvalError, Expr, Par, Var, compile_exprs, differentiate, evaluate,
+    jacobian, shift_vars, sub as esub, substitute, to_text, vars_of,
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
@@ -141,7 +142,12 @@ class Tower:
 
 @dataclass
 class ImplicitParameterization:
-    """Parameterization evaluated by Newton inversion of the tower map."""
+    """Parameterization evaluated by Newton inversion of the tower map.
+
+    The tower rows, their Jacobian, the input recovery and its Jacobian are
+    compiled on first use into straight-line functions of the tower variables
+    followed by the parameter values (`expr.compile_exprs`, bit-identical to
+    `evaluate`)."""
 
     tower: Tower
     u_recovery: dict               # {original u leaf: expr over tower vars}
@@ -149,10 +155,27 @@ class ImplicitParameterization:
     input_vars: tuple
     params: dict
     seed_center: np.ndarray
-    _jac: list = None
 
-    def __post_init__(self):
-        self._jac = jacobian(self.tower.row_exprs(), self.tower.variables)
+    @cached_property
+    def _compiled(self):
+        """(rows, row Jacobian, u recovery, u-recovery Jacobian); the
+        Jacobians return arrays."""
+        vars_ = list(self.tower.variables)
+        leaves = vars_ + list(self.params)
+        rows = self.tower.row_exprs()
+        u_exprs = [self.u_recovery[v] for v in self.input_vars]
+
+        def matrix(exprs):
+            fn = compile_exprs([e for row in jacobian(exprs, vars_) for e in row],
+                               leaves)
+            shape = (len(exprs), len(vars_))
+            return lambda values: np.array(fn(values)).reshape(shape)
+
+        return (compile_exprs(rows, leaves), matrix(rows),
+                compile_exprs(u_exprs, leaves), matrix(u_exprs))
+
+    def _values(self, w) -> list:
+        return np.asarray(w).tolist() + list(self.params.values())
 
     def _point(self, w):
         pt = dict(self.params)
@@ -189,34 +212,30 @@ class ImplicitParameterization:
 
     def recover(self, y_bindings: dict, seed=None):
         """Solve tower(w) = y for w; return (x values, u values, w)."""
+        rows, jac, u_fn, _ = self._compiled
         targets = np.array([y_bindings[t] for t in self.tower.target_vars()])
 
         def residual(w):
-            pt = self._point(w)
-            return np.array([evaluate(r, pt) for r in self.tower.row_exprs()]) - targets
+            return np.array(rows(self._values(w))) - targets
 
-        def jac(w):
-            return eval_matrix(self._jac, self._point(w))
-
-        w = newton_solve(residual, jac, self.seed_center if seed is None else seed)
-        pt = self._point(w)
-        xs = [pt[v] for v in self.state_vars]
-        us = [evaluate(self.u_recovery[v], pt) for v in self.input_vars]
-        return xs, us, w
+        w = newton_solve(residual, lambda w: jac(self._values(w)),
+                         self.seed_center if seed is None else seed)
+        values = self._values(w)
+        vars_ = list(self.tower.variables)
+        xs = [values[vars_.index(v)] for v in self.state_vars]
+        return xs, u_fn(values), w
 
     def jacobian_blocks(self, w):
         """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
         the inverse of the tower Jacobian at the variable point w."""
-        pt = self._point(w)
-        DT = eval_matrix(self._jac, pt)
-        M = np.linalg.inv(DT)  # vars x targets
+        _, jac, _, u_jac = self._compiled
+        values = self._values(w)
+        M = np.linalg.inv(jac(values))  # vars x targets
         vars_ = list(self.tower.variables)
         state_rows = [vars_.index(v) for v in self.state_vars]
         dFx = M[state_rows, :]
         # chain rule for u = Phi_u(vars)
-        dU = eval_matrix(jacobian([self.u_recovery[v] for v in self.input_vars],
-                                  vars_), pt)
-        dFu = dU @ M
+        dFu = u_jac(values) @ M
         return dFx, dFu, M
 
 

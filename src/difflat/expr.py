@@ -22,8 +22,8 @@ __all__ = [
     "ExprError", "EvalError", "UnboundLeafError", "PoleError",
     "FAMILIES", "num", "par", "var", "add", "sub", "neg", "mul", "div",
     "pow_", "sin", "cos", "tan", "cot", "canonical", "differentiate",
-    "substitute", "evaluate", "jacobian", "vars_of", "params_of",
-    "shift_vars", "to_text", "ZERO", "ONE",
+    "substitute", "evaluate", "compile_exprs", "jacobian", "vars_of",
+    "params_of", "shift_vars", "to_text", "ZERO", "ONE",
 ]
 
 FAMILIES = ("x", "u", "y", "zeta", "ubar", "zetabar")
@@ -245,23 +245,32 @@ def var(family: str, component: int, shift: int = 0) -> Var:
 # (family, component, shift); all node kinds get a rank so keys are nested
 # tuples comparable across the whole tree.
 
-@lru_cache(maxsize=None)
 def _key(e: Expr):
+    # Cached on the node: a process-wide cache keyed by the node would, on
+    # every hit with an equal but distinct object, compare the two subtrees
+    # in full.
+    try:
+        return e._k
+    except AttributeError:
+        pass
     if isinstance(e, Num):
-        return (0, e.value)
-    if isinstance(e, Var):
-        return (1, _FAMILY_RANK[e.family], e.component, e.shift)
-    if isinstance(e, Par):
-        return (2, e.name)
-    if isinstance(e, Fun):
-        return (3, e.name, _key(e.arg))
-    if isinstance(e, Pow):
-        return (4, _key(e.base), e.exp)
-    if isinstance(e, Add):
-        return (5, tuple(_key(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return (6, tuple(_key(f) for f in e.factors))
-    raise ExprError(f"unknown node {e!r}")
+        k = (0, e.value)
+    elif isinstance(e, Var):
+        k = (1, _FAMILY_RANK[e.family], e.component, e.shift)
+    elif isinstance(e, Par):
+        k = (2, e.name)
+    elif isinstance(e, Fun):
+        k = (3, e.name, _key(e.arg))
+    elif isinstance(e, Pow):
+        k = (4, _key(e.base), e.exp)
+    elif isinstance(e, Add):
+        k = (5, tuple(_key(t) for t in e.terms))
+    elif isinstance(e, Mul):
+        k = (6, tuple(_key(f) for f in e.factors))
+    else:
+        raise ExprError(f"unknown node {e!r}")
+    object.__setattr__(e, "_k", k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,11 @@ def _mono_key(mono):
 # Canonicalizing constructors.
 
 def add(*args) -> Expr:
-    terms = {}  # mono key -> [coeff, mono]
+    # Monomials key the dict directly: their bases cache their hashes, while
+    # the nested `_key` tuples would rehash every subtree (exact rationals
+    # included) on each lookup. `_key` is injective, so sorting by
+    # `_mono_key` still gives one canonical order.
+    terms = {}  # mono -> coeff
     const = Fraction(0)
 
     def absorb(e):
@@ -321,11 +334,10 @@ def add(*args) -> Expr:
             const += e.value
         else:
             coeff, mono = _as_coeff_monomial(e)
-            k = _mono_key(mono)
-            if k in terms:
-                terms[k][0] += coeff
+            if mono in terms:
+                terms[mono] += coeff
             else:
-                terms[k] = [coeff, mono]
+                terms[mono] = coeff
 
     for a in args:
         absorb(_as_expr(a))
@@ -333,12 +345,12 @@ def add(*args) -> Expr:
     _pythagoras(terms)
     empty = terms.pop((), None)
     if empty is not None:
-        const += empty[0]
+        const += empty
     out = []
     if const != 0:
         out.append(Num(const))
-    for k in sorted(terms):
-        coeff, mono = terms[k]
+    for mono in sorted(terms, key=_mono_key):
+        coeff = terms[mono]
         if coeff != 0:
             out.append(_from_coeff_monomial(coeff, mono))
     if not out:
@@ -353,29 +365,25 @@ def _pythagoras(terms: dict) -> None:
     changed = True
     while changed:
         changed = False
-        for k in sorted(terms):
-            if k not in terms:
-                continue
-            coeff, mono = terms[k]
+        for mono in sorted(terms, key=_mono_key):
+            coeff = terms[mono]
             if coeff == 0:
                 continue
             for i, (base, exp) in enumerate(mono):
                 if not (isinstance(base, Fun) and base.name == "sin" and exp >= 2):
                     continue
                 partner = _mono_shift(mono, i, base, exp, "cos")
-                pk = _mono_key(partner)
-                if pk not in terms or terms[pk][0] == 0 or pk == k:
+                if partner not in terms or terms[partner] == 0 or partner == mono:
                     continue
-                c2 = terms[pk][0]
+                c2 = terms[partner]
                 reduced = _mono_drop_square(mono, i, base, exp)
                 # c*M*sin^2 + c2*M*cos^2 -> c2*M + (c - c2)*M*sin^2
-                terms[pk][0] = Fraction(0)
-                terms[k][0] = coeff - c2
-                rk = _mono_key(reduced)
-                if rk in terms:
-                    terms[rk][0] += c2
+                terms[partner] = Fraction(0)
+                terms[mono] = coeff - c2
+                if reduced in terms:
+                    terms[reduced] += c2
                 else:
-                    terms[rk] = [c2, reduced]
+                    terms[reduced] = c2
                 changed = True
                 break
             if changed:
@@ -416,7 +424,7 @@ def _mono_drop_square(mono, i, base, exp):
 
 def mul(*args) -> Expr:
     coeff = Fraction(1)
-    powers = {}  # key(base) -> [base, exp]; Add bases carry net exponents too
+    powers = {}  # base -> exp, ordered by `_key` at the end (as in `add`)
 
     def absorb(e, exp=1):
         nonlocal coeff
@@ -429,12 +437,10 @@ def mul(*args) -> Expr:
                 absorb(f, exp)
         elif isinstance(e, Pow):
             absorb(e.base, e.exp * exp)
+        elif e in powers:
+            powers[e] += exp
         else:
-            k = _key(e)
-            if k in powers:
-                powers[k][1] += exp
-            else:
-                powers[k] = [e, exp]
+            powers[e] = exp
 
     for a in args:
         absorb(_as_expr(a))
@@ -443,8 +449,8 @@ def mul(*args) -> Expr:
         return ZERO
 
     factors, sums = [], []
-    for k in sorted(powers):
-        base, exp = powers[k]
+    for base in sorted(powers, key=_key):
+        exp = powers[base]
         if exp == 0:
             continue
         if isinstance(base, Add) and exp > 0:
@@ -617,24 +623,35 @@ def differentiate(e: Expr, v: Var) -> Expr:
 
 
 def substitute(e: Expr, mapping: Mapping[Union[Var, Par], Expr]) -> Expr:
-    """Simultaneous substitution of leaves, then canonicalization."""
+    """Simultaneous substitution of leaves, then canonicalization.
+
+    Shared subtrees are rebuilt once: results are memoized by node identity
+    within the call.
+    """
     if not mapping:
         return e
+    memo = {}
 
     def walk(e: Expr) -> Expr:
         if isinstance(e, (Var, Par)):
             return mapping.get(e, e)
         if isinstance(e, Num):
             return e
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit
         if isinstance(e, Add):
-            return add(*[walk(t) for t in e.terms])
-        if isinstance(e, Mul):
-            return mul(*[walk(f) for f in e.factors])
-        if isinstance(e, Pow):
-            return pow_(walk(e.base), e.exp)
-        if isinstance(e, Fun):
-            return _FUNCTIONS[e.name](walk(e.arg))
-        raise ExprError(f"unknown node {e!r}")
+            out = add(*[walk(t) for t in e.terms])
+        elif isinstance(e, Mul):
+            out = mul(*[walk(f) for f in e.factors])
+        elif isinstance(e, Pow):
+            out = pow_(walk(e.base), e.exp)
+        elif isinstance(e, Fun):
+            out = _FUNCTIONS[e.name](walk(e.arg))
+        else:
+            raise ExprError(f"unknown node {e!r}")
+        memo[id(e)] = out
+        return out
 
     return walk(e)
 
@@ -653,35 +670,99 @@ def evaluate(e: Expr, point: Mapping[Union[Var, Par], float],
 
 
 def _eval(e: Expr, point, memo: dict) -> float:
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, (Var, Par)):
-        try:
-            return float(point[e])
-        except KeyError:
-            raise UnboundLeafError(f"unbound leaf {to_text(e)}") from None
+    # Leaves are memoized too: a repeated leaf object then costs one lookup
+    # by identity instead of a structural lookup in `point`.
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(e, Add):
-        out = math.fsum(_eval(t, point, memo) for t in e.terms)
-    elif isinstance(e, Mul):
+    t = type(e)
+    if t is Add:
+        out = math.fsum([_eval(x, point, memo) for x in e.terms])
+    elif t is Mul:
         out = 1.0
         for f in e.factors:
             out *= _eval(f, point, memo)
-    elif isinstance(e, Pow):
+    elif t is Var or t is Par:
+        try:
+            out = float(point[e])
+        except KeyError:
+            raise UnboundLeafError(f"unbound leaf {to_text(e)}") from None
+    elif t is Num:
+        out = float(e.value)
+    elif t is Pow:
         b = _eval(e.base, point, memo)
         if b == 0.0 and e.exp < 0:
             raise PoleError(f"pole: zero base in {to_text(e)}")
         out = b ** e.exp
-    elif isinstance(e, Fun):
+    elif t is Fun:
         a = _eval(e.arg, point, memo)
         out = math.sin(a) if e.name == "sin" else math.cos(a)
     else:
         raise ExprError(f"unknown node {e!r}")
     memo[key] = out
     return out
+
+
+def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
+    """Compile `exprs` once into a straight-line function of the leaf values.
+
+    The result maps a sequence of numbers, one per entry of `leaves` in that
+    order, to the list of the expressions' values. The shared DAG is walked
+    once: each distinct node object becomes one local, computed in the order
+    `evaluate` with a shared memo would compute it. Values are bit-identical
+    to `evaluate`: constants are `float(value)`, sums `math.fsum`, products
+    left to right (the leading `1.0 *` of `_eval` is exact and dropped), and
+    a zero base under a negative exponent raises the same `PoleError`. A leaf
+    not in `leaves` raises `UnboundLeafError` here, at compile time.
+    """
+    slots = [f"a{i}" for i in range(len(leaves))]
+    args = dict(zip(leaves, slots))
+    names = {}    # id(node) -> its local
+    lines = []
+    poles = []    # nodes of negative powers, for the error message
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Num):
+            return f"({float(e.value)!r})"
+        if isinstance(e, (Var, Par)):
+            if e not in args:
+                raise UnboundLeafError(f"unbound leaf {to_text(e)}")
+            return args[e]
+        hit = names.get(id(e))
+        if hit is not None:
+            return hit
+        if isinstance(e, Add):
+            rhs = f"_fsum(({''.join(emit(t) + ', ' for t in e.terms)}))"
+        elif isinstance(e, Mul):
+            rhs = " * ".join([emit(f) for f in e.factors]) or "1.0"
+        elif isinstance(e, Pow):
+            b = emit(e.base)
+            if e.exp < 0:
+                lines.append(f"if {b} == 0.0: _pole(_poles[{len(poles)}])")
+                poles.append(e)
+            rhs = f"{b} ** {e.exp}"
+        elif isinstance(e, Fun):
+            rhs = f"{'_sin' if e.name == 'sin' else '_cos'}({emit(e.arg)})"
+        else:
+            raise ExprError(f"unknown node {e!r}")
+        local = f"t{len(names)}"
+        names[id(e)] = local
+        lines.append(f"{local} = {rhs}")
+        return local
+
+    out = [emit(e) for e in exprs]
+    head = f"{', '.join(slots)}, = map(float, values)" if slots else "pass"
+    body = "\n    ".join([head] + lines + [f"return [{', '.join(out)}]"])
+    namespace = {"_fsum": math.fsum, "_sin": math.sin, "_cos": math.cos,
+                 "_pole": _pole, "_poles": poles}
+    exec(compile(f"def compiled(values):\n    {body}\n",
+                 "<difflat.compile_exprs>", "exec"), namespace)
+    return namespace["compiled"]
+
+
+def _pole(e: Pow):
+    raise PoleError(f"pole: zero base in {to_text(e)}")
 
 
 def jacobian(rows: Sequence[Expr], cols: Sequence[Var]):

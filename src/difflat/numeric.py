@@ -238,19 +238,19 @@ class ResidualReport:
         }
 
 
-def output_values(sys, cand, traj: Trajectory, k: int):
-    """Evaluate the candidate outputs phi at trajectory time k."""
-    zdepth = max((-v.shift for e in cand.phi for v in vars_of(e)
-                  if v.family == sys.gvalue_family), default=0)
-    pt = traj.point(k, sys, input_depth=0, zeta_depth=max(zdepth, 0))
+def output_values(sys, cand, traj: Trajectory, k: int, zdepth: int):
+    """Evaluate the candidate outputs phi at trajectory time k, binding
+    `zdepth` steps of g-value history."""
+    pt = traj.point(k, sys, input_depth=0, zeta_depth=zdepth)
     return [evaluate(p, pt) for p in cand.phi]
 
 
-def y_bindings(sys, cand, traj: Trajectory, k: int, lo: int, hi: int) -> dict:
+def y_bindings(sys, cand, traj: Trajectory, k: int, lo: int, hi: int,
+               zdepth: int) -> dict:
     """Bindings for y<j>[s], s in [lo, hi], measured along the trajectory."""
     pt = dict(traj.params)
     for s in range(lo, hi + 1):
-        vals = output_values(sys, cand, traj, k + s)
+        vals = output_values(sys, cand, traj, k + s, zdepth)
         for j, val in enumerate(vals):
             pt[Var("y", j + 1, s)] = val
     return pt
@@ -266,8 +266,11 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
     worst_x = worst_u = 0.0
     worst_k = None
     checked = 0
+    # steps of g-value history the outputs phi read
+    zdepth = max([-v.shift for e in cand.phi for v in vars_of(e)
+                  if v.family == sys.gvalue_family] + [0])
     for k in k_window:
-        pt = y_bindings(sys, cand, traj, k, lo, hi)
+        pt = y_bindings(sys, cand, traj, k, lo, hi, zdepth)
         xk = traj.state(k)
         uk = traj.inputs(k)
         if param.F_x is not None:
@@ -293,10 +296,13 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
 
 def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
                  max_iter: int = 60) -> np.ndarray:
-    """Dense Newton iteration for square systems; raises on stagnation."""
+    """Dense Newton iteration for square systems; raises on stagnation.
+
+    `residual_fn` runs once at the seed and once per trial step; an accepted
+    step's residual is carried into the next iteration."""
     w = np.array(seed, dtype=float)
+    r = residual_fn(w)
     for _ in range(max_iter):
-        r = residual_fn(w)
         if np.max(np.abs(r)) <= tol:
             return w
         J = jacobian_fn(w)
@@ -311,12 +317,11 @@ def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
             cand = w - lam * step
             rc = residual_fn(cand)
             if np.max(np.abs(rc)) < base:
-                w = cand
+                w, r = cand, rc
                 break
             lam *= 0.5
         else:
             raise EvalError("Newton iteration stagnated")
-    r = residual_fn(w)
     if np.max(np.abs(r)) <= tol:
         return w
     raise EvalError("Newton iteration did not converge")

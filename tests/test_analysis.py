@@ -1,13 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
 from difflat.analysis import (
     AnalysisError, FlatCandidate, analyze, backward_depths, build_tower,
     normalize_inputs, relative_degrees, zero_block_check,
 )
-from difflat.expr import Var, differentiate, evaluate, to_text, var, vars_of
+from difflat.expr import (
+    Var, differentiate, evaluate, jacobian, to_text, var, vars_of,
+)
 from difflat.model import SystemModel, invert_extension
+from difflat.numeric import (
+    eval_matrix, newton_solve, random_inputs, simulate, y_bindings,
+)
 from difflat.parsing import DimTable, parse_expression
 
 
@@ -179,6 +185,62 @@ def test_vtol_parameterization_is_implicit(reports):
     param = reports["vtol"].parameterization
     assert param.source == "tower_implicit"
     assert param.F_x is None and param.implicit is not None
+
+
+def _tree_walked_newton(imp):
+    """`recover` and `jacobian_blocks` of an implicit parameterization, built
+    from evaluate/eval_matrix around the same newton_solve."""
+    variables = list(imp.tower.variables)
+    rows = imp.tower.row_exprs()
+    J = jacobian(rows, variables)
+    u_exprs = [imp.u_recovery[v] for v in imp.input_vars]
+    dU = jacobian(u_exprs, variables)
+
+    def point(w):
+        pt = dict(imp.params)
+        pt.update((v, float(x)) for v, x in zip(variables, w))
+        return pt
+
+    def recover(y, seed):
+        targets = np.array([y[t] for t in imp.tower.target_vars()])
+        w = newton_solve(
+            lambda w: np.array([evaluate(r, point(w)) for r in rows]) - targets,
+            lambda w: eval_matrix(J, point(w)), seed)
+        pt = point(w)
+        us = [evaluate(e, pt) for e in u_exprs]
+        return [pt[v] for v in imp.state_vars], us, w
+
+    def blocks(w):
+        pt = point(w)
+        M = np.linalg.inv(eval_matrix(J, pt))
+        dFx = M[[variables.index(v) for v in imp.state_vars], :]
+        return dFx, eval_matrix(dU, pt) @ M, M
+
+    return recover, blocks
+
+
+def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
+    rep = reports["vtol"]
+    sysm, idx, imp = rep.model, rep.indices, rep.parameterization.implicit
+    ref_recover, ref_blocks = _tree_walked_newton(imp)
+    pt0 = sysm.analysis_point()
+    H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
+    for seed in (1, 2):
+        us = random_inputs(random.Random(seed),
+                           [pt0[v] for v in sysm.input_vars],
+                           vtol.options.input_boxes, H + K)
+        traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+        for k in range(6):
+            y = y_bindings(sysm, vtol.candidate, traj, k, -max(idx.r1),
+                           max(idx.r2), 0)
+            w0 = imp.trajectory_seed(y, traj.state(k), traj.inputs(k))
+            w0 = w0 + 1e-3 * np.cos(np.arange(w0.size)) * (1.0 + np.abs(w0))
+            got, want = imp.recover(y, seed=w0), ref_recover(y, w0)
+            for a, b in zip(got, want):
+                assert np.array(a).tobytes() == np.array(b).tobytes()
+            w = got[2]
+            for a, b in zip(imp.jacobian_blocks(w), ref_blocks(w)):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_trivial_system_is_linearizing():

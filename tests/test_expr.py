@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from difflat.analysis import AnalyzeOptions, _tower_probe_points
 from difflat.expr import (
-    Par, PoleError, UnboundLeafError, add, canonical, cos, cot,
-    differentiate, div, evaluate, jacobian, mul, neg, num, par, pow_, sin,
-    sub, substitute, tan, to_text, var, vars_of,
+    EvalError, Par, PoleError, UnboundLeafError, add, canonical,
+    compile_exprs, cos, cot, differentiate, div, evaluate, jacobian, mul, neg,
+    num, par, pow_, sin, sub, substitute, tan, to_text, var, vars_of,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -196,6 +198,15 @@ def test_identity_substitution():
     assert substitute(e, {var("x", 1): var("x", 1)}) == e
 
 
+def test_substitution_rebuilds_a_shared_subtree_once():
+    x1, x2 = var("x", 1), var("x", 2)
+    shared = add(x1, x2)
+    out = substitute(add(sin(shared), cos(shared)), {x1: mul(num(2), x2)})
+    assert out == add(sin(mul(num(3), x2)), cos(mul(num(3), x2)))
+    first, second = out.terms
+    assert first.arg is second.arg
+
+
 def test_substitution_evaluation_commute():
     rng = random.Random(13)
     for _ in range(20):
@@ -245,6 +256,104 @@ def test_jacobian_of_academic_f_wrt_u():
 
 def test_jacobian_identity():
     assert jacobian([var("x", 1)], [var("x", 1)]) == [[num(1)]]
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation: bit for bit what evaluate gives, errors included
+
+def _outcome(fn):
+    """The bit patterns of fn()'s values, or its error's type and message."""
+    try:
+        return [v.hex() for v in fn()]
+    except (ArithmeticError, ValueError, EvalError) as ex:
+        return type(ex), str(ex)
+
+
+def _assert_compiled_matches(exprs, leaves, values):
+    pt = dict(zip(leaves, values))
+    memo = {}
+    want = _outcome(lambda: [evaluate(e, pt, memo) for e in exprs])
+    got = _outcome(lambda: compile_exprs(exprs, leaves)(values))
+    assert got == want
+
+
+def test_compiled_towers_and_jacobians_match_evaluate(reports):
+    for report in reports.values():
+        tower = report.tower
+        rows = tower.row_exprs()
+        exprs = rows + [e for row in jacobian(rows, tower.variables) for e in row]
+        for pt in _tower_probe_points(tower, AnalyzeOptions()):
+            leaves = list(tower.variables) + [k for k in pt if isinstance(k, Par)]
+            _assert_compiled_matches(exprs, leaves, [pt[k] for k in leaves])
+
+
+_LEAVES = [var("x", 1), var("x", 2), var("u", 1, 1), par("T_s")]
+_VALUE = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3, 3)
+
+
+@st.composite
+def _shared_dags(draw):
+    """Expressions built by a short program over a growing pool of nodes, so
+    later nodes reuse earlier node objects (shared subtrees)."""
+    pool = list(_LEAVES)
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.sampled_from(pool))
+        b = draw(st.sampled_from(pool))
+        op = draw(st.sampled_from(
+            ["add", "mul", "div", "pow", "sin", "cos", "num"]))
+        try:
+            if op == "add":
+                e = add(a, b)
+            elif op == "mul":
+                e = mul(a, b)
+            elif op == "div":
+                e = div(a, b)
+            elif op == "pow":
+                e = pow_(a, draw(st.sampled_from([-3, -2, -1, 2, 3])))
+            elif op == "sin":
+                e = sin(add(a, b))
+            elif op == "cos":
+                e = cos(a)
+            else:
+                e = add(a, num(Fraction(draw(st.integers(-7, 7)),
+                                        draw(st.integers(1, 9)))))
+        except PoleError:  # division by an exact zero
+            continue
+        pool.append(e)
+    return pool[len(_LEAVES) - 1:]  # a bare leaf, then every built node
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_shared_dags(),
+       st.lists(_VALUE, min_size=len(_LEAVES), max_size=len(_LEAVES)))
+def test_compiled_shared_dags_match_evaluate(exprs, values):
+    _assert_compiled_matches(exprs, _LEAVES, values)
+
+
+def test_compiled_constants_and_empty_lists():
+    consts = [num(3), num(Fraction(-1, 3)), num(Fraction(22, 7))]
+    assert compile_exprs(consts, [])([]) == [3.0, float(Fraction(-1, 3)),
+                                             float(Fraction(22, 7))]
+    assert compile_exprs([], [var("x", 1)])([2.0]) == []
+    assert compile_exprs([], [])([]) == []
+
+
+def test_compiled_pole_matches_evaluate():
+    x = var("x", 1)
+    for e in [div(1, x), cot(x), div(x, add(x, pow_(var("x", 2), 2)))]:
+        pt = {x: 0.0, var("x", 2): 0.0}
+        with pytest.raises(PoleError) as want:
+            evaluate(e, pt)
+        with pytest.raises(PoleError) as got:
+            compile_exprs([x, e], [x, var("x", 2)])([0.0, 0.0])
+        assert str(got.value) == str(want.value)
+
+
+def test_compiled_unbound_leaf_raises():
+    with pytest.raises(UnboundLeafError, match="unbound leaf x2"):
+        compile_exprs([P("x1 + x2")], [var("x", 1)])
+    with pytest.raises(UnboundLeafError, match="unbound leaf T_s"):
+        compile_exprs([P("T_s*x1")], [var("x", 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from difflat.expr import Par, Var, evaluate, pow_, var
 from difflat.numeric import (
     PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
-    numeric_rank, probe_points, simulate, verify_parameterization,
+    newton_solve, numeric_rank, probe_points, simulate,
+    verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -267,3 +268,32 @@ def test_shift_operator_soundness_along_trajectories(reports, corpus):
                 ptk = traj.point(k0 + k, sysm, input_depth=1, zeta_depth=1)
                 b = evaluate(phi, ptk)
                 assert abs(a - b) <= 1e-9 * (1 + abs(b)), (name, j, k)
+
+
+# ---------------------------------------------------------------------------
+# Newton iteration
+
+def _recording(fn, points):
+    def recorded(w):
+        points.append(np.array(w))
+        return fn(w)
+    return recorded
+
+
+def test_newton_evaluates_the_residual_once_per_point():
+    # from w = 3 the full Newton step on atan overshoots, so the line search
+    # halves twice before the first accepted step; the seed, each accepted
+    # step and each rejected trial cost one residual evaluation apiece
+    res, jac = [], []
+    w = newton_solve(_recording(np.arctan, res),
+                     _recording(lambda w: np.diag(1.0 / (1.0 + w ** 2)), jac),
+                     np.array([3.0]))
+    assert w[0] == 0.0
+    assert len(res) == 1 + len(jac) + 2
+    assert len({p.tobytes() for p in res}) == len(res)
+    # a linear system converges in one step: the seed and the solution
+    A, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+    res, jac = [], []
+    newton_solve(_recording(lambda w: A @ w - b, res),
+                 _recording(lambda w: A, jac), np.zeros(2))
+    assert (len(res), len(jac)) == (2, 1)
