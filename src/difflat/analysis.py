@@ -11,7 +11,10 @@ the prolongation (Prop. 2) or the prelongation (Prop. 3) when one of its
 chains is empty. Forward detection runs first (it needs no inverse map),
 then backward, then the combined case; component and input permutations are
 tried deterministically. `analyze` verifies the inverted tower once, along a
-seeded random trajectory, before classifying; a failure raises.
+seeded random trajectory, before classifying; a failure raises. The class's
+rank conditions are read off the inverse of the tower Jacobian, the Jacobian
+of the parameterization F by the implicit function theorem, so no F tree is
+differentiated and symbolic and Newton parameterizations share one rank path.
 """
 
 from __future__ import annotations
@@ -142,12 +145,14 @@ class Tower:
 
 @dataclass
 class ImplicitParameterization:
-    """Parameterization evaluated by Newton inversion of the tower map.
+    """The tower map w -> y of the tower variables w, built for every tower.
 
-    The tower rows, their Jacobian, the input recovery and its Jacobian are
-    compiled on first use into straight-line functions of the tower variables
-    followed by the parameter values (`expr.compile_exprs`, bit-identical to
-    `evaluate`)."""
+    Classification reads its ranks off the inverse of this map's Jacobian
+    (`jacobian_blocks`), and a tower the solver cannot invert symbolically
+    is evaluated by Newton inversion of it (`recover`). The tower rows, their
+    Jacobian, the input recovery and its Jacobian are compiled on first use
+    into straight-line functions of the tower variables followed by the
+    parameter values (`expr.compile_exprs`, bit-identical to `evaluate`)."""
 
     tower: Tower
     u_recovery: dict               # {original u leaf: expr over tower vars}
@@ -174,14 +179,18 @@ class ImplicitParameterization:
         return (compile_exprs(rows, leaves), matrix(rows),
                 compile_exprs(u_exprs, leaves), matrix(u_exprs))
 
+    @cached_property
+    def targets(self) -> list:
+        """The y leaves the rows equal, in row order."""
+        return self.tower.target_vars()
+
+    @cached_property
+    def _state_rows(self) -> list:
+        """Position of each state among the tower variables."""
+        return [self.tower.variables.index(v) for v in self.state_vars]
+
     def _values(self, w) -> list:
         return np.asarray(w).tolist() + list(self.params.values())
-
-    def _point(self, w):
-        pt = dict(self.params)
-        for v, val in zip(self.tower.variables, w):
-            pt[v] = float(val)
-        return pt
 
     def trajectory_seed(self, y_bindings: dict, x_values, u_values):
         """Newton seed from measured data: chain variables of the tower equal
@@ -212,18 +221,20 @@ class ImplicitParameterization:
 
     def recover(self, y_bindings: dict, seed=None):
         """Solve tower(w) = y for w; return (x values, u values, w)."""
-        rows, jac, u_fn, _ = self._compiled
-        targets = np.array([y_bindings[t] for t in self.tower.target_vars()])
+        rows, jac, _, _ = self._compiled
+        targets = np.array([y_bindings[t] for t in self.targets])
 
         def residual(w):
             return np.array(rows(self._values(w))) - targets
 
         w = newton_solve(residual, lambda w: jac(self._values(w)),
                          self.seed_center if seed is None else seed)
+        return (*self.states_inputs(w), w)
+
+    def states_inputs(self, w):
+        """(x values, u values) at the tower-variable point w."""
         values = self._values(w)
-        vars_ = list(self.tower.variables)
-        xs = [values[vars_.index(v)] for v in self.state_vars]
-        return xs, u_fn(values), w
+        return [values[i] for i in self._state_rows], self._compiled[2](values)
 
     def jacobian_blocks(self, w):
         """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
@@ -231,9 +242,7 @@ class ImplicitParameterization:
         _, jac, _, u_jac = self._compiled
         values = self._values(w)
         M = np.linalg.inv(jac(values))  # vars x targets
-        vars_ = list(self.tower.variables)
-        state_rows = [vars_.index(v) for v in self.state_vars]
-        dFx = M[state_rows, :]
+        dFx = M[self._state_rows, :]
         # chain rule for u = Phi_u(vars)
         dFu = u_jac(values) @ M
         return dFx, dFu, M
@@ -241,9 +250,13 @@ class ImplicitParameterization:
 
 @dataclass
 class Parameterization:
+    """(x, u) = F(y-shifts): symbolic F_x, F_u unless `source` is
+    "tower_implicit" (Newton inversion); `implicit`, the tower map, is
+    present for every tower."""
+
     F_x: tuple | None
     F_u: tuple | None
-    implicit: ImplicitParameterization | None
+    implicit: ImplicitParameterization
     indices: ShiftIndices
     source: str                    # "tower_inverted" | "user_supplied" | "tower_implicit"
     tower: Tower
@@ -684,16 +697,19 @@ def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
 # ---------------------------------------------------------------------------
 # Tower inversion.
 
-def _tower_probe_points(tower: Tower, opts: AnalyzeOptions, count=6):
-    """`count` consistent probe points, the jet center first: the tower
-    variables perturbed, the y-leaf targets bound to the rows' values."""
+def _tower_probe_points(tower: Tower, opts: AnalyzeOptions, count=6,
+                        bind=True):
+    """`count` probe points, the jet center first, with the tower variables
+    perturbed; with `bind`, the y-leaf targets are bound to the rows'
+    values, which makes each point consistent."""
     leaves = set(tower.variables)
     for e in tower.rows.values():
         leaves |= vars_of(e)
     center = tower.context.sys_bar.jet_center(leaves)
     targets = [(Var("y", j, s), e) for (j, s), e in tower.rows.items()]
     return list(probe_points(center, opts.seed + 7, count - 1,
-                             perturb=tower.variables, bind=targets))
+                             perturb=tower.variables,
+                             bind=targets if bind else ()))
 
 
 def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
@@ -703,8 +719,10 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     Stage A solves states and chain variables from the rows below the top
     shifts (so F_x only sees y_[-R1, R2-1], the Eq.-(7) zero-block shape);
     stage B recovers the inputs from the top rows. Falls back to the
-    user-supplied map, then to the implicit (Newton) parameterization.
-    The result is not verified along a trajectory; `analyze` does that."""
+    user-supplied map, then to the implicit (Newton) parameterization. The
+    tower map is attached in every case, for the classification ranks; it
+    compiles on first use. The result is not verified along a trajectory;
+    `analyze` does that."""
     opts = opts or AnalyzeOptions()
     idx = tower.indices
     rows_cnt = len(tower.rows)
@@ -725,8 +743,8 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     top_unknowns = [u1.shifted(idx.d2), u2]
     low_unknowns = [v for v in tower.variables if v not in top_unknowns]
 
+    implicit = _implicit_param(sys, tower)
     F_x = F_u = None
-    implicit = None
     source = "tower_inverted"
     try:
         sol_low = solve_equations(eq_low, low_unknowns, probe_pts)
@@ -735,14 +753,14 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
         sol = dict(sol_low)
         sol.update(sol_top)
         F_x = tuple(sol[v] for v in sys.state_vars)
-        F_u = _recover_inputs(sys, tower, sol)
+        F_u = tuple(substitute(implicit.u_recovery[v], sol)
+                    for v in sys.input_vars)
     except SolveError as ex:
         diags.append(f"restricted solver could not invert the tower: {ex}")
         if cand.user_F is not None:
             F_x, F_u = tuple(cand.user_F[0]), tuple(cand.user_F[1])
             source = "user_supplied"
         else:
-            implicit = _implicit_param(sys, tower)
             source = "tower_implicit"
 
     param = Parameterization(F_x=F_x, F_u=F_u, implicit=implicit, indices=idx,
@@ -754,19 +772,9 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     return param
 
 
-def _input_recovery(sys, tower: Tower) -> dict:
-    """{original u leaf: expr over the tower variables}."""
-    return dict(tower.context.u_inverse or {v: v for v in sys.input_vars})
-
-
-def _recover_inputs(sys, tower: Tower, sol):
-    recovery = _input_recovery(sys, tower)
-    return tuple(substitute(recovery[v], sol) for v in sys.input_vars)
-
-
 def _implicit_param(sys, tower: Tower) -> ImplicitParameterization:
     sys_bar = tower.context.sys_bar
-    u_recovery = _input_recovery(sys, tower)
+    u_recovery = dict(tower.context.u_inverse or {v: v for v in sys.input_vars})
     center = sys_bar.jet_center(set(tower.variables))
     seed = np.array([center[v] for v in tower.variables])
     return ImplicitParameterization(
@@ -827,18 +835,22 @@ def _verify(sys, cand, param, opts: AnalyzeOptions) -> dict:
     return report.to_json()
 
 
+def trajectory_frame(sys, idx: ShiftIndices, steps: int):
+    """(H, K, x0, u0) of a trajectory verified over `steps` steps: H =
+    max(R1) + 1 samples before k = 0, K = steps + max(R2) + 1 from it, the
+    start state x0 and the nominal input u0 taken from the analysis point."""
+    pt = sys.analysis_point()
+    return (max(idx.r1) + 1, steps + max(idx.r2) + 1,
+            [pt[v] for v in sys.state_vars], [pt[v] for v in sys.input_vars])
+
+
 def _default_trajectory(sys, idx: ShiftIndices, opts: AnalyzeOptions):
     """The verification trajectory and its step window: inputs drawn from the
     [simulation] boxes with seed opts.seed + 1."""
-    rng = random.Random(opts.seed + 1)
-    H = max(idx.r1) + 1
-    K = VERIFY_STEPS + max(idx.r2) + 1
-    pt = sys.analysis_point()
-    us = random_inputs(rng, [pt[v] for v in sys.input_vars], opts.input_boxes,
+    H, K, x0, u0 = trajectory_frame(sys, idx, VERIFY_STEPS)
+    us = random_inputs(random.Random(opts.seed + 1), u0, opts.input_boxes,
                        H + K)
-    x0 = [pt[v] for v in sys.state_vars]
-    traj = simulate(sys, x0, us, H, K)
-    return traj, range(0, VERIFY_STEPS)
+    return simulate(sys, x0, us, H, K), range(0, VERIFY_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -847,15 +859,16 @@ def _default_trajectory(sys, idx: ShiftIndices, opts: AnalyzeOptions):
 def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
              opts: AnalyzeOptions | None = None) -> Classification:
     """Decide the flatness class from the index data and certify the rank
-    conditions of the Jacobian submatrices at probe points near the
-    analysis-point image."""
+    conditions of the Jacobian submatrices of F. The ranks are read off the
+    inverse of the tower Jacobian at the tower probes, for symbolic and
+    Newton parameterizations alike (`_tower_ranks`)."""
     opts = opts or AnalyzeOptions()
     idx = param.indices
     diags = list(param.diagnostics)
 
     cols_R2 = [Var("y", j + 1, idx.r2[j]) for j in range(2)]
     cols_mR1 = [Var("y", j + 1, -idx.r1[j]) for j in range(2)]
-    rank_fu, rank_fx, rank_gf = _param_ranks(sys, param, cols_R2, cols_mR1, opts)
+    rank_fu, rank_fx, rank_gf = _tower_ranks(sys, param, cols_R2, cols_mR1, opts)
 
     if idx.size_R == sys.n:
         kind = "linearizing"
@@ -884,28 +897,6 @@ def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
                           diagnostics=diags)
 
 
-def _param_ranks(sys, param, cols_R2, cols_mR1, opts):
-    if param.F_x is not None:
-        pts = _image_probe_points(sys, param, opts)
-        rank_fu = probe_rank(list(param.F_u), cols_R2, pts,
-                             tol_rel=opts.tol_rank).generic
-        rank_fx = probe_rank(list(param.F_x), cols_mR1, pts,
-                             tol_rel=opts.tol_rank).generic
-        rank_gf = None
-        if sys.g is not None:
-            gF = [substitute(gj, _param_substitution(sys, param))
-                  for gj in sys.g]
-            rank_gf = probe_rank(gF, cols_mR1, pts, tol_rel=opts.tol_rank).generic
-        return rank_fu, rank_fx, rank_gf
-    return _implicit_ranks(sys, param, cols_R2, cols_mR1, opts)
-
-
-def _param_substitution(sys, param):
-    mapping = {v: e for v, e in zip(sys.state_vars, param.F_x)}
-    mapping.update({v: e for v, e in zip(sys.input_vars, param.F_u)})
-    return mapping
-
-
 def _image_probe_points(sys, param, opts, count=PROBE_COUNT + 1):
     """y-jet probes taken as images of tower-variable probes (always in the
     chart; the exact analysis-point image may sit on the singular locus)."""
@@ -918,36 +909,38 @@ def _image_probe_points(sys, param, opts, count=PROBE_COUNT + 1):
     return out
 
 
-def _implicit_ranks(sys, param, cols_R2, cols_mR1, opts):
+def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
+    """Generic (max) ranks of d_y[R2] F_u, d_y[-R1] F_x and d_y[-R1] g(F)
+    at the tower probes, read off the inverse tower Jacobian (implicit
+    function theorem). A probe where the blocks cannot be evaluated, the
+    tower Jacobian is singular or an entry is not finite is skipped."""
     imp = param.implicit
-    tower = param.tower
-    targets = tower.target_vars()
-    col_idx_R2 = [targets.index(c) for c in cols_R2]
-    col_idx_mR1 = [targets.index(c) for c in cols_mR1]
-    ranks_fu, ranks_fx, ranks_gf = [], [], []
+    col_idx_R2 = [imp.targets.index(c) for c in cols_R2]
+    col_idx_mR1 = [imp.targets.index(c) for c in cols_mR1]
     if sys.g is not None:
         Dg = jacobian(sys.g, list(sys.state_vars) + list(sys.input_vars))
-    for pt in probe_points(imp._point(imp.seed_center), opts.seed + 13,
-                           perturb=tower.variables):
-        w = np.array([pt[v] for v in tower.variables])
+    per_point = []
+    for pt in _tower_probe_points(param.tower, opts, count=PROBE_COUNT + 1,
+                                  bind=False):
+        w = np.array([pt[v] for v in param.tower.variables])
         try:
             dFx, dFu, _ = imp.jacobian_blocks(w)
-        except (EvalError, np.linalg.LinAlgError):
+            ranks = [numeric_rank(dFu[:, col_idx_R2], opts.tol_rank),
+                     numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank)]
+            if sys.g is not None:
+                xs, us = imp.states_inputs(w)
+                gpt = dict(imp.params)
+                gpt.update(zip(sys.state_vars, xs))
+                gpt.update(zip(sys.input_vars, us))
+                dG = eval_matrix(Dg, gpt) @ np.vstack([dFx, dFu])
+                ranks.append(numeric_rank(dG[:, col_idx_mR1], opts.tol_rank))
+            per_point.append(ranks)
+        except (EvalError, np.linalg.LinAlgError, ValueError):
             continue
-        ranks_fu.append(numeric_rank(dFu[:, col_idx_R2], opts.tol_rank))
-        ranks_fx.append(numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank))
-        if sys.g is not None:
-            gpt = dict(imp.params)
-            for v in sys.state_vars:
-                gpt[v] = pt[v]
-            for v in sys.input_vars:
-                gpt[v] = evaluate(imp.u_recovery[v], pt)
-            dG = eval_matrix(Dg, gpt) @ np.vstack([dFx, dFu])
-            ranks_gf.append(numeric_rank(dG[:, col_idx_mR1], opts.tol_rank))
-    if not ranks_fu:
+    if not per_point:
         raise AnalysisError("no probe point admitted a tower Jacobian inverse")
-    return (max(ranks_fu), max(ranks_fx),
-            max(ranks_gf) if ranks_gf else None)
+    ranks = [max(r) for r in zip(*per_point)]
+    return ranks[0], ranks[1], (ranks[2] if sys.g is not None else None)
 
 
 # ---------------------------------------------------------------------------

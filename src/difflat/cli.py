@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import (
     AnalysisError, AnalyzeOptions, ClassificationError, FlatCandidate,
-    analyze,
+    analyze, trajectory_frame,
 )
 from .expr import EvalError
 from .extension import build_combined, certify_linearizing
@@ -136,12 +136,7 @@ def cmd_verify(args) -> int:
     report = analyze(sf.model, sf.candidate, opts)
     param = report.parameterization
     sys_model = report.model
-    idx = param.indices
-    H = max(idx.r1) + 1
-    K = args.steps + max(idx.r2) + 1
-    pt = sys_model.analysis_point()
-    x0 = [pt[v] for v in sys_model.state_vars]
-    u0 = [pt[v] for v in sys_model.input_vars]
+    H, K, x0, u0 = trajectory_frame(sys_model, param.indices, args.steps)
 
     if args.trials == 0:
         trials = [[list(u0) for _ in range(H + K)]]

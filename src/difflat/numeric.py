@@ -245,15 +245,21 @@ def output_values(sys, cand, traj: Trajectory, k: int, zdepth: int):
     return [evaluate(p, pt) for p in cand.phi]
 
 
-def y_bindings(sys, cand, traj: Trajectory, k: int, lo: int, hi: int,
-               zdepth: int) -> dict:
-    """Bindings for y<j>[s], s in [lo, hi], measured along the trajectory."""
-    pt = dict(traj.params)
-    for s in range(lo, hi + 1):
-        vals = output_values(sys, cand, traj, k + s, zdepth)
-        for j, val in enumerate(vals):
-            pt[Var("y", j + 1, s)] = val
-    return pt
+def window_bindings(sys, cand, traj: Trajectory, k_window, lo: int, hi: int,
+                    zdepth: int):
+    """(k, bindings of y<j>[s], s in [lo, hi], measured along the trajectory
+    around k) for each k of the window, in order. The outputs phi are
+    evaluated once per trajectory time and the y leaves are built once."""
+    shifts = range(lo, hi + 1)
+    leaves = [[Var("y", j + 1, s) for j in range(len(cand.phi))] for s in shifts]
+    outputs = {}    # trajectory time -> phi values
+    for k in k_window:
+        pt = dict(traj.params)
+        for s, ys in zip(shifts, leaves):
+            if k + s not in outputs:
+                outputs[k + s] = output_values(sys, cand, traj, k + s, zdepth)
+            pt.update(zip(ys, outputs[k + s]))
+        yield k, pt
 
 
 def verify_parameterization(sys, cand, param, traj: Trajectory,
@@ -269,8 +275,7 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
     # steps of g-value history the outputs phi read
     zdepth = max([-v.shift for e in cand.phi for v in vars_of(e)
                   if v.family == sys.gvalue_family] + [0])
-    for k in k_window:
-        pt = y_bindings(sys, cand, traj, k, lo, hi, zdepth)
+    for k, pt in window_bindings(sys, cand, traj, k_window, lo, hi, zdepth):
         xk = traj.state(k)
         uk = traj.inputs(k)
         if param.F_x is not None:

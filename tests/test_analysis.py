@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from difflat.analysis import (
-    AnalysisError, FlatCandidate, analyze, backward_depths, build_tower,
-    normalize_inputs, relative_degrees, zero_block_check,
+    AnalysisError, AnalyzeOptions, FlatCandidate, _tower_probe_points, analyze,
+    backward_depths, build_tower, classify, normalize_inputs,
+    relative_degrees, zero_block_check,
 )
 from difflat.expr import (
-    Var, differentiate, evaluate, jacobian, to_text, var, vars_of,
+    EvalError, Var, differentiate, evaluate, jacobian, to_text, var, vars_of,
 )
 from difflat.model import SystemModel, invert_extension
 from difflat.numeric import (
-    eval_matrix, newton_solve, random_inputs, simulate, y_bindings,
+    PROBE_COUNT, eval_matrix, newton_solve, numeric_rank, random_inputs,
+    simulate, window_bindings,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -230,9 +232,8 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
                            [pt0[v] for v in sysm.input_vars],
                            vtol.options.input_boxes, H + K)
         traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
-        for k in range(6):
-            y = y_bindings(sysm, vtol.candidate, traj, k, -max(idx.r1),
-                           max(idx.r2), 0)
+        for k, y in window_bindings(sysm, vtol.candidate, traj, range(6),
+                                    -max(idx.r1), max(idx.r2), 0):
             w0 = imp.trajectory_seed(y, traj.state(k), traj.inputs(k))
             w0 = w0 + 1e-3 * np.cos(np.arange(w0.size)) * (1.0 + np.abs(w0))
             got, want = imp.recover(y, seed=w0), ref_recover(y, w0)
@@ -241,6 +242,90 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
             w = got[2]
             for a, b in zip(imp.jacobian_blocks(w), ref_blocks(w)):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def symbolic(reports, corpus):
+    """(report, options) of the analyses with a symbolic F: robot, academic
+    and a double integrator chain."""
+    sysm = SystemModel(
+        n=3, m=2, f=(var("x", 2), var("u", 1), var("u", 2)),
+        state_vars=(var("x", 1), var("x", 2), var("x", 3)),
+        input_vars=(var("u", 1), var("u", 2)),
+        g=(var("x", 1), var("x", 3)),
+        point={var("x", 1): 0.0, var("x", 2): 0.0, var("x", 3): 0.0,
+               var("u", 1): 0.0, var("u", 2): 0.0})
+    cand = FlatCandidate(phi=(var("x", 1), var("x", 3)))
+    return {"robot": (reports["robot"], corpus["robot"].options),
+            "academic": (reports["academic"], corpus["academic"].options),
+            "double_chain": (analyze(sysm, cand), AnalyzeOptions())}
+
+
+@pytest.mark.parametrize("name", ["robot", "academic", "double_chain"])
+def test_inverse_tower_jacobian_matches_the_symbolic_partials(symbolic, name):
+    """By the implicit function theorem the inverse tower Jacobian is dF: at
+    each tower probe its y[-R1] and y[R2] columns match the evaluated
+    partials of the symbolic F_x and F_u, with the same ranks. Where the
+    tower Jacobian is singular (the analysis point of robot and academic),
+    F has a pole."""
+    rep, opts = symbolic[name]
+    param, idx = rep.parameterization, rep.indices
+    assert param.source == "tower_inverted"
+    imp = param.implicit
+    cols_mR1 = [Var("y", j + 1, -idx.r1[j]) for j in range(2)]
+    cols_R2 = [Var("y", j + 1, idx.r2[j]) for j in range(2)]
+    cols = cols_mR1 + cols_R2
+    at = [imp.targets.index(c) for c in cols]
+    pts = _tower_probe_points(param.tower, opts, count=PROBE_COUNT + 1)
+    assert len(pts) == 11
+    inverted = 0
+    for pt in pts:
+        try:
+            dFx, dFu, _ = imp.jacobian_blocks(
+                [pt[v] for v in param.tower.variables])
+        except np.linalg.LinAlgError:
+            with pytest.raises(EvalError):
+                eval_matrix(jacobian(list(param.F_x + param.F_u), cols), pt)
+            continue
+        inverted += 1
+        for F, block in ((param.F_x, dFx), (param.F_u, dFu)):
+            want = eval_matrix(jacobian(list(F), cols), pt)
+            np.testing.assert_allclose(block[:, at], want, rtol=1e-7,
+                                       atol=1e-7 * max(1.0, np.abs(want).max()))
+        assert numeric_rank(dFu[:, at[2:]]) == numeric_rank(
+            eval_matrix(jacobian(list(param.F_u), cols_R2), pt))
+        assert numeric_rank(dFx[:, at[:2]]) == numeric_rank(
+            eval_matrix(jacobian(list(param.F_x), cols_mR1), pt))
+    assert inverted >= PROBE_COUNT
+
+
+def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
+    """classify skips a tower probe whose blocks are not finite and reads
+    the same ranks off the others; with every probe skipped it fails. The
+    tower Jacobian is singular at the center probe, so only the PROBE_COUNT
+    perturbed ones reach the poisoning."""
+    rep = reports["robot"]
+    param = rep.parameterization
+    blocks = param.implicit.jacobian_blocks
+    poisoned = []
+
+    def poison(w):
+        dFx, dFu, M = blocks(w)  # LinAlgError at the center
+        if len(poisoned) < poison.count:
+            poisoned.append(w)
+            dFu = np.full_like(dFu, np.inf)
+        return dFx, dFu, M
+
+    monkeypatch.setattr(param.implicit, "jacobian_blocks", poison)
+    poison.count = 1
+    cls = classify(rep.model, robot.candidate, param, robot.options)
+    assert len(poisoned) == 1
+    assert cls.to_json() == rep.classification.to_json()
+    poisoned.clear()
+    poison.count = PROBE_COUNT
+    with pytest.raises(AnalysisError, match="no probe point"):
+        classify(rep.model, robot.candidate, param, robot.options)
+    assert len(poisoned) == PROBE_COUNT
 
 
 def test_trivial_system_is_linearizing():

@@ -242,6 +242,44 @@ def test_corrupted_parameterization_is_caught(reports, robot):
     assert out.max_residual_u == pytest.approx(abs(y1) / 1000, rel=0.5)
 
 
+def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
+                                                           monkeypatch):
+    """The window's y bindings evaluate phi once per trajectory time, and the
+    residuals are bit-identical to reading the outputs afresh for every
+    shift of every step."""
+    from difflat import numeric
+    rep = reports["robot"]
+    sysm, param, cand = rep.model, rep.parameterization, robot.candidate
+    rng = random.Random(7)
+    H, K = 2, 14
+    us = [[rng.uniform(0.5, 1.5), rng.uniform(-1, 1)] for _ in range(H + K)]
+    traj = simulate(sysm, [0.5] * 3, us, H, K)
+    lo, hi = -max(rep.indices.r1), max(rep.indices.r2)
+    worst_x = worst_u = 0.0
+    for k in range(10):
+        pt = dict(traj.params)
+        for s in range(lo, hi + 1):
+            for j, val in enumerate(numeric.output_values(sysm, cand, traj,
+                                                          k + s, 0)):
+                pt[Var("y", j + 1, s)] = val
+        fx = [evaluate(e, pt) for e in param.F_x]
+        fu = [evaluate(e, pt) for e in param.F_u]
+        worst_x = max([worst_x] + [abs(a - b) for a, b in zip(fx, traj.state(k))])
+        worst_u = max([worst_u] + [abs(a - b) for a, b in zip(fu, traj.inputs(k))])
+
+    times = []
+    read = numeric.output_values
+
+    def counted(sys, cand, traj, k, zdepth):
+        times.append(k)
+        return read(sys, cand, traj, k, zdepth)
+
+    monkeypatch.setattr(numeric, "output_values", counted)
+    out = verify_parameterization(sysm, cand, param, traj, range(0, 10))
+    assert times == list(range(lo, 10 + hi))
+    assert (out.max_residual_x, out.max_residual_u) == (worst_x, worst_u)
+
+
 def test_shift_operator_soundness_along_trajectories(reports, corpus):
     """delta^k phi evaluated at time k0 equals phi at time k0 + k."""
     for name, rep in reports.items():

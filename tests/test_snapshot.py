@@ -6,6 +6,8 @@ and the extended system file. Two parts of the output legitimately depend on
 the interpreter's hash seed (set iteration changes the solver's pivot order):
 the text of a symbolic F and the trailing digits of the residuals. So F is
 compared by value at fixed y-points, and residuals by their verdict only.
+The goldens are compared in this process, under whatever hash seed it has,
+and again in a subprocess under PYTHONHASHSEED=3.
 
 Regenerate the goldens (only when a verdict is meant to change) with
 
@@ -14,7 +16,9 @@ Regenerate the goldens (only when a verdict is meant to change) with
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import difflat
 from difflat import systems
 from difflat.cli import main
 from difflat.expr import Var, evaluate
@@ -139,10 +144,8 @@ def _assert_residuals(mine, gold, what):
             assert mine[k] <= mine["tolerance"], f"{what}: {k}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_reports_match_golden(name, tmp_path):
+def _assert_matches_golden(name, mine):
     gold = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    mine = snapshot(name, tmp_path)
     sf = loads_system(CASES[name])
 
     a, ga = mine["analyze"], gold["analyze"]
@@ -164,6 +167,29 @@ def test_cli_reports_match_golden(name, tmp_path):
     gvj = {k: x for k, x in gv["json"].items() if k not in RESIDUAL_KEYS}
     assert vj == gvj
     _assert_residuals(v["json"], gv["json"], f"{name} verify")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_reports_match_golden(name, tmp_path):
+    _assert_matches_golden(name, snapshot(name, tmp_path))
+
+
+def test_cli_reports_match_golden_under_hash_seed_3(tmp_path):
+    """The snapshots of every case, taken in a fresh interpreter with
+    PYTHONHASHSEED=3, match the goldens too."""
+    path = [str(Path(difflat.__file__).parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONHASHSEED="3", PYTHONPATH=os.pathsep.join(path))
+    code = ("import json, sys, test_snapshot as t; print(json.dumps("
+            "{n: t.snapshot(n, sys.argv[1]) for n in sorted(t.CASES)}))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    snaps = json.loads(proc.stdout)
+    assert sorted(snaps) == sorted(CASES)
+    for name, mine in snaps.items():
+        _assert_matches_golden(name, mine)
 
 
 if __name__ == "__main__":
