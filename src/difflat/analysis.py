@@ -32,8 +32,8 @@ from .expr import (
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
     PROBE_COUNT, RankProbe, SimulationError, depends_on, eval_matrix,
-    newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
-    simulate, verify_parameterization,
+    matrix_rank_probe, newton_solve, numeric_rank, probe_points, probe_rank,
+    random_inputs, simulate, verify_parameterization,
 )
 from .solve import SolveError, solve_equations
 
@@ -130,7 +130,7 @@ class Tower:
     variables: tuple
     indices: ShiftIndices
     context: TowerContext
-    rank_probe: RankProbe
+    rank_probe: RankProbe | None = None   # set by the tower search
 
     def ordered_rows(self):
         return [((j, s), self.rows[(j, s)])
@@ -142,6 +142,31 @@ class Tower:
     def target_vars(self):
         return [Var("y", j, s) for (j, s), _ in self.ordered_rows()]
 
+    @cached_property
+    def leaves(self) -> list:
+        """The tower variables followed by the parameters: the argument
+        order of every compiled function of the tower."""
+        return list(self.variables) + [Par(k) for k in self.context.sys_bar.params]
+
+    @cached_property
+    def jacobian_kernel(self):
+        """The Jacobian of the rows (`row_exprs` order) w.r.t. the variables,
+        compiled once per tower: maps the values of `leaves` to an array,
+        bit-identical to `eval_matrix`. The tower rank probe, the class ranks,
+        Newton inversion and the linearizing certificate all evaluate it."""
+        return _compiled_matrix(self.row_exprs(), self.variables, self.leaves)
+
+    def jacobian_at(self, pt) -> np.ndarray:
+        """The tower Jacobian at a point binding every leaf."""
+        return self.jacobian_kernel([pt[v] for v in self.leaves])
+
+
+def _compiled_matrix(exprs, cols, leaves):
+    """The Jacobian of `exprs` w.r.t. `cols`, compiled over `leaves`."""
+    fn = compile_exprs([e for row in jacobian(exprs, cols) for e in row], leaves)
+    shape = (len(exprs), len(cols))
+    return lambda values: np.array(fn(values)).reshape(shape)
+
 
 @dataclass
 class ImplicitParameterization:
@@ -149,10 +174,12 @@ class ImplicitParameterization:
 
     Classification reads its ranks off the inverse of this map's Jacobian
     (`jacobian_blocks`), and a tower the solver cannot invert symbolically
-    is evaluated by Newton inversion of it (`recover`). The tower rows, their
-    Jacobian, the input recovery and its Jacobian are compiled on first use
-    into straight-line functions of the tower variables followed by the
-    parameter values (`expr.compile_exprs`, bit-identical to `evaluate`)."""
+    is evaluated by Newton inversion of it (`recover`). The tower rows, the
+    input recovery and its Jacobian are compiled on first use into
+    straight-line functions of `tower.leaves`, the tower variables followed
+    by the parameter values (`expr.compile_exprs`, bit-identical to
+    `evaluate`); the row Jacobian is the tower's own compiled kernel
+    (`Tower.jacobian_kernel`), called on the same values."""
 
     tower: Tower
     u_recovery: dict               # {original u leaf: expr over tower vars}
@@ -165,19 +192,12 @@ class ImplicitParameterization:
     def _compiled(self):
         """(rows, row Jacobian, u recovery, u-recovery Jacobian); the
         Jacobians return arrays."""
-        vars_ = list(self.tower.variables)
-        leaves = vars_ + list(self.params)
-        rows = self.tower.row_exprs()
+        tower = self.tower
         u_exprs = [self.u_recovery[v] for v in self.input_vars]
-
-        def matrix(exprs):
-            fn = compile_exprs([e for row in jacobian(exprs, vars_) for e in row],
-                               leaves)
-            shape = (len(exprs), len(vars_))
-            return lambda values: np.array(fn(values)).reshape(shape)
-
-        return (compile_exprs(rows, leaves), matrix(rows),
-                compile_exprs(u_exprs, leaves), matrix(u_exprs))
+        return (compile_exprs(tower.row_exprs(), tower.leaves),
+                tower.jacobian_kernel,
+                compile_exprs(u_exprs, tower.leaves),
+                _compiled_matrix(u_exprs, tower.variables, tower.leaves))
 
     @cached_property
     def targets(self) -> list:
@@ -548,10 +568,6 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
 
     rows, variables = _rows_and_vars(sys_bar, phi_bar, sigma_y,
                                      (r11, r21), (r12, r22), d1, d2)
-    rp = _tower_probe(sys_bar, rows, variables, opts)
-    if not _rank_ok(rp):
-        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
-        return None
     idx = ShiftIndices(rho=rho, gamma=gamma,
                        r1=_unpermute(sigma_y, r11, r12),
                        r2=_unpermute(sigma_y, r21, r22),
@@ -560,8 +576,13 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
                        sigma_y=sigma_y, sigma_u=sigma_u, u_inverse=u_inverse,
                        zeta_inverse=zeta_inverse, gbar=gbar,
                        diagnostics=list(diags))
-    return Tower(rows=rows, variables=variables, indices=idx, context=ctx,
-                 rank_probe=rp)
+    tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx)
+    rp = _tower_probe(tower, opts)
+    if not _rank_ok(rp):
+        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
+        return None
+    tower.rank_probe = rp
+    return tower
 
 
 def _bar_phi(cand, sigma_y, u_inverse):
@@ -618,13 +639,20 @@ def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
     return rows, tuple(variables)
 
 
-def _tower_probe(sys_bar, rows, variables, opts):
-    leaves = set(variables)
-    for e in rows.values():
+def _tower_probe(tower: Tower, opts):
+    """Rank of the tower Jacobian at the jet center and its seeded
+    perturbations, from the tower's compiled kernel (compiled here, once per
+    candidate tower), its rows taken in the order the search built them
+    (`tower.rows`)."""
+    leaves = set(tower.variables)
+    for e in tower.rows.values():
         leaves |= vars_of(e)
-    probes = _jet_probes(sys_bar, leaves, opts)
-    return probe_rank(list(rows.values()), list(variables), probes,
-                      tol_rel=opts.tol_rank, required=len(variables))
+    probes = _jet_probes(tower.context.sys_bar, leaves, opts)
+    keys = [k for k, _ in tower.ordered_rows()]
+    order = [keys.index(k) for k in tower.rows]
+    return matrix_rank_probe(lambda pt: tower.jacobian_at(pt)[order], probes,
+                             tol_rel=opts.tol_rank,
+                             required=len(tower.variables))
 
 
 def _rank_ok(rp: RankProbe) -> bool:

@@ -626,7 +626,11 @@ def substitute(e: Expr, mapping: Mapping[Union[Var, Par], Expr]) -> Expr:
     """Simultaneous substitution of leaves, then canonicalization.
 
     Shared subtrees are rebuilt once: results are memoized by node identity
-    within the call.
+    within the call. A node none of whose children changed is returned as
+    the same object, not rebuilt (`canonical` is idempotent on canonical
+    trees), so a subtree free of mapped leaves costs one walk and no
+    constructor call, and `substitute(e, m) is e` when no key of `m` occurs
+    in `e`.
     """
     if not mapping:
         return e
@@ -640,14 +644,19 @@ def substitute(e: Expr, mapping: Mapping[Union[Var, Par], Expr]) -> Expr:
         hit = memo.get(id(e))
         if hit is not None:
             return hit
-        if isinstance(e, Add):
-            out = add(*[walk(t) for t in e.terms])
-        elif isinstance(e, Mul):
-            out = mul(*[walk(f) for f in e.factors])
+        if isinstance(e, (Add, Mul)):
+            kids = e.terms if isinstance(e, Add) else e.factors
+            new = [walk(k) for k in kids]
+            if all(a is b for a, b in zip(new, kids)):
+                out = e
+            else:
+                out = add(*new) if isinstance(e, Add) else mul(*new)
         elif isinstance(e, Pow):
-            out = pow_(walk(e.base), e.exp)
+            base = walk(e.base)
+            out = e if base is e.base else pow_(base, e.exp)
         elif isinstance(e, Fun):
-            out = _FUNCTIONS[e.name](walk(e.arg))
+            arg = walk(e.arg)
+            out = e if arg is e.arg else _FUNCTIONS[e.name](arg)
         else:
             raise ExprError(f"unknown node {e!r}")
         memo[id(e)] = out

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .expr import Var, evaluate, substitute, to_text, vars_of
 from .model import SystemModel
-from .numeric import probe_points, probe_rank
+from .numeric import matrix_rank_probe, probe_points, probe_rank
 from .analysis import AnalysisError, AnalyzeOptions, FlatCandidate, Tower
 
 __all__ = [
@@ -213,7 +213,12 @@ def certify_linearizing(ext: ExtendedSystem,
     """Check that the tower, read over the extended coordinates, is a square
     map of full rank n_ext + m_ext at the extended point and perturbed
     probes: the parameterizing map of the extension is then a local
-    diffeomorphism, i.e. the extended system is static feedback linearizable."""
+    diffeomorphism, i.e. the extended system is static feedback linearizable.
+
+    The extended coordinates are the tower variables in the same order
+    (`build_combined` lists them so), and the rank is read off the tower's
+    compiled Jacobian (`Tower.jacobian_kernel`), the one the tower search,
+    the class ranks and Newton inversion evaluate."""
     opts = opts or AnalyzeOptions()
     tower = ext.tower
     model = ext.model
@@ -228,8 +233,9 @@ def certify_linearizing(ext: ExtendedSystem,
         raise ExtensionError(
             "tower rows reference coordinates outside the extended system: "
             + ", ".join(sorted({to_text(v) for v in stray})))
-    rp = probe_rank(rows, coords, probe_points(model.analysis_point(), opts.seed),
-                    tol_rel=opts.tol_rank, required=required)
+    rp = matrix_rank_probe(tower.jacobian_at,
+                           probe_points(model.analysis_point(), opts.seed),
+                           tol_rel=opts.tol_rank, required=required)
     return Certificate(square=True, rank=rp.generic, required=required,
                        points_checked=len(rp.per_point),
                        at_point_rank=rp.at_point)

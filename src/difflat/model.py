@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +158,46 @@ class SystemModel:
         self._shift_cache[key] = out
         return out
 
+    @cached_property
+    def psi_residual(self) -> float:
+        """Two-sided composition residual of psi against (f, g) at the
+        analysis point and its seeded perturbations, computed once per model
+        (psi is fixed at construction): `invert_extension` checks it and
+        `validate` reports the same value."""
+        worst = 0.0
+        for trial, pt in enumerate(probe_points(
+                self.analysis_point(), 11,
+                perturb=list(self.state_vars) + list(self.input_vars))):
+            xplus = [evaluate(fi, pt) for fi in self.f]
+            zeta = [evaluate(gj, pt) for gj in self.g]
+            back = dict(self.param_bindings())
+            for v, val in zip(self.state_vars, xplus):
+                back[v] = val
+            for j, val in enumerate(zeta):
+                back[Var(self.gvalue_family, j + 1, -1)] = val
+            try:
+                xs = [evaluate(e, back) for e in self.psi_x]
+                us = [evaluate(e, back) for e in self.psi_u]
+            except EvalError:
+                if trial == 0:
+                    raise
+                continue
+            worst = max(worst, max(abs(a - pt[v])
+                                   for a, v in zip(xs, self.state_vars)))
+            worst = max(worst, max(abs(a - pt[v])
+                                   for a, v in zip(us, self.input_vars)))
+            # forward direction: (f,g) applied to psi reproduces the slot values
+            fwd = dict(self.param_bindings())
+            for v, val in zip(self.state_vars, xs):
+                fwd[v] = val
+            for v, val in zip(self.input_vars, us):
+                fwd[v] = val
+            worst = max(worst, max(abs(evaluate(fi, fwd) - a)
+                                   for fi, a in zip(self.f, xplus)))
+            worst = max(worst, max(abs(evaluate(gj, fwd) - a)
+                                   for gj, a in zip(self.g, zeta)))
+        return worst
+
     def with_psi(self, psi_x, psi_u) -> "SystemModel":
         return SystemModel(
             n=self.n, m=self.m, f=self.f, state_vars=self.state_vars,
@@ -268,48 +309,12 @@ def validate(sys: SystemModel, tol_rank: float = 1e-8) -> ValidationReport:
 
     psi_resid = None
     if sys.psi_x is not None:
-        psi_resid = _psi_residual(sys)
+        psi_resid = sys.psi_residual
     return ValidationReport(
         input_rank=input_rank, submersivity_rank=sub_rank,
         extension_rank=ext_rank, n=sys.n, m=sys.m,
         equilibrium_residual=resid, psi_residual=psi_resid,
         is_fixed_point=fixed, messages=messages)
-
-
-def _psi_residual(sys: SystemModel) -> float:
-    """Two-sided composition residual of psi against (f,g) at the analysis
-    point and its seeded perturbations."""
-    worst = 0.0
-    for trial, pt in enumerate(probe_points(
-            sys.analysis_point(), 11,
-            perturb=list(sys.state_vars) + list(sys.input_vars))):
-        xplus = [evaluate(fi, pt) for fi in sys.f]
-        zeta = [evaluate(gj, pt) for gj in sys.g]
-        back = dict(sys.param_bindings())
-        for v, val in zip(sys.state_vars, xplus):
-            back[v] = val
-        for j, val in enumerate(zeta):
-            back[Var(sys.gvalue_family, j + 1, -1)] = val
-        try:
-            xs = [evaluate(e, back) for e in sys.psi_x]
-            us = [evaluate(e, back) for e in sys.psi_u]
-        except EvalError:
-            if trial == 0:
-                raise
-            continue
-        worst = max(worst, max(abs(a - pt[v]) for a, v in zip(xs, sys.state_vars)))
-        worst = max(worst, max(abs(a - pt[v]) for a, v in zip(us, sys.input_vars)))
-        # forward direction: (f,g) applied to psi reproduces the slot values
-        fwd = dict(sys.param_bindings())
-        for v, val in zip(sys.state_vars, xs):
-            fwd[v] = val
-        for v, val in zip(sys.input_vars, us):
-            fwd[v] = val
-        worst = max(worst, max(abs(evaluate(fi, fwd) - a)
-                               for fi, a in zip(sys.f, xplus)))
-        worst = max(worst, max(abs(evaluate(gj, fwd) - a)
-                               for gj, a in zip(sys.g, zeta)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +367,7 @@ def invert_extension(sys: SystemModel) -> SystemModel:
                 f"restricted solver cannot invert (f, g): {ex}; "
                 "supply psi in the [inverse] section") from ex
         out = sys.with_psi(psi_x, psi_u)
-    resid = _psi_residual(out)
+    resid = out.psi_residual
     if resid > 1e-9:
         raise ModelError(f"psi verification residual {resid:.3g} exceeds 1e-9")
     return out

@@ -14,9 +14,9 @@ from .expr import (
 
 __all__ = [
     "numeric_rank", "fd_jacobian_check", "eval_matrix", "probe_points",
-    "RankProbe", "probe_rank", "Trajectory", "random_inputs", "simulate",
-    "SimulationError", "verify_parameterization", "ResidualReport",
-    "newton_solve",
+    "RankProbe", "probe_rank", "matrix_rank_probe", "Trajectory",
+    "random_inputs", "simulate", "SimulationError", "verify_parameterization",
+    "ResidualReport", "newton_solve",
 ]
 
 RANK_TOL = 1e-8
@@ -114,14 +114,25 @@ class RankProbe:
 def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL,
                required: int | None = None) -> RankProbe:
     """Numeric rank of the Jacobian of `rows` w.r.t. `cols` at the probe
-    points (binding dicts, center first). Reports the at-center rank and the
-    generic (max) rank; evaluation poles at individual probes are skipped."""
+    points (binding dicts, center first), tree-walked by `eval_matrix`; see
+    `matrix_rank_probe`. The tower Jacobian has a compiled kernel instead
+    (`analysis.Tower.jacobian_at`)."""
     J = jacobian(rows, cols)
+    return matrix_rank_probe(lambda pt: eval_matrix(J, pt), probes, tol_rel,
+                             required)
+
+
+def matrix_rank_probe(matrix_at, probes, tol_rel: float = RANK_TOL,
+                      required: int | None = None) -> RankProbe:
+    """Numeric rank of the matrix `matrix_at(pt)` at each probe point (center
+    first). Reports the at-center rank and the generic (max) rank; a probe
+    where the matrix hits an evaluation pole or has a non-finite entry is
+    skipped."""
     at_point = None
     per_point = []
     for i, pt in enumerate(probes):
         try:
-            rank = numeric_rank(eval_matrix(J, pt), tol_rel)
+            rank = numeric_rank(matrix_at(pt), tol_rel)
         except (EvalError, ValueError):
             rank = None
         if i == 0:

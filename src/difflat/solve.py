@@ -64,6 +64,13 @@ def solve_equations(equations, unknowns, probe_points, max_rounds: int = 40):
     Returns {Var: Expr} with right-hand sides free of unknowns. Raises
     SolveError when no progress is possible (non-affine coupling, or pivots
     that vanish at every probe point).
+
+    After each round the new solutions are substituted into the earlier ones
+    and into the rows still open. A row that pivoted an unknown solved in
+    that round is spent: it is dropped, not substituted into, since that
+    unknown's solution now carries its equation. A row whose pivot unknown
+    stayed unsolved (its right-hand side still referenced a pending unknown)
+    stays for the next round.
     """
     unknowns = list(unknowns)
     pending = set(unknowns)
@@ -83,7 +90,7 @@ def solve_equations(equations, unknowns, probe_points, max_rounds: int = 40):
             raise SolveError(
                 "no equation is affine in the remaining unknowns: "
                 + ", ".join(str(v) for v in sorted(pending, key=str)))
-        solved_now = _eliminate(affine, pending, probe_points)
+        solved_now, spent = _eliminate(affine, pending, probe_points)
         if not solved_now:
             raise SolveError(
                 "elimination stalled (all candidate pivots vanish numerically) for "
@@ -94,7 +101,8 @@ def solve_equations(equations, unknowns, probe_points, max_rounds: int = 40):
         # fold the new solutions into everything
         for v in solution:
             solution[v] = substitute(solution[v], solved_now)
-        rows = [_Row(substitute(r.expr, solved_now), r.order) for r in rows]
+        rows = [_Row(substitute(r.expr, solved_now), r.order) for r in rows
+                if r.order not in spent]
     if pending:
         raise SolveError("round limit exceeded with unknowns left: "
                          + ", ".join(str(v) for v in sorted(pending, key=str)))
@@ -102,15 +110,17 @@ def solve_equations(equations, unknowns, probe_points, max_rounds: int = 40):
 
 
 def _eliminate(affine, pending, probe_points):
-    """One Gaussian sweep over the affine rows; returns newly solved unknowns.
+    """One Gaussian sweep over the affine rows; returns the newly solved
+    unknowns and the set of `order`s of the rows that pivoted them.
 
     Pivot rhs expressions may reference unknowns pivoted later in the sweep;
     back-substitution from the last pivot upward closes the chain. Entries
     whose right-hand side still references an unsolved unknown are dropped
-    (they resolve, or fail loudly, in a later round).
+    (they resolve, or fail loudly, in a later round), and so their pivot rows
+    are not reported.
     """
     rows = [(r.order, r.expr, coeffs) for r, coeffs in affine]
-    chain = []  # (unknown, rhs) in pivot order
+    chain = []  # (unknown, rhs, pivot row order) in pivot order
     active = set(pending)
 
     while rows and active:
@@ -131,7 +141,7 @@ def _eliminate(affine, pending, probe_points):
         # e == 0 and e = c*v + rest  ->  v = -rest/c
         rest = sub(e, mul(c, v))
         rhs = div(neg(rest), c)
-        chain.append((v, rhs))
+        chain.append((v, rhs, order))
         active.discard(v)
         # substitute into the remaining rows and refresh their coefficient maps
         nxt = []
@@ -145,6 +155,7 @@ def _eliminate(affine, pending, probe_points):
         rows = nxt
 
     solved: dict[Var, Expr] = {}
-    for v, rhs in reversed(chain):
+    for v, rhs, _ in reversed(chain):
         solved[v] = substitute(rhs, solved)
-    return {v: e for v, e in solved.items() if not (vars_of(e) & set(pending))}
+    solved = {v: e for v, e in solved.items() if not (vars_of(e) & set(pending))}
+    return solved, {order for v, _, order in chain if v in solved}

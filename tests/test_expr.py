@@ -207,6 +207,32 @@ def test_substitution_rebuilds_a_shared_subtree_once():
     assert first.arg is second.arg
 
 
+def test_substitution_without_a_mapped_leaf_returns_the_same_object():
+    """No key of the mapping occurs: nothing is rebuilt, not even the root."""
+    e = P("x1*sin(u2) - x2*cos(u2)/(x1 + T_s*x3)")
+    assert substitute(e, {var("x", 4): var("x", 5), par("eps"): num(2)}) is e
+    rng = random.Random(17)
+    for _ in range(200):
+        e = random_tree(rng, rng.randint(1, 5))
+        assert substitute(e, {var("x", 6): var("u", 1)}) is e
+
+
+def test_partial_substitution_keeps_untouched_subtrees():
+    """Subtrees free of the mapped leaf come back as the very same objects
+    (a power is rebuilt by `mul`, which keeps its base)."""
+    x1, x2, x3, u1 = var("x", 1), var("x", 2), var("x", 3), var("u", 1)
+    touched = sin(add(x1, x2))
+    trig = cos(add(x3, u1))
+    inverse = pow_(add(x3, mul(num(2), u1)), -1)
+    e = add(mul(touched, trig, inverse), x2)
+    out = substitute(e, {x1: mul(num(3), x2)})
+    assert out == add(mul(sin(mul(num(4), x2)), trig, inverse), x2)
+    product = next(t for t in out.terms if t != x2)
+    kept = [f for f in product.factors if f == trig or f == inverse]
+    assert len(kept) == 2
+    assert kept[0] is trig and kept[1].base is inverse.base
+
+
 def test_substitution_evaluation_commute():
     rng = random.Random(13)
     for _ in range(20):

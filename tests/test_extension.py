@@ -3,15 +3,18 @@ from dataclasses import replace
 
 import pytest
 
-from difflat.analysis import FlatCandidate
-from difflat.expr import Var, evaluate, var
+from difflat import analysis, expr, extension, numeric
+from difflat.analysis import FlatCandidate, analyze
+from difflat.expr import EvalError, Var, compile_exprs, evaluate, jacobian, var
 from difflat.extension import (
     ExtensionError, build_combined, build_prelongation, build_prolongation,
     certify_linearizing, truncated,
 )
 from difflat.model import SystemModel
-from difflat.numeric import simulate
+from difflat.numeric import PROBE_COUNT, eval_matrix, simulate
 from difflat.parsing import DimTable, parse_expression
+from difflat.sysfile import loads_system
+from test_snapshot import CASES
 
 
 def P(s, n, m, params=()):
@@ -226,6 +229,76 @@ def test_vtol_certificate_full_rank_at_the_point(exts):
     # the pi/2 chart center is a regular point of the VTOL tower
     cert = certify_linearizing(exts["vtol"])
     assert cert.at_point_rank == 10
+
+
+# ---------------------------------------------------------------------------
+# the compiled tower Jacobian: one kernel per tower, shared by every rank
+
+def _matrix_or_error(fn):
+    try:
+        return fn().tobytes()
+    except EvalError as ex:
+        return type(ex).__name__
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tower_kernel_matches_the_tree_walked_jacobian(name, monkeypatch):
+    """At every probe of the tower search's rank probe (every candidate
+    tower) and of the certificate, the matrix read off the tower's compiled
+    kernel is byte-equal to the tree-walked Jacobian of the rows, in the row
+    and column order each takes: the search's row order against the tower
+    variables, and `row_exprs` against the extended coordinates."""
+    seen = []     # (rows, cols, probe, matrix or error)
+    towers = []
+
+    def spy(module, rows_cols):
+        real = module.matrix_rank_probe
+
+        def probe(matrix_at, probes, *args, **kwargs):
+            probes = list(probes)
+            rows, cols = rows_cols()
+            seen.extend((rows, cols, pt, _matrix_or_error(lambda: matrix_at(pt)))
+                        for pt in probes)
+            return real(matrix_at, probes, *args, **kwargs)
+        monkeypatch.setattr(module, "matrix_rank_probe", probe)
+
+    real_tower_probe = analysis._tower_probe
+    monkeypatch.setattr(analysis, "_tower_probe", lambda tower, opts: (
+        towers.append(tower) or real_tower_probe(tower, opts)))
+    spy(analysis, lambda: (list(towers[-1].rows.values()),
+                           list(towers[-1].variables)))
+    sf = loads_system(CASES[name])
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    ext = build_combined(rep.model, sf.candidate, rep.tower)
+    spy(extension, lambda: (ext.tower.row_exprs(),
+                            list(ext.model.state_vars) + list(ext.model.input_vars)))
+    assert certify_linearizing(ext, sf.options).passed
+    assert len(seen) == (len(towers) + 1) * (PROBE_COUNT + 1)
+    for rows, cols, pt, got in seen:
+        J = jacobian(rows, cols)
+        assert got == _matrix_or_error(lambda: eval_matrix(J, pt))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_an_extend_pass_compiles_the_tower_jacobian_once(name, monkeypatch):
+    """analyze, build_combined and certify_linearizing compile the accepted
+    tower's Jacobian exactly once, wherever it is evaluated."""
+    compiled = []
+    real = compile_exprs
+
+    def counting(exprs, leaves):
+        compiled.append(list(exprs))
+        return real(exprs, leaves)
+
+    for module in (expr, analysis, extension, numeric):
+        monkeypatch.setattr(module, "compile_exprs", counting, raising=False)
+    sf = loads_system(CASES[name])
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    ext = build_combined(rep.model, sf.candidate, rep.tower)
+    assert certify_linearizing(ext, sf.options).passed
+    tower = rep.tower
+    J = [e for row in jacobian(tower.row_exprs(), tower.variables) for e in row]
+    assert sum(exprs == J for exprs in compiled) == 1
 
 
 def test_minimality_probe(exts):

@@ -198,6 +198,24 @@ def test_invert_extension_verifies_two_sided(models_with_psi):
         assert rep.psi_residual is not None and rep.psi_residual <= 1e-9
 
 
+def test_psi_residual_is_computed_once_per_model(academic, monkeypatch):
+    """invert_extension checks the psi residual and validate reports the
+    same value without sampling its probes again."""
+    import difflat.model as model
+    seeds = []
+    real = model.probe_points
+
+    def counting(center, seed, *args, **kwargs):
+        seeds.append(seed)
+        return real(center, seed, *args, **kwargs)
+
+    monkeypatch.setattr(model, "probe_points", counting)
+    sysm = invert_extension(academic.model)
+    rep = validate(sysm)
+    assert seeds.count(11) == 1    # the psi-residual probe stream
+    assert rep.psi_residual == sysm.psi_residual <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # shift operators
 
