@@ -209,35 +209,58 @@ class ImplicitParameterization:
         """Position of each state among the tower variables."""
         return [self.tower.variables.index(v) for v in self.state_vars]
 
-    def _values(self, w) -> list:
-        return np.asarray(w).tolist() + list(self.params.values())
+    @cached_property
+    def _param_values(self) -> list:
+        """The parameter values, in `tower.leaves` order."""
+        return list(self.params.values())
 
-    def trajectory_seed(self, y_bindings: dict, x_values, u_values):
-        """Newton seed from measured data: chain variables of the tower equal
-        specific output measurements (the pure-chain rows), states and the
-        untouched input come from the trajectory point itself."""
+    def _values(self, w) -> list:
+        return np.asarray(w).tolist() + self._param_values
+
+    @cached_property
+    def _seed_plan(self) -> list:
+        """Where `trajectory_seed` reads each tower variable: ("x", state
+        index), ("y", y leaf) or ("u", input index). The chain variables of
+        the tower equal specific output measurements (the pure-chain rows),
+        states and the untouched input come from the trajectory point."""
         idx = self.tower.indices
         ctx = self.tower.context
         j_first = ctx.sigma_y[0] + 1
         rho1 = idx.rho[ctx.sigma_y[0]]
         gamma1 = idx.gamma[ctx.sigma_y[0]] if idx.gamma is not None else None
-        vals = []
-        state_pos = {v: i for i, v in enumerate(self.state_vars)}
+        plan = []
         for v in self.tower.variables:
-            if v in state_pos:
-                vals.append(x_values[state_pos[v]])
+            if v in self.state_vars:
+                plan.append(("x", self.state_vars.index(v)))
             elif v.family == "ubar" and v.component == 1:
-                vals.append(y_bindings[Var("y", j_first, rho1 + v.shift)])
+                plan.append(("y", Var("y", j_first, rho1 + v.shift)))
             elif v.family == "ubar" and v.component == 2:
-                vals.append(u_values[ctx.sigma_u[1]])
+                plan.append(("u", ctx.sigma_u[1]))
             elif v.family == "zetabar" and v.component == 1:
                 # zetabar1[-q] is the pure-chain row y_first[-(gamma1 + q - 1)]
-                vals.append(y_bindings[Var("y", j_first, v.shift + 1 - gamma1)])
+                plan.append(("y", Var("y", j_first, v.shift + 1 - gamma1)))
             elif v.family == "u":
-                vals.append(u_values[self.input_vars.index(v)])
+                plan.append(("u", self.input_vars.index(v)))
             else:
                 raise EvalError(f"cannot seed tower variable {to_text(v)}")
-        return np.array(vals, dtype=float)
+        return plan
+
+    @cached_property
+    def seed_perturbation(self) -> np.ndarray:
+        """1e-3 cos(i) for each tower variable i: verification moves a
+        trajectory seed w by this times (1 + |w|), deterministically, so that
+        Newton convergence demonstrates local invertibility."""
+        return 1e-3 * np.cos(np.arange(len(self.tower.variables)))
+
+    def trajectory_seed(self, y_bindings: dict, x_values, u_values):
+        """Newton seed from measured data, read by the tower's seed plan
+        (`_seed_plan`, computed once per tower): each tower variable is a
+        state of `x_values`, an output measurement of `y_bindings` or an
+        input of `u_values`. Raises EvalError for a tower variable the plan
+        cannot place."""
+        sources = {"x": x_values, "y": y_bindings, "u": u_values}
+        return np.array([sources[src][key] for src, key in self._seed_plan],
+                        dtype=float)
 
     def recover(self, y_bindings: dict, seed=None):
         """Solve tower(w) = y for w; return (x values, u values, w)."""

@@ -362,6 +362,9 @@ def add(*args) -> Expr:
 
 def _pythagoras(terms: dict) -> None:
     """Collapse c*M*sin(a)^2 + c*M*cos(a)^2 pairs in place (to a fixpoint)."""
+    if not any(type(base) is Fun and base.name == "sin" and exp >= 2
+               for mono in terms for base, exp in mono):
+        return
     changed = True
     while changed:
         changed = False
@@ -780,30 +783,36 @@ def jacobian(rows: Sequence[Expr], cols: Sequence[Var]):
 
 
 def vars_of(e: Expr) -> frozenset:
-    out = set()
-    _collect(e, out, Var)
-    return frozenset(out)
+    return frozenset(_collect(e, Var))
 
 
 def params_of(e: Expr) -> frozenset:
-    out = set()
-    _collect(e, out, Par)
-    return frozenset(out)
+    return frozenset(_collect(e, Par))
 
 
-def _collect(e, out, kind):
-    if isinstance(e, kind):
-        out.add(e)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect(t, out, kind)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect(f, out, kind)
-    elif isinstance(e, Pow):
-        _collect(e.base, out, kind)
-    elif isinstance(e, Fun):
-        _collect(e.arg, out, kind)
+def _collect(e, kind) -> set:
+    """The leaves of type `kind` under e, walking each distinct node once:
+    canonical trees share subtrees heavily, and a walk of every path can
+    take exponential time. Leaves are added in the order a recursive
+    left-to-right walk first meets them, so the frozenset built from the
+    result iterates in the same order as one built from such a walk."""
+    out, seen, stack = set(), set(), [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, kind):
+            out.add(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            t = type(n)
+            if t is Add:
+                stack.extend(reversed(n.terms))
+            elif t is Mul:
+                stack.extend(reversed(n.factors))
+            elif t is Pow:
+                stack.append(n.base)
+            elif t is Fun:
+                stack.append(n.arg)
+    return out
 
 
 def shift_vars(e: Expr, k: int, families: Iterable[str] = ("y",)) -> Expr:

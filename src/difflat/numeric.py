@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,7 +178,9 @@ class Trajectory:
         return self.u[self.index(k)]
 
     def point(self, k: int, sys, input_depth: int = 0, zeta_depth: int = 0) -> dict:
-        """Jet bindings at time k: states, input forward-shifts, g-histories."""
+        """Jet bindings at time k: states, input forward-shifts, g-histories.
+        `output_values` binds the same values by position; this dict is the
+        reference the tests compare it with."""
         pt = dict(self.params)
         xk = self.state(k)
         for i, v in enumerate(sys.state_vars):
@@ -249,27 +252,52 @@ class ResidualReport:
         }
 
 
+@lru_cache(maxsize=32)
+def _leaf_rows(family: str, count: int, shifts: range) -> tuple:
+    """(family<1>[s], ..., family<count>[s]) for each s in shifts: the y
+    leaves of a window and the g-history leaves of the outputs, built once
+    per argument tuple (a few per system) instead of once per read."""
+    return tuple(tuple(Var(family, j + 1, s) for j in range(count))
+                 for s in shifts)
+
+
 def output_values(sys, cand, traj: Trajectory, k: int, zdepth: int):
     """Evaluate the candidate outputs phi at trajectory time k, binding
-    `zdepth` steps of g-value history."""
-    pt = traj.point(k, sys, input_depth=0, zeta_depth=zdepth)
-    return [evaluate(p, pt) for p in cand.phi]
+    `zdepth` steps of g-value history.
+
+    The bindings are those of `traj.point(k, sys, 0, zdepth)`, read by
+    position: the states from `traj.x`, the inputs from `traj.u` and the
+    g-history from `traj.zeta` at the same trajectory index, zipped with
+    the system's state and input leaves and with prebuilt history leaves.
+    One `evaluate` memo serves all of phi."""
+    i = traj.index(k)
+    pt = dict(traj.params)
+    pt.update(zip(sys.state_vars, traj.x[i]))
+    pt.update(zip(sys.input_vars, traj.u[i]))
+    history = _leaf_rows(sys.gvalue_family, sys.m, range(-1, -zdepth - 1, -1))
+    for b, leaves in enumerate(history, start=1):
+        pt.update(zip(leaves, traj.zeta[i - b]))
+    memo = {}
+    return [evaluate(p, pt, memo) for p in cand.phi]
 
 
 def window_bindings(sys, cand, traj: Trajectory, k_window, lo: int, hi: int,
                     zdepth: int):
     """(k, bindings of y<j>[s], s in [lo, hi], measured along the trajectory
     around k) for each k of the window, in order. The outputs phi are
-    evaluated once per trajectory time and the y leaves are built once."""
+    evaluated once per trajectory time (`output_values`), and the y leaves
+    come from a small bounded cache keyed by (lo, hi, number of outputs)."""
     shifts = range(lo, hi + 1)
-    leaves = [[Var("y", j + 1, s) for j in range(len(cand.phi))] for s in shifts]
+    leaves = _leaf_rows("y", len(cand.phi), shifts)
     outputs = {}    # trajectory time -> phi values
     for k in k_window:
         pt = dict(traj.params)
         for s, ys in zip(shifts, leaves):
-            if k + s not in outputs:
-                outputs[k + s] = output_values(sys, cand, traj, k + s, zdepth)
-            pt.update(zip(ys, outputs[k + s]))
+            values = outputs.get(k + s)
+            if values is None:
+                values = outputs[k + s] = output_values(sys, cand, traj,
+                                                        k + s, zdepth)
+            pt.update(zip(ys, values))
         yield k, pt
 
 
@@ -295,9 +323,10 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
         else:
             # seed Newton off the measured chain data, deterministically
             # perturbed so convergence demonstrates local invertibility
-            seed = param.implicit.trajectory_seed(pt, xk, uk)
-            seed = seed + 1e-3 * np.cos(np.arange(seed.size)) * (1.0 + np.abs(seed))
-            fx, fu, _ = param.implicit.recover(pt, seed=seed)
+            imp = param.implicit
+            seed = imp.trajectory_seed(pt, xk, uk)
+            seed = seed + imp.seed_perturbation * (1.0 + np.abs(seed))
+            fx, fu, _ = imp.recover(pt, seed=seed)
         rx = max(abs(a - b) for a, b in zip(fx, xk))
         ru = max(abs(a - b) for a, b in zip(fu, uk))
         checked += 1
@@ -310,16 +339,30 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
                           tolerance=tol, checked=checked)
 
 
+def _max_abs(r: np.ndarray) -> float:
+    """max |r_i| as a Python float, NaN when an entry is NaN (as
+    `np.max(np.abs(r))` is), so that a NaN residual never counts as
+    progress; Python's `max` alone would skip a NaN after the first entry."""
+    a = [abs(v) for v in r.tolist()]
+    total = sum(a)
+    return max(a) if total == total else total
+
+
 def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
                  max_iter: int = 60) -> np.ndarray:
     """Dense Newton iteration for square systems; raises on stagnation.
 
-    `residual_fn` runs once at the seed and once per trial step; an accepted
-    step's residual is carried into the next iteration."""
+    `residual_fn(w)` returns the residual as a 1-D float array. It runs once
+    at the seed and once per trial step; an accepted step's residual is
+    carried into the next iteration. The infinity norm of each residual is
+    taken once, on Python floats (`_max_abs`): a trial step is accepted when
+    its norm is below the current one, which a NaN norm never is, and the
+    iteration stops when the norm is at most `tol`."""
     w = np.array(seed, dtype=float)
     r = residual_fn(w)
+    norm = _max_abs(r)
     for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol:
+        if norm <= tol:
             return w
         J = jacobian_fn(w)
         try:
@@ -328,16 +371,16 @@ def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
             raise EvalError(f"singular Jacobian in Newton solve: {ex}") from ex
         # damped step for robustness far from the seed
         lam = 1.0
-        base = np.max(np.abs(r))
         for _ in range(25):
             cand = w - lam * step
             rc = residual_fn(cand)
-            if np.max(np.abs(rc)) < base:
-                w, r = cand, rc
+            norm_c = _max_abs(rc)
+            if norm_c < norm:
+                w, r, norm = cand, rc, norm_c
                 break
             lam *= 0.5
         else:
             raise EvalError("Newton iteration stagnated")
-    if np.max(np.abs(r)) <= tol:
+    if norm <= tol:
         return w
     raise EvalError("Newton iteration did not converge")

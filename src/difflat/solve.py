@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
-    EvalError, Expr, Var, differentiate, div, evaluate, mul, neg,
-    sub, substitute, vars_of,
+    EvalError, Expr, Var, differentiate, evaluate, mul, num, pow_, sub,
+    substitute, vars_of,
 )
 
 __all__ = ["SolveError", "solve_equations"]
@@ -138,9 +138,10 @@ def _eliminate(affine, pending, probe_points):
             break
         _, order, e, coeffs, v = best
         c = coeffs[v]
-        # e == 0 and e = c*v + rest  ->  v = -rest/c
+        # e == 0 and e = c*v + rest  ->  v = -rest/c, one canonicalizing
+        # product, so the row is distributed over once
         rest = sub(e, mul(c, v))
-        rhs = div(neg(rest), c)
+        rhs = mul(num(-1), rest, pow_(c, -1))
         chain.append((v, rhs, order))
         active.discard(v)
         # substitute into the remaining rows and refresh their coefficient maps

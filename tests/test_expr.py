@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from difflat.analysis import AnalyzeOptions, _tower_probe_points
 from difflat.expr import (
-    EvalError, Par, PoleError, UnboundLeafError, add, canonical,
-    compile_exprs, cos, cot, differentiate, div, evaluate, jacobian, mul, neg,
-    num, par, pow_, sin, sub, substitute, tan, to_text, var, vars_of,
+    Add, EvalError, Fun, Mul, Par, PoleError, Pow, UnboundLeafError, Var, add,
+    canonical, compile_exprs, cos, cot, differentiate, div, evaluate,
+    jacobian, mul, neg, num, par, params_of, pow_, sin, sub, substitute, tan,
+    to_text, var, vars_of,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -354,6 +357,64 @@ def _shared_dags(draw):
        st.lists(_VALUE, min_size=len(_LEAVES), max_size=len(_LEAVES)))
 def test_compiled_shared_dags_match_evaluate(exprs, values):
     _assert_compiled_matches(exprs, _LEAVES, values)
+
+
+def _tree_walk_leaves(e, kind) -> frozenset:
+    """The leaves of type `kind` under e by a recursive walk of every path."""
+    out = set()
+
+    def walk(n):
+        if isinstance(n, kind):
+            out.add(n)
+        elif isinstance(n, Add):
+            for t in n.terms:
+                walk(t)
+        elif isinstance(n, Mul):
+            for f in n.factors:
+                walk(f)
+        elif isinstance(n, Pow):
+            walk(n.base)
+        elif isinstance(n, Fun):
+            walk(n.arg)
+
+    walk(e)
+    return frozenset(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_shared_dags())
+def test_leaf_sets_equal_the_tree_walk(exprs):
+    """The same leaves, iterated in the same order, so the callers that
+    iterate a leaf set see no change."""
+    for e in exprs:
+        for kind, leaves in ((Var, vars_of), (Par, params_of)):
+            got, want = leaves(e), _tree_walk_leaves(e, kind)
+            assert got == want and list(got) == list(want)
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail, instead of hanging, when the body runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise AssertionError(f"not done within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_leaf_sets_walk_each_shared_node_once():
+    # e -> sin(e)*cos(e), 60 times: 181 distinct nodes on 2^60 paths to x1
+    e = var("x", 1)
+    for _ in range(60):
+        e = mul(sin(e), cos(e))
+    with _deadline(10.0):
+        assert vars_of(e) == {var("x", 1)}
+        assert params_of(e) == frozenset()
 
 
 def test_compiled_constants_and_empty_lists():

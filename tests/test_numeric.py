@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from difflat.expr import Par, Var, evaluate, pow_, var
+from difflat.analysis import FlatCandidate
+from difflat.expr import EvalError, Par, Var, add, evaluate, mul, pow_, var
 from difflat.numeric import (
     PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
-    newton_solve, numeric_rank, probe_points, simulate,
-    verify_parameterization,
+    newton_solve, numeric_rank, probe_points, random_inputs, simulate,
+    verify_parameterization, window_bindings,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -280,6 +281,74 @@ def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
     assert (out.max_residual_x, out.max_residual_u) == (worst_x, worst_u)
 
 
+def _point_window(sys, cand, traj, k_window, lo, hi, zdepth):
+    """`window_bindings` built from `Trajectory.point` dicts, one per read."""
+    for k in k_window:
+        pt = dict(traj.params)
+        for s in range(lo, hi + 1):
+            at = traj.point(k + s, sys, input_depth=0, zeta_depth=zdepth)
+            for j, phi in enumerate(cand.phi):
+                pt[Var("y", j + 1, s)] = evaluate(phi, at)
+        yield k, pt
+
+
+def test_window_bindings_match_trajectory_points(reports, corpus):
+    """The positional output reads bind the values `Trajectory.point` binds:
+    on the robot and vtol windows, and for outputs of academic that read
+    two steps of g-value history."""
+    history = FlatCandidate(phi=(
+        add(var("x", 1), var("zeta", 1, -1)),
+        add(mul(var("x", 3), var("zeta", 2, -2)), var("u", 1))))
+    cases = [(reports[name].model, corpus[name].candidate,
+              -max(reports[name].indices.r1), max(reports[name].indices.r2), 0)
+             for name in ("robot", "vtol")]
+    cases.append((reports["academic"].model, history, -2, 1, 2))
+    for sysm, cand, lo, hi, zdepth in cases:
+        pt0 = sysm.analysis_point()
+        H, K = 5, 12
+        us = random_inputs(random.Random(11), [pt0[v] for v in sysm.input_vars],
+                           {}, H + K)
+        traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+        window = range(-1, 6)
+        assert list(window_bindings(sysm, cand, traj, window, lo, hi, zdepth)) \
+            == list(_point_window(sysm, cand, traj, window, lo, hi, zdepth))
+
+
+def test_one_step_vtol_windows_build_no_var_after_the_first(reports, vtol,
+                                                           monkeypatch):
+    """A one-step verification reads the window by position and seeds Newton
+    from the tower's seed plan: once the first window has built the leaves
+    and the plan, no later window constructs a Var."""
+    rep = reports["vtol"]
+    sysm, idx = rep.model, rep.indices
+    pt0 = sysm.analysis_point()
+    H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
+    us = random_inputs(random.Random(5), [pt0[v] for v in sysm.input_vars],
+                       vtol.options.input_boxes, H + K)
+    traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+
+    def window(k):
+        return verify_parameterization(sysm, vtol.candidate,
+                                       rep.parameterization, traj,
+                                       range(k, k + 1))
+
+    assert window(0).passed
+    built = []
+    init = Var.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Var, "__post_init__", counted)
+    var("x", 1)
+    assert len(built) == 1    # the count sees every construction
+    built.clear()
+    outs = [window(k) for k in range(1, 6)]
+    assert all(out.passed and out.checked == 1 for out in outs)
+    assert built == []
+
+
 def test_shift_operator_soundness_along_trajectories(reports, corpus):
     """delta^k phi evaluated at time k0 equals phi at time k0 + k."""
     for name, rep in reports.items():
@@ -335,3 +404,14 @@ def test_newton_evaluates_the_residual_once_per_point():
     newton_solve(_recording(lambda w: A @ w - b, res),
                  _recording(lambda w: A, jac), np.zeros(2))
     assert (len(res), len(jac)) == (2, 1)
+
+
+def test_newton_nan_residual_is_never_progress():
+    # the full step lands on a residual (0, nan): a NaN after a finite entry,
+    # which a plain max over the entries would read as 0. Every trial step
+    # has a NaN entry, so the line search runs out.
+    def residual(w):
+        return np.array([w[0], 1.0 if w[1] == 1.0 else np.nan])
+
+    with pytest.raises(EvalError, match="stagnated"):
+        newton_solve(residual, lambda w: np.eye(2), np.ones(2))
