@@ -11,10 +11,16 @@ the prolongation (Prop. 2) or the prelongation (Prop. 3) when one of its
 chains is empty. Forward detection runs first (it needs no inverse map),
 then backward, then the combined case; component and input permutations are
 tried deterministically. `analyze` verifies the inverted tower once, along a
-seeded random trajectory, before classifying; a failure raises. The class's
-rank conditions are read off the inverse of the tower Jacobian, the Jacobian
-of the parameterization F by the implicit function theorem, so no F tree is
-differentiated and symbolic and Newton parameterizations share one rank path.
+seeded random trajectory, before classifying; a failure raises.
+
+The `Tower` is the tower map w -> y, whose inverse is the parameterization F,
+and the one object every later stage reads. The class's rank conditions are
+read off the inverse of its Jacobian, the Jacobian of F by the implicit
+function theorem, so no F tree is differentiated and symbolic and Newton
+parameterizations share one rank path. The search records what each tower
+variable equals along a trajectory (`Tower.sources`: an output shift, a
+state or an input), which gives Newton its exact trajectory seed and the
+extension its point.
 """
 
 from __future__ import annotations
@@ -117,7 +123,6 @@ class TowerContext:
     sys_bar: SystemModel           # transformed system the rows live in
     base_model: SystemModel        # the analyzed model (psi resolved if used)
     sigma_y: tuple
-    sigma_u: tuple | None          # (index of u solved for ubar1, the other)
     u_inverse: dict | None         # {original u leaf: expr over (x, ubar)}
     zeta_inverse: dict | None      # {zeta_j[-1]: expr over (x, zetabar[-1])}
     gbar: tuple | None             # transformed g (over sys_bar coordinates)
@@ -126,10 +131,21 @@ class TowerContext:
 
 @dataclass
 class Tower:
+    """The tower map w -> y of the tower variables w; its inverse is F.
+
+    The tower search probes its Jacobian's rank, classification reads its
+    ranks off the inverse of that Jacobian (`jacobian_blocks`), and a tower
+    the solver cannot invert symbolically is evaluated by Newton inversion
+    (`recover`). The rows, the input recovery and their Jacobians compile on
+    first use into straight-line functions of `leaves` (`expr.compile_exprs`,
+    bit-identical to `evaluate`). States, inputs, parameter values and the
+    input transform are read from `context`."""
+
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
     indices: ShiftIndices
     context: TowerContext
+    sources: dict                  # {tower variable: y leaf, state or input it equals}
     rank_probe: RankProbe | None = None   # set by the tower search
 
     def ordered_rows(self):
@@ -139,7 +155,9 @@ class Tower:
     def row_exprs(self):
         return [e for _, e in self.ordered_rows()]
 
-    def target_vars(self):
+    @cached_property
+    def targets(self) -> list:
+        """The y leaves the rows equal, in `row_exprs` order."""
         return [Var("y", j, s) for (j, s), _ in self.ordered_rows()]
 
     @cached_property
@@ -147,6 +165,16 @@ class Tower:
         """The tower variables followed by the parameters: the argument
         order of every compiled function of the tower."""
         return list(self.variables) + [Par(k) for k in self.context.sys_bar.params]
+
+    @cached_property
+    def jet_center(self) -> dict:
+        """The transformed system's jet center over the tower variables and
+        every row leaf: the center of the tower probes, and at the tower
+        variables Newton's default seed. Read only."""
+        leaves = set(self.variables)
+        for e in self.rows.values():
+            leaves |= vars_of(e)
+        return self.context.sys_bar.jet_center(leaves)
 
     @cached_property
     def jacobian_kernel(self):
@@ -160,6 +188,96 @@ class Tower:
         """The tower Jacobian at a point binding every leaf."""
         return self.jacobian_kernel([pt[v] for v in self.leaves])
 
+    @cached_property
+    def u_recovery(self) -> dict:
+        """{original input leaf: expr over the tower variables}: the inverse
+        input transform, or the identity when the tower has none."""
+        ctx = self.context
+        return ctx.u_inverse or {v: v for v in ctx.base_model.input_vars}
+
+    @cached_property
+    def _compiled(self):
+        """(rows, u recovery, u-recovery Jacobian); the Jacobian returns an
+        array."""
+        u_exprs = [self.u_recovery[v] for v in self.context.base_model.input_vars]
+        return (compile_exprs(self.row_exprs(), self.leaves),
+                compile_exprs(u_exprs, self.leaves),
+                _compiled_matrix(u_exprs, self.variables, self.leaves))
+
+    @cached_property
+    def _state_rows(self) -> list:
+        """Position of each state among the tower variables."""
+        return [self.variables.index(v) for v in self.context.base_model.state_vars]
+
+    @cached_property
+    def _param_values(self) -> list:
+        """The parameter values, in `leaves` order."""
+        return list(self.context.sys_bar.param_bindings().values())
+
+    def _values(self, w) -> list:
+        return np.asarray(w).tolist() + self._param_values
+
+    @cached_property
+    def _seed_plan(self) -> list:
+        """Where `trajectory_seed` reads each tower variable's source: ("x",
+        state index), ("u", input index) or ("y", output leaf)."""
+        base = self.context.base_model
+        plan = []
+        for v in self.variables:
+            src = self.sources[v]
+            if src in base.state_vars:
+                plan.append(("x", base.state_vars.index(src)))
+            elif src in base.input_vars:
+                plan.append(("u", base.input_vars.index(src)))
+            else:
+                plan.append(("y", src))
+        return plan
+
+    @cached_property
+    def seed_perturbation(self) -> np.ndarray:
+        """1e-3 cos(i) for each tower variable i: verification moves a
+        trajectory seed w by this times (1 + |w|), deterministically, so that
+        Newton convergence demonstrates local invertibility."""
+        return 1e-3 * np.cos(np.arange(len(self.variables)))
+
+    def trajectory_seed(self, y_bindings: dict, x_values, u_values):
+        """Newton seed from measured data: each tower variable's source, a
+        state of `x_values`, an input of `u_values` or an output measurement
+        of `y_bindings` (`_seed_plan`, computed once per tower)."""
+        data = {"x": x_values, "y": y_bindings, "u": u_values}
+        return np.array([data[src][key] for src, key in self._seed_plan],
+                        dtype=float)
+
+    def recover(self, y_bindings: dict, seed=None):
+        """Solve tower(w) = y for w by Newton from `seed` (default: the jet
+        center); return (x values, u values, w)."""
+        rows = self._compiled[0]
+        targets = np.array([y_bindings[t] for t in self.targets])
+
+        def residual(w):
+            return np.array(rows(self._values(w))) - targets
+
+        if seed is None:
+            seed = [self.jet_center[v] for v in self.variables]
+        w = newton_solve(residual, lambda w: self.jacobian_kernel(self._values(w)),
+                         seed)
+        return (*self.states_inputs(w), w)
+
+    def states_inputs(self, w):
+        """(x values, u values) at the tower-variable point w."""
+        values = self._values(w)
+        return [values[i] for i in self._state_rows], self._compiled[1](values)
+
+    def jacobian_blocks(self, w):
+        """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
+        the inverse of the tower Jacobian at the variable point w."""
+        values = self._values(w)
+        M = np.linalg.inv(self.jacobian_kernel(values))  # vars x targets
+        dFx = M[self._state_rows, :]
+        # chain rule for u = Phi_u(vars)
+        dFu = self._compiled[2](values) @ M
+        return dFx, dFu, M
+
 
 def _compiled_matrix(exprs, cols, leaves):
     """The Jacobian of `exprs` w.r.t. `cols`, compiled over `leaves`."""
@@ -169,137 +287,12 @@ def _compiled_matrix(exprs, cols, leaves):
 
 
 @dataclass
-class ImplicitParameterization:
-    """The tower map w -> y of the tower variables w, built for every tower.
-
-    Classification reads its ranks off the inverse of this map's Jacobian
-    (`jacobian_blocks`), and a tower the solver cannot invert symbolically
-    is evaluated by Newton inversion of it (`recover`). The tower rows, the
-    input recovery and its Jacobian are compiled on first use into
-    straight-line functions of `tower.leaves`, the tower variables followed
-    by the parameter values (`expr.compile_exprs`, bit-identical to
-    `evaluate`); the row Jacobian is the tower's own compiled kernel
-    (`Tower.jacobian_kernel`), called on the same values."""
-
-    tower: Tower
-    u_recovery: dict               # {original u leaf: expr over tower vars}
-    state_vars: tuple
-    input_vars: tuple
-    params: dict
-    seed_center: np.ndarray
-
-    @cached_property
-    def _compiled(self):
-        """(rows, row Jacobian, u recovery, u-recovery Jacobian); the
-        Jacobians return arrays."""
-        tower = self.tower
-        u_exprs = [self.u_recovery[v] for v in self.input_vars]
-        return (compile_exprs(tower.row_exprs(), tower.leaves),
-                tower.jacobian_kernel,
-                compile_exprs(u_exprs, tower.leaves),
-                _compiled_matrix(u_exprs, tower.variables, tower.leaves))
-
-    @cached_property
-    def targets(self) -> list:
-        """The y leaves the rows equal, in row order."""
-        return self.tower.target_vars()
-
-    @cached_property
-    def _state_rows(self) -> list:
-        """Position of each state among the tower variables."""
-        return [self.tower.variables.index(v) for v in self.state_vars]
-
-    @cached_property
-    def _param_values(self) -> list:
-        """The parameter values, in `tower.leaves` order."""
-        return list(self.params.values())
-
-    def _values(self, w) -> list:
-        return np.asarray(w).tolist() + self._param_values
-
-    @cached_property
-    def _seed_plan(self) -> list:
-        """Where `trajectory_seed` reads each tower variable: ("x", state
-        index), ("y", y leaf) or ("u", input index). The chain variables of
-        the tower equal specific output measurements (the pure-chain rows),
-        states and the untouched input come from the trajectory point."""
-        idx = self.tower.indices
-        ctx = self.tower.context
-        j_first = ctx.sigma_y[0] + 1
-        rho1 = idx.rho[ctx.sigma_y[0]]
-        gamma1 = idx.gamma[ctx.sigma_y[0]] if idx.gamma is not None else None
-        plan = []
-        for v in self.tower.variables:
-            if v in self.state_vars:
-                plan.append(("x", self.state_vars.index(v)))
-            elif v.family == "ubar" and v.component == 1:
-                plan.append(("y", Var("y", j_first, rho1 + v.shift)))
-            elif v.family == "ubar" and v.component == 2:
-                plan.append(("u", ctx.sigma_u[1]))
-            elif v.family == "zetabar" and v.component == 1:
-                # zetabar1[-q] is the pure-chain row y_first[-(gamma1 + q - 1)]
-                plan.append(("y", Var("y", j_first, v.shift + 1 - gamma1)))
-            elif v.family == "u":
-                plan.append(("u", self.input_vars.index(v)))
-            else:
-                raise EvalError(f"cannot seed tower variable {to_text(v)}")
-        return plan
-
-    @cached_property
-    def seed_perturbation(self) -> np.ndarray:
-        """1e-3 cos(i) for each tower variable i: verification moves a
-        trajectory seed w by this times (1 + |w|), deterministically, so that
-        Newton convergence demonstrates local invertibility."""
-        return 1e-3 * np.cos(np.arange(len(self.tower.variables)))
-
-    def trajectory_seed(self, y_bindings: dict, x_values, u_values):
-        """Newton seed from measured data, read by the tower's seed plan
-        (`_seed_plan`, computed once per tower): each tower variable is a
-        state of `x_values`, an output measurement of `y_bindings` or an
-        input of `u_values`. Raises EvalError for a tower variable the plan
-        cannot place."""
-        sources = {"x": x_values, "y": y_bindings, "u": u_values}
-        return np.array([sources[src][key] for src, key in self._seed_plan],
-                        dtype=float)
-
-    def recover(self, y_bindings: dict, seed=None):
-        """Solve tower(w) = y for w; return (x values, u values, w)."""
-        rows, jac, _, _ = self._compiled
-        targets = np.array([y_bindings[t] for t in self.targets])
-
-        def residual(w):
-            return np.array(rows(self._values(w))) - targets
-
-        w = newton_solve(residual, lambda w: jac(self._values(w)),
-                         self.seed_center if seed is None else seed)
-        return (*self.states_inputs(w), w)
-
-    def states_inputs(self, w):
-        """(x values, u values) at the tower-variable point w."""
-        values = self._values(w)
-        return [values[i] for i in self._state_rows], self._compiled[2](values)
-
-    def jacobian_blocks(self, w):
-        """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
-        the inverse of the tower Jacobian at the variable point w."""
-        _, jac, _, u_jac = self._compiled
-        values = self._values(w)
-        M = np.linalg.inv(jac(values))  # vars x targets
-        dFx = M[self._state_rows, :]
-        # chain rule for u = Phi_u(vars)
-        dFu = u_jac(values) @ M
-        return dFx, dFu, M
-
-
-@dataclass
 class Parameterization:
     """(x, u) = F(y-shifts): symbolic F_x, F_u unless `source` is
-    "tower_implicit" (Newton inversion); `implicit`, the tower map, is
-    present for every tower."""
+    "tower_implicit" (Newton inversion of `tower`, the tower map)."""
 
     F_x: tuple | None
     F_u: tuple | None
-    implicit: ImplicitParameterization
     indices: ShiftIndices
     source: str                    # "tower_inverted" | "user_supplied" | "tower_implicit"
     tower: Tower
@@ -412,7 +405,8 @@ def _solve_single(sys: SystemModel, definition: Expr, target: Var, unknowns,
 def _input_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, rho,
                      opts: AnalyzeOptions):
     """ubar1 = delta^rho1 phi_first solved for one input component; the other
-    input becomes ubar2. Returns (u_inverse map, transform exprs, sigma_u)."""
+    input becomes ubar2. Returns (u_inverse map, (definition, untouched
+    input))."""
     first = cand.phi[sigma_y[0]]
     rho1 = rho[sigma_y[0]]
     ubar1, ubar2 = Var("ubar", 1, 0), Var("ubar", 2, 0)
@@ -422,8 +416,7 @@ def _input_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, rho,
     other = next(v for v in sys.input_vars if v != solved_u)
     # ubar2 stands for the untouched input; substitute it into the solution
     u_inverse = {other: ubar2, solved_u: substitute(sol, {other: ubar2})}
-    sigma_u = (sys.input_vars.index(solved_u), sys.input_vars.index(other))
-    return u_inverse, (definition, other), sigma_u
+    return u_inverse, (definition, other)
 
 
 def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
@@ -546,10 +539,10 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
             diags.append(f"{tag}: rank d_u phi = {rp.generic} < m "
                          "(candidate routed to the combined construction)")
             return None
-    u_inverse = tdef = sigma_u = zeta_inverse = gbar = None
+    u_inverse = tdef = zeta_inverse = gbar = None
     try:
         if forward:
-            u_inverse, tdef, sigma_u = _input_transform(sys, cand, sigma_y, rho, opts)
+            u_inverse, tdef = _input_transform(sys, cand, sigma_y, rho, opts)
         if backward:
             zeta_inverse, gbar = _zeta_transform(sys, cand, sigma_y, gamma, opts)
         sys_bar = _make_sys_bar(sys, u_inverse, tdef, gbar)
@@ -591,18 +584,31 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
 
     rows, variables = _rows_and_vars(sys_bar, phi_bar, sigma_y,
                                      (r11, r21), (r12, r22), d1, d2)
+    # what each tower variable equals along a trajectory: a chain variable
+    # is a pure-chain row of the first output, ubar2 the untouched input
+    j_first = sigma_y[0] + 1
+    sources = {v: v for v in variables}
+    if forward:
+        sources.update((Var("ubar", 1, k), Var("y", j_first, rho1 + k))
+                       for k in range(d2 + 1))
+        sources[Var("ubar", 2, 0)] = tdef[1]
+    if backward:
+        sources.update((Var("zetabar", 1, -q), Var("y", j_first, 1 - gamma1 - q))
+                       for q in range(1, d1 + 1))
     idx = ShiftIndices(rho=rho, gamma=gamma,
                        r1=_unpermute(sigma_y, r11, r12),
                        r2=_unpermute(sigma_y, r21, r22),
                        d1=d1, d2=d2, sigma_y=sigma_y)
     ctx = TowerContext(mode=mode, sys_bar=sys_bar, base_model=sys,
-                       sigma_y=sigma_y, sigma_u=sigma_u, u_inverse=u_inverse,
+                       sigma_y=sigma_y, u_inverse=u_inverse,
                        zeta_inverse=zeta_inverse, gbar=gbar,
                        diagnostics=list(diags))
-    tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx)
+    tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx,
+                  sources=sources)
     rp = _tower_probe(tower, opts)
-    if not _rank_ok(rp):
-        diags.append(f"{tag}: tower rank {rp.generic} < required {rp.required}")
+    why = _rank_deficiency(rp)
+    if why is not None:
+        diags.append(f"{tag}: {why}")
         return None
     tower.rank_probe = rp
     return tower
@@ -667,10 +673,7 @@ def _tower_probe(tower: Tower, opts):
     perturbations, from the tower's compiled kernel (compiled here, once per
     candidate tower), its rows taken in the order the search built them
     (`tower.rows`)."""
-    leaves = set(tower.variables)
-    for e in tower.rows.values():
-        leaves |= vars_of(e)
-    probes = _jet_probes(tower.context.sys_bar, leaves, opts)
+    probes = probe_points(tower.jet_center, opts.seed)
     keys = [k for k, _ in tower.ordered_rows()]
     order = [keys.index(k) for k in tower.rows]
     return matrix_rank_probe(lambda pt: tower.jacobian_at(pt)[order], probes,
@@ -678,11 +681,16 @@ def _tower_probe(tower: Tower, opts):
                              required=len(tower.variables))
 
 
-def _rank_ok(rp: RankProbe) -> bool:
-    # generic full rank: every perturbed probe that evaluated must be full
+def _rank_deficiency(rp: RankProbe) -> str | None:
+    """Why the tower rank probe shows no generic full rank, or None: some
+    perturbed probe must evaluate, and every one that does must be full."""
     perturbed = rp.per_point[1:] if rp.at_point is not None else rp.per_point
-    return rp.generic == rp.required and perturbed and all(
-        r == rp.required for r in perturbed)
+    if not perturbed:
+        return f"tower rank: no perturbed probe evaluated (required {rp.required})"
+    low = min(perturbed)
+    if low < rp.required:
+        return f"tower rank {low} < required {rp.required} at a perturbed probe"
+    return None
 
 
 def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
@@ -753,12 +761,8 @@ def _tower_probe_points(tower: Tower, opts: AnalyzeOptions, count=6,
     """`count` probe points, the jet center first, with the tower variables
     perturbed; with `bind`, the y-leaf targets are bound to the rows'
     values, which makes each point consistent."""
-    leaves = set(tower.variables)
-    for e in tower.rows.values():
-        leaves |= vars_of(e)
-    center = tower.context.sys_bar.jet_center(leaves)
     targets = [(Var("y", j, s), e) for (j, s), e in tower.rows.items()]
-    return list(probe_points(center, opts.seed + 7, count - 1,
+    return list(probe_points(tower.jet_center, opts.seed + 7, count - 1,
                              perturb=tower.variables,
                              bind=targets if bind else ()))
 
@@ -770,9 +774,8 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     Stage A solves states and chain variables from the rows below the top
     shifts (so F_x only sees y_[-R1, R2-1], the Eq.-(7) zero-block shape);
     stage B recovers the inputs from the top rows. Falls back to the
-    user-supplied map, then to the implicit (Newton) parameterization. The
-    tower map is attached in every case, for the classification ranks; it
-    compiles on first use. The result is not verified along a trajectory;
+    user-supplied map, then to the implicit (Newton) parameterization of the
+    tower map itself. The result is not verified along a trajectory;
     `analyze` does that."""
     opts = opts or AnalyzeOptions()
     idx = tower.indices
@@ -794,7 +797,6 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     top_unknowns = [u1.shifted(idx.d2), u2]
     low_unknowns = [v for v in tower.variables if v not in top_unknowns]
 
-    implicit = _implicit_param(sys, tower)
     F_x = F_u = None
     source = "tower_inverted"
     try:
@@ -804,7 +806,7 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
         sol = dict(sol_low)
         sol.update(sol_top)
         F_x = tuple(sol[v] for v in sys.state_vars)
-        F_u = tuple(substitute(implicit.u_recovery[v], sol)
+        F_u = tuple(substitute(tower.u_recovery[v], sol)
                     for v in sys.input_vars)
     except SolveError as ex:
         diags.append(f"restricted solver could not invert the tower: {ex}")
@@ -814,24 +816,13 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
         else:
             source = "tower_implicit"
 
-    param = Parameterization(F_x=F_x, F_u=F_u, implicit=implicit, indices=idx,
-                             source=source, tower=tower, diagnostics=diags)
+    param = Parameterization(F_x=F_x, F_u=F_u, indices=idx, source=source,
+                             tower=tower, diagnostics=diags)
     if F_x is not None:
         _check_shapes(param, sys)
         if cand.user_F is not None and source == "tower_inverted":
             _cross_check_user_F(sys, cand, param, probe_pts, diags)
     return param
-
-
-def _implicit_param(sys, tower: Tower) -> ImplicitParameterization:
-    sys_bar = tower.context.sys_bar
-    u_recovery = dict(tower.context.u_inverse or {v: v for v in sys.input_vars})
-    center = sys_bar.jet_center(set(tower.variables))
-    seed = np.array([center[v] for v in tower.variables])
-    return ImplicitParameterization(
-        tower=tower, u_recovery=u_recovery, state_vars=sys.state_vars,
-        input_vars=sys.input_vars, params=sys_bar.param_bindings(),
-        seed_center=seed)
 
 
 def _check_shapes(param: Parameterization, sys: SystemModel):
@@ -965,22 +956,22 @@ def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
     at the tower probes, read off the inverse tower Jacobian (implicit
     function theorem). A probe where the blocks cannot be evaluated, the
     tower Jacobian is singular or an entry is not finite is skipped."""
-    imp = param.implicit
-    col_idx_R2 = [imp.targets.index(c) for c in cols_R2]
-    col_idx_mR1 = [imp.targets.index(c) for c in cols_mR1]
+    tower = param.tower
+    col_idx_R2 = [tower.targets.index(c) for c in cols_R2]
+    col_idx_mR1 = [tower.targets.index(c) for c in cols_mR1]
     if sys.g is not None:
         Dg = jacobian(sys.g, list(sys.state_vars) + list(sys.input_vars))
     per_point = []
-    for pt in _tower_probe_points(param.tower, opts, count=PROBE_COUNT + 1,
+    for pt in _tower_probe_points(tower, opts, count=PROBE_COUNT + 1,
                                   bind=False):
-        w = np.array([pt[v] for v in param.tower.variables])
+        w = np.array([pt[v] for v in tower.variables])
         try:
-            dFx, dFu, _ = imp.jacobian_blocks(w)
+            dFx, dFu, _ = tower.jacobian_blocks(w)
             ranks = [numeric_rank(dFu[:, col_idx_R2], opts.tol_rank),
                      numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank)]
             if sys.g is not None:
-                xs, us = imp.states_inputs(w)
-                gpt = dict(imp.params)
+                xs, us = tower.states_inputs(w)
+                gpt = tower.context.sys_bar.param_bindings()
                 gpt.update(zip(sys.state_vars, xs))
                 gpt.update(zip(sys.input_vars, us))
                 dG = eval_matrix(Dg, gpt) @ np.vstack([dFx, dFu])

@@ -75,37 +75,17 @@ def _require_two_inputs(sys: SystemModel):
         raise ExtensionError("extensions are defined for two-input systems (m = 2)")
 
 
-def _chain_point_forward(sys, cand, tower, d2):
-    """Values of ubar1[0..d2] and ubar2 on the jet through the base point."""
-    ctx = tower.context
-    idx = tower.indices
-    first = cand.phi[ctx.sigma_y[0]]
-    rho1 = idx.rho[ctx.sigma_y[0]]
+def _chain_point(sys, cand, tower):
+    """The value of each chain variable of the tower at the base jet, read
+    off its source (`Tower.sources`): an output leaf y_j[s] is phi_j shifted
+    by s, the untouched input its value at the point."""
     vals = {}
-    for k in range(d2 + 1):
-        e = sys.shift(first, rho1 + k)
-        vals[Var("ubar", 1, k)] = evaluate(e, sys.jet_center(vars_of(e)))
-    other = sys.input_vars[ctx.sigma_u[1]]
-    vals[Var("ubar", 2, 0)] = sys.analysis_point()[other]
+    for v, src in tower.sources.items():
+        if src != v:
+            e = (sys.shift(cand.phi[src.component - 1], src.shift)
+                 if src.family == "y" else src)
+            vals[v] = evaluate(e, sys.jet_center(vars_of(e)))
     return vals
-
-
-def _chain_point_backward(sys, cand, tower, d1):
-    """Values of zetabar1[-d1..-1] at the base point (needs a fixed point)."""
-    ctx = tower.context
-    idx = tower.indices
-    pt = sys.analysis_point()
-    resid = max(abs(evaluate(fi, pt) - pt[v])
-                for fi, v in zip(sys.f, sys.state_vars))
-    if resid > 1e-10:
-        raise ExtensionError(
-            "prelongation chains need a constant history: the analysis point "
-            f"is not a fixed point (residual {resid:.3g})")
-    first = cand.phi[ctx.sigma_y[0]]
-    gamma1 = idx.gamma[ctx.sigma_y[0]]
-    e = sys.shift(first, -gamma1)
-    val = evaluate(e, sys.jet_center(vars_of(e)))
-    return {Var("zetabar", 1, -k): val for k in range(1, d1 + 1)}
 
 
 def build_prolongation(sys: SystemModel, cand: FlatCandidate,
@@ -154,15 +134,25 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
     # the input transform); ubar1[k]+ = ubar1[k+1]
     f_z = chain_z[1:] + [sys_bar.g[0]] if d1 else []
     f_ext = f_z + list(sys_bar.f) + [v.shifted(1) for v in chain_u]
+    if ctx.zeta_inverse is not None:
+        pt = sys.analysis_point()
+        resid = max(abs(evaluate(fi, pt) - pt[v])
+                    for fi, v in zip(sys.f, sys.state_vars))
+        if resid > 1e-10:
+            raise ExtensionError(
+                "prelongation chains need a constant history: the analysis "
+                f"point is not a fixed point (residual {resid:.3g})")
+    chain = _chain_point(sys, cand, tower)
     point = dict(sys.point)
     output = tuple(cand.phi)
     if ctx.u_inverse is not None:
         for v in sys.input_vars:
             point.pop(v, None)
-        point.update(_chain_point_forward(sys, cand, tower, d2))
+        point.update((v, chain[v]) for v in chain_u + [u1.shifted(d2), u2])
         output = tuple(substitute(p, ctx.u_inverse) for p in cand.phi)
-    if ctx.zeta_inverse is not None:
-        point.update(_chain_point_backward(sys, cand, tower, d1))
+    # zetabar1[-1] first: the probes of the extended point perturb its
+    # leaves in key order
+    point.update((v, chain[v]) for v in reversed(chain_z))
     model = SystemModel(
         n=len(state), m=2, f=tuple(f_ext), state_vars=tuple(state),
         input_vars=(u1.shifted(d2), u2), params=sys.params, point=point,

@@ -323,10 +323,10 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
         else:
             # seed Newton off the measured chain data, deterministically
             # perturbed so convergence demonstrates local invertibility
-            imp = param.implicit
-            seed = imp.trajectory_seed(pt, xk, uk)
-            seed = seed + imp.seed_perturbation * (1.0 + np.abs(seed))
-            fx, fu, _ = imp.recover(pt, seed=seed)
+            tower = param.tower
+            seed = tower.trajectory_seed(pt, xk, uk)
+            seed = seed + tower.seed_perturbation * (1.0 + np.abs(seed))
+            fx, fu, _ = tower.recover(pt, seed=seed)
         rx = max(abs(a - b) for a, b in zip(fx, xk))
         ru = max(abs(a - b) for a, b in zip(fu, uk))
         checked += 1

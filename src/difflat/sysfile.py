@@ -89,12 +89,21 @@ def _split_sections(text: str):
     return dict((name, rows) for name, rows in sections)
 
 
+def _parse(text: str, table: DimTable, line: int, what: str = ""):
+    """parse_expression of one row; a ParseError is raised as a
+    SystemFileError, whose message keeps the parse error's text (it names
+    the line and column already) and whose `.line` is the row's."""
+    try:
+        return parse_expression(text, table, line=line)
+    except ParseError as ex:
+        err = SystemFileError(f"{what}{ex}")
+        err.line = ex.line
+        raise err from ex
+
+
 def _eval_const(text: str, params: dict, lineno: int) -> float:
     table = DimTable(0, 0, frozenset(params), allow_y=False)
-    try:
-        e = parse_expression(text, table, line=lineno)
-    except ParseError as ex:
-        raise SystemFileError(f"bad numeric expression: {ex}", lineno) from ex
+    e = _parse(text, table, lineno, "bad numeric expression: ")
     bindings = {Par(k): float(v) for k, v in params.items()}
     bindings[Par("pi")] = math.pi
     return evaluate(e, bindings)
@@ -119,10 +128,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     table = DimTable(n, m, frozenset(params))
 
     def parse_lhs_var(text_, ln):
-        try:
-            e = parse_expression(text_, table, line=ln)
-        except ParseError as ex:
-            raise SystemFileError(str(ex), ln) from ex
+        e = _parse(text_, table, ln)
         if not isinstance(e, Var):
             raise SystemFileError(f"{text_!r} is not a coordinate", ln)
         return e
@@ -137,10 +143,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
         if not lhs.endswith("+"):
             raise SystemFileError("dynamics rows are written '<state>+ = expr'", ln)
         state_vars.append(parse_lhs_var(lhs[:-1].strip(), ln))
-        try:
-            f.append(parse_expression(rhs, table, line=ln))
-        except ParseError as ex:
-            raise SystemFileError(str(ex), ln) from ex
+        f.append(_parse(rhs, table, ln))
 
     seen = set(state_vars)
     leaves = set()
@@ -157,10 +160,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
         rows = sections.get(name, [])
         out = []
         for lhs, rhs, ln in rows:
-            try:
-                out.append((lhs, parse_expression(rhs, table, line=ln), ln))
-            except ParseError as ex:
-                raise SystemFileError(str(ex), ln) from ex
+            out.append((lhs, _parse(rhs, table, ln), ln))
         if expect is not None and rows and len(rows) != expect:
             raise SystemFileError(
                 f"[{name}] has {len(rows)} rows, expected {expect}",

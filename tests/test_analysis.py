@@ -3,20 +3,25 @@ import random
 import numpy as np
 import pytest
 
+from difflat import systems
 from difflat.analysis import (
-    AnalysisError, AnalyzeOptions, FlatCandidate, _tower_probe_points, analyze,
-    backward_depths, build_tower, classify, normalize_inputs,
-    relative_degrees, zero_block_check,
+    AnalysisError, AnalyzeOptions, FlatCandidate, _default_trajectory,
+    _rank_deficiency, _tower_probe_points, analyze, backward_depths,
+    build_tower, classify, normalize_inputs, relative_degrees,
+    zero_block_check,
 )
 from difflat.expr import (
-    EvalError, Var, differentiate, evaluate, jacobian, to_text, var, vars_of,
+    EvalError, Var, compile_exprs, differentiate, evaluate, jacobian, to_text,
+    var, vars_of,
 )
 from difflat.model import SystemModel, invert_extension
 from difflat.numeric import (
-    PROBE_COUNT, eval_matrix, newton_solve, numeric_rank, random_inputs,
-    simulate, window_bindings,
+    PROBE_COUNT, RankProbe, eval_matrix, newton_solve, numeric_rank,
+    random_inputs, simulate, window_bindings,
 )
 from difflat.parsing import DimTable, parse_expression
+from difflat.sysfile import loads_system
+from test_cli import VTOL_RELABELED_SWAPPED
 
 
 def P(s, n, m, params=()):
@@ -186,36 +191,37 @@ def test_academic_parameterization_shapes_and_values(reports):
 def test_vtol_parameterization_is_implicit(reports):
     param = reports["vtol"].parameterization
     assert param.source == "tower_implicit"
-    assert param.F_x is None and param.implicit is not None
+    assert param.F_x is None and param.tower is not None
 
 
 def _tree_walked_newton(imp):
     """`recover` and `jacobian_blocks` of an implicit parameterization, built
     from evaluate/eval_matrix around the same newton_solve."""
-    variables = list(imp.tower.variables)
-    rows = imp.tower.row_exprs()
+    base = imp.context.base_model
+    variables = list(imp.variables)
+    rows = imp.row_exprs()
     J = jacobian(rows, variables)
-    u_exprs = [imp.u_recovery[v] for v in imp.input_vars]
+    u_exprs = [imp.u_recovery[v] for v in base.input_vars]
     dU = jacobian(u_exprs, variables)
 
     def point(w):
-        pt = dict(imp.params)
+        pt = imp.context.sys_bar.param_bindings()
         pt.update((v, float(x)) for v, x in zip(variables, w))
         return pt
 
     def recover(y, seed):
-        targets = np.array([y[t] for t in imp.tower.target_vars()])
+        targets = np.array([y[t] for t in imp.targets])
         w = newton_solve(
             lambda w: np.array([evaluate(r, point(w)) for r in rows]) - targets,
             lambda w: eval_matrix(J, point(w)), seed)
         pt = point(w)
         us = [evaluate(e, pt) for e in u_exprs]
-        return [pt[v] for v in imp.state_vars], us, w
+        return [pt[v] for v in base.state_vars], us, w
 
     def blocks(w):
         pt = point(w)
         M = np.linalg.inv(eval_matrix(J, pt))
-        dFx = M[[variables.index(v) for v in imp.state_vars], :]
+        dFx = M[[variables.index(v) for v in base.state_vars], :]
         return dFx, eval_matrix(dU, pt) @ M, M
 
     return recover, blocks
@@ -223,7 +229,7 @@ def _tree_walked_newton(imp):
 
 def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
     rep = reports["vtol"]
-    sysm, idx, imp = rep.model, rep.indices, rep.parameterization.implicit
+    sysm, idx, imp = rep.model, rep.indices, rep.parameterization.tower
     ref_recover, ref_blocks = _tree_walked_newton(imp)
     pt0 = sysm.analysis_point()
     H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
@@ -242,6 +248,86 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
             w = got[2]
             for a, b in zip(imp.jacobian_blocks(w), ref_blocks(w)):
                 assert a.tobytes() == b.tobytes()
+
+
+def _exact_seed_windows(text):
+    """(k, tower Jacobian rank, max tower-row residual, max input error) at
+    the unperturbed trajectory seed, for each k of the verification window
+    of the system `text`, analyzed without verification."""
+    sf = loads_system(text)
+    sf.options.skip_verification = True
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    tower, idx = rep.tower, rep.indices
+    traj, window = _default_trajectory(rep.model, idx, sf.options)
+    rows = compile_exprs(tower.row_exprs(), tower.leaves)
+    params = list(rep.model.param_bindings().values())
+    out = []
+    for k, y in window_bindings(rep.model, sf.candidate, traj, window,
+                                -max(idx.r1), max(idx.r2), 0):
+        w = tower.trajectory_seed(y, traj.state(k), traj.inputs(k))
+        values = list(w) + params
+        residual = np.array(rows(values)) - [y[t] for t in tower.targets]
+        _, us = tower.states_inputs(w)
+        out.append((k, numeric_rank(tower.jacobian_kernel(values)),
+                    np.abs(residual).max(),
+                    max(abs(a - b) for a, b in zip(us, traj.inputs(k)))))
+    return out
+
+
+@pytest.mark.parametrize("name, full", [("vtol", 10), ("academic", 9),
+                                        ("robot", 7)])
+def test_exact_seed_reproduces_the_targets(name, full):
+    """Each tower variable's source (`Tower.sources`) read off a trajectory
+    is the exact tower point: the rows reproduce the measured outputs and
+    the input recovery the inputs, at every k of the window, for a forward
+    (vtol), a backward (academic) and a combined (robot) tower."""
+    windows = _exact_seed_windows(systems.source(name))
+    assert [k for k, *_ in windows] == list(range(12))
+    for k, rank, row_err, u_err in windows:
+        assert rank == full, k
+        assert row_err <= 1e-12 and u_err <= 1e-9, k
+
+
+def test_relabeled_swapped_vtol_starts_on_the_singular_locus():
+    """Why verification fails on vtol with relabeled states and swapped
+    outputs: the exact seed is not at fault. At k = 0 the trajectory sits at
+    x3 = pi/2, where the accepted tower's input transform divides by
+    cos(x3); the tower Jacobian there is rank deficient, and neither the
+    rows nor the input recovery reproduce the trajectory. At every later k
+    the exact seed solves the rows."""
+    windows = _exact_seed_windows(VTOL_RELABELED_SWAPPED)
+    assert [k for k, rank, *_ in windows if rank < 10] == [0]
+    k, rank, row_err, u_err = windows[0]
+    assert rank <= 2 and row_err > 1.0 and u_err > 100.0
+    for k, rank, row_err, u_err in windows[1:]:
+        assert row_err <= 1e-12, k
+
+
+def test_tower_rank_diagnostic_names_the_deficient_rank():
+    """A candidate tower rejected because one perturbed probe is rank
+    deficient reports that probe's rank, not the (full) generic one."""
+    text = systems.source("vtol").replace("y1 = x1\ny2 = x2",
+                                          "y1 = x2\ny2 = x1")
+    sf = loads_system(text)
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    assert rep.indices.sigma_y == (1, 0)
+    assert rep.classification.diagnostics[0] == (
+        "forward sigma_y=(0, 1): tower rank 9 < required 10 at a perturbed "
+        "probe")
+
+
+@pytest.mark.parametrize("at_point, per_point, why", [
+    (2, [2, 10, 10], None),
+    (10, [10, 10, 9], "tower rank 9 < required 10 at a perturbed probe"),
+    (None, [10, 8], "tower rank 8 < required 10 at a perturbed probe"),
+    (None, [10, 10], None),
+    (10, [10], "tower rank: no perturbed probe evaluated (required 10)"),
+    (None, [], "tower rank: no perturbed probe evaluated (required 10)"),
+])
+def test_rank_deficiency(at_point, per_point, why):
+    rp = RankProbe(at_point=at_point, generic=max(per_point, default=0),
+                   per_point=per_point, required=10)
+    assert _rank_deficiency(rp) == why
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +357,7 @@ def test_inverse_tower_jacobian_matches_the_symbolic_partials(symbolic, name):
     rep, opts = symbolic[name]
     param, idx = rep.parameterization, rep.indices
     assert param.source == "tower_inverted"
-    imp = param.implicit
+    imp = param.tower
     cols_mR1 = [Var("y", j + 1, -idx.r1[j]) for j in range(2)]
     cols_R2 = [Var("y", j + 1, idx.r2[j]) for j in range(2)]
     cols = cols_mR1 + cols_R2
@@ -306,7 +392,7 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
     perturbed ones reach the poisoning."""
     rep = reports["robot"]
     param = rep.parameterization
-    blocks = param.implicit.jacobian_blocks
+    blocks = param.tower.jacobian_blocks
     poisoned = []
 
     def poison(w):
@@ -316,7 +402,7 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
             dFu = np.full_like(dFu, np.inf)
         return dFx, dFu, M
 
-    monkeypatch.setattr(param.implicit, "jacobian_blocks", poison)
+    monkeypatch.setattr(param.tower, "jacobian_blocks", poison)
     poison.count = 1
     cls = classify(rep.model, robot.candidate, param, robot.options)
     assert len(poisoned) == 1

@@ -58,8 +58,9 @@ def test_analyze_input_error_exit_code(paths, tmp_path, capsys):
 
 
 # vtol with its states relabeled x1..x6 -> x6, x1, x5, x4, x3, x2 and its
-# outputs swapped: the implicit parameterization's Newton iteration stagnates
-# on the verification trajectory
+# outputs swapped: the verification trajectory starts on the singular locus
+# of the accepted tower's input transform (cos(x3) = 0), where Newton
+# inversion fails
 VTOL_RELABELED_SWAPPED = """
 [params]
 T_s = 1/10

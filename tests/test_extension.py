@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from difflat import analysis, expr, extension, numeric
+from difflat import analysis, expr, extension, numeric, systems
 from difflat.analysis import FlatCandidate, analyze
 from difflat.expr import EvalError, Var, compile_exprs, evaluate, jacobian, var
 from difflat.extension import (
@@ -137,6 +137,23 @@ def test_combined_extension_with_empty_forward_chain():
     assert ext.model.n == 5
     cert = certify_linearizing(ext)
     assert cert.passed and cert.rank == cert.required == 7
+
+
+def test_prelongation_needs_a_fixed_point(academic):
+    """A backward chain holds a constant history, so its extended point needs
+    the analysis point to be a fixed point: academic moved off the origin in
+    x4 still analyzes as backward-flat, but has no prelongation there."""
+    text = systems.source("academic").replace(
+        "[equilibrium]\n", "[equilibrium]\nx4 = 1/10\n")
+    sf = loads_system(text)
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    assert rep.classification.kind == "backward_flat"
+    assert rep.tower.context.zeta_inverse is not None
+    with pytest.raises(ExtensionError) as ei:
+        build_combined(rep.model, sf.candidate, rep.tower)
+    assert str(ei.value) == (
+        "prelongation chains need a constant history: the analysis point "
+        "is not a fixed point (residual 0.1)")
 
 
 @pytest.mark.parametrize("field, image, what", [

@@ -93,6 +93,36 @@ def test_component_out_of_range_reports_line():
     with pytest.raises(SystemFileError) as ei:
         loads_system(bad)
     assert "out of range" in str(ei.value)
+    line = MINIMAL.splitlines().index("y2 = x2") + 1
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}, col ")
+    assert str(ei.value).count("line ") == 1
+
+
+@pytest.mark.parametrize("row, broken", [
+    ("x1+ = u1", "x1+ = u1 +"),     # a dynamics right-hand side
+    ("x2+ = u2", "x2*+ = u2"),      # a dynamics left-hand side
+    ("y1 = x1", "y1 = x1 * (x2"),   # an output row
+])
+def test_parse_errors_name_their_line_once(row, broken):
+    """A parse error inside a row reads 'line L, col C: ...', with L once,
+    and sets `.line`."""
+    bad = MINIMAL.replace(row, broken)
+    line = bad.splitlines().index(broken) + 1
+    with pytest.raises(SystemFileError) as ei:
+        loads_system(bad)
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}, col ")
+    assert str(ei.value).count("line ") == 1
+
+
+def test_bad_numeric_expression_names_its_line_once():
+    bad = "[params]\nk = 1 /\n" + MINIMAL
+    with pytest.raises(SystemFileError) as ei:
+        loads_system(bad)
+    assert ei.value.line == 2
+    assert str(ei.value).startswith("bad numeric expression: line 2, col ")
+    assert str(ei.value).count("line ") == 1
 
 
 def test_extension_rows_must_cover_g1_to_gm():
