@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .extension import (
     Certificate, ExtendedSystem, ExtensionError, build_combined,
-    build_prelongation, build_prolongation, certify_linearizing, truncated,
+    certify_linearizing, truncated,
 )
 from .sysfile import (
     SystemFile, SystemFileError, load_system, loads_system, print_system,

@@ -332,15 +332,8 @@ def relative_degrees(sys: SystemModel, cand: FlatCandidate,
     cap = sys.n + sys.m
     out = []
     for j, phi in enumerate(cand.phi):
-        e = phi
-        rho = None
-        for alpha in range(cap + 1):
-            leaves = vars_of(e)
-            probes = _jet_probes(sys, leaves | set(sys.input_vars), opts)
-            if depends_on(e, list(sys.input_vars), probes):
-                rho = alpha
-                break
-            e = sys.shift(e, 1)
+        rho = _first_dependent_shift(sys, phi, lambda e: sys.input_vars,
+                                     0, cap, 1, opts)
         if rho is None:
             raise AnalysisError(
                 f"output component {j + 1} shows no input dependence up to "
@@ -360,20 +353,27 @@ def backward_depths(sys: SystemModel, cand: FlatCandidate,
     hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
     out = []
     for j, phi in enumerate(cand.phi):
-        e = phi
-        gamma = None
-        for beta in range(1, cap + 1):
-            e = sys.shift(e, -1)
-            probes = _jet_probes(sys, vars_of(e) | set(hist), opts)
-            if depends_on(e, hist, probes):
-                gamma = beta
-                break
+        gamma = _first_dependent_shift(sys, phi, lambda e: hist,
+                                       1, cap, -1, opts)
         if gamma is None:
             raise AnalysisError(
                 f"output component {j + 1} shows no history dependence up to "
                 f"backward shift {cap}")
         out.append(gamma)
     return tuple(out)
+
+
+def _first_dependent_shift(sys: SystemModel, e: Expr, targets, start: int,
+                           stop: int, step: int, opts: AnalyzeOptions):
+    """Smallest k in [start, stop] whose shift sys.shift(e, step * k)
+    depends on the leaves `targets(shifted)`, or None: the relative degrees
+    (forward, on the inputs), the backward depths (backward, on the
+    histories) and r22 (forward, on ubar2 and its shifts)."""
+    for k in range(start, stop + 1):
+        shifted = sys.shift(e, step * k)
+        if _depends(sys, shifted, targets(shifted), opts):
+            return k
+    return None
 
 
 def _jet_probes(sys: SystemModel, leaves, opts: AnalyzeOptions):
@@ -383,23 +383,30 @@ def _jet_probes(sys: SystemModel, leaves, opts: AnalyzeOptions):
 # ---------------------------------------------------------------------------
 # Transforms.
 
-def _solve_single(sys: SystemModel, definition: Expr, target: Var, unknowns,
-                  opts: AnalyzeOptions):
-    """Solve definition == target for one of the unknowns, tried in order;
-    returns (unknown, solution expr over remaining coordinates + target)."""
-    leaves = vars_of(definition) | set(unknowns)
+def _solve_transform(sys: SystemModel, definition: Expr, new, old,
+                     opts: AnalyzeOptions):
+    """Solve new[0] == definition for one of the two `old` coordinates, tried
+    in order, and rename the other one new[1]. Returns the inverse map
+    {old coordinate: expr over the remaining coordinates and `new`} and the
+    untouched old coordinate."""
+    target = new[0]
+    leaves = vars_of(definition) | set(old)
     probes = list(probe_points(sys.jet_center(leaves), opts.seed,
                                bind=[(target, definition)]))
     last = None
-    for u in unknowns:
+    for solved in old:
         try:
-            sol = solve_equations([esub(definition, target)], [u], probes)
-            return u, sol[u]
+            sol = solve_equations([esub(definition, target)], [solved], probes)
         except SolveError as ex:
             last = ex
+            continue
+        other = next(v for v in old if v != solved)
+        inverse = {other: new[1],
+                   solved: substitute(sol[solved], {other: new[1]})}
+        return inverse, other
     raise AnalysisError(f"transform {to_text(target)} = {to_text(definition)} "
                         f"is not solvable for any of "
-                        f"{[to_text(u) for u in unknowns]}: {last}")
+                        f"{[to_text(u) for u in old]}: {last}")
 
 
 def _input_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, rho,
@@ -408,14 +415,10 @@ def _input_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, rho,
     input becomes ubar2. Returns (u_inverse map, (definition, untouched
     input))."""
     first = cand.phi[sigma_y[0]]
-    rho1 = rho[sigma_y[0]]
-    ubar1, ubar2 = Var("ubar", 1, 0), Var("ubar", 2, 0)
-    definition = sys.shift(first, rho1)
-    solved_u, sol = _solve_single(sys, definition, ubar1,
-                                  list(sys.input_vars), opts)
-    other = next(v for v in sys.input_vars if v != solved_u)
-    # ubar2 stands for the untouched input; substitute it into the solution
-    u_inverse = {other: ubar2, solved_u: substitute(sol, {other: ubar2})}
+    definition = sys.shift(first, rho[sigma_y[0]])
+    u_inverse, other = _solve_transform(
+        sys, definition, (Var("ubar", 1, 0), Var("ubar", 2, 0)),
+        list(sys.input_vars), opts)
     return u_inverse, (definition, other)
 
 
@@ -426,12 +429,10 @@ def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
     gbar), gbar1 being over (x, u)."""
     first = cand.phi[sigma_y[0]]
     gamma1 = gamma[sigma_y[0]]
-    zb1, zb2 = Var("zetabar", 1, -1), Var("zetabar", 2, -1)
-    definition = sys.shift(first, -gamma1)
     hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
-    solved_z, sol = _solve_single(sys, definition, zb1, hist, opts)
-    other = next(v for v in hist if v != solved_z)
-    zeta_inverse = {other: zb2, solved_z: substitute(sol, {other: zb2})}
+    zeta_inverse, other = _solve_transform(
+        sys, sys.shift(first, -gamma1),
+        (Var("zetabar", 1, -1), Var("zetabar", 2, -1)), hist, opts)
     gbar1 = sys.shift(first, -(gamma1 - 1))  # = phi_first shifted by -(gamma1-1): over (x,u)
     bad = [v for v in vars_of(gbar1) if v.family == sys.gvalue_family]
     if bad:
@@ -555,7 +556,13 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
     if forward:
         rho1, rho2 = rho[sigma_y[0]], rho[sigma_y[1]]
         cap = _shift_cap(sys)
-        r22 = _search_r22(sys_bar, phi_bar[1], rho2, cap, opts)
+        ubar2 = sys_bar.input_vars[1]
+        r22 = _first_dependent_shift(
+            sys_bar, phi_bar[1],
+            lambda e: [v for v in vars_of(e) | {ubar2}
+                       if (v.family, v.component) == (ubar2.family, ubar2.component)
+                       and v.shift >= ubar2.shift],
+            rho2, cap, 1, opts)
         if r22 is None:
             diags.append(f"{tag}: no ubar2 dependence up to shift {cap}")
             return None
@@ -619,23 +626,6 @@ def _bar_phi(cand, sigma_y, u_inverse):
     if u_inverse:
         phi = [substitute(p, u_inverse) for p in phi]
     return phi
-
-
-def _search_r22(sys_bar: SystemModel, phi2_bar: Expr, rho2: int, cap: int,
-                opts: AnalyzeOptions):
-    """Smallest s >= rho2 where the s-th forward shift depends on ubar2."""
-    ubar2 = sys_bar.input_vars[1]
-    e = sys_bar.shift(phi2_bar, rho2)
-    for s in range(rho2, cap + 1):
-        leaves = vars_of(e) | {ubar2}
-        probes = _jet_probes(sys_bar, leaves, opts)
-        dep_vars = [v for v in leaves
-                    if (v.family, v.component) == (ubar2.family, ubar2.component)
-                    and v.shift >= ubar2.shift]
-        if depends_on(e, dep_vars, probes):
-            return s
-        e = sys_bar.shift(e, 1)
-    return None
 
 
 def _independent_of(sys_bar, e, fam_comp_list, opts) -> bool:
@@ -792,9 +782,9 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
         resid = esub(e, Var("y", j, s))
         (eq_top if s == top_shift[j] else eq_low).append(resid)
 
-    # the top rows determine the current inputs of the tower's coordinates
-    u1, u2 = tower.context.sys_bar.input_vars
-    top_unknowns = [u1.shifted(idx.d2), u2]
+    # the top rows determine the current inputs of the tower's coordinates,
+    # its last two variables
+    top_unknowns = list(tower.variables[-2:])
     low_unknowns = [v for v in tower.variables if v not in top_unknowns]
 
     F_x = F_u = None
@@ -939,18 +929,6 @@ def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
                           diagnostics=diags)
 
 
-def _image_probe_points(sys, param, opts, count=PROBE_COUNT + 1):
-    """y-jet probes taken as images of tower-variable probes (always in the
-    chart; the exact analysis-point image may sit on the singular locus)."""
-    pts = _tower_probe_points(param.tower, opts, count=count)
-    out = []
-    for pt in pts:
-        ypt = {k: v for k, v in pt.items()
-               if isinstance(k, Par) or (isinstance(k, Var) and k.family == "y")}
-        out.append(ypt)
-    return out
-
-
 def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
     """Generic (max) ranks of d_y[R2] F_u, d_y[-R1] F_x and d_y[-R1] g(F)
     at the tower probes, read off the inverse tower Jacobian (implicit
@@ -1075,7 +1053,7 @@ def zero_block_check(norm: NormalizedInputs, param: Parameterization,
     structural = all(
         v not in vars_of(e) for e in norm.F_v for v in cols)
     worst = 0.0
-    pts = _image_probe_points(sys, param, opts)
+    pts = _tower_probe_points(param.tower, opts, count=PROBE_COUNT + 1)
     for e in norm.F_v:
         for c in cols:
             d = differentiate(e, c)

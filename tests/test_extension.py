@@ -7,8 +7,7 @@ from difflat import analysis, expr, extension, numeric, systems
 from difflat.analysis import FlatCandidate, analyze
 from difflat.expr import EvalError, Var, compile_exprs, evaluate, jacobian, var
 from difflat.extension import (
-    ExtensionError, build_combined, build_prelongation, build_prolongation,
-    certify_linearizing, truncated,
+    ExtensionError, build_combined, certify_linearizing, truncated,
 )
 from difflat.model import SystemModel
 from difflat.numeric import PROBE_COUNT, eval_matrix, simulate
@@ -98,29 +97,12 @@ def test_defect_counts(exts, corpus):
 
 
 # ---------------------------------------------------------------------------
-# degeneration equalities
+# the extension read off the tower
 
-def test_combined_degenerates_to_prolongation(reports, corpus):
-    rep = reports["vtol"]
-    a = build_combined(rep.model, corpus["vtol"].candidate, rep.tower)
-    b = build_prolongation(rep.model, corpus["vtol"].candidate, rep.tower)
-    assert a.model.f == b.model.f
-    assert a.model.state_vars == b.model.state_vars
-    assert a.model.input_vars == b.model.input_vars
-
-
-def test_combined_degenerates_to_prelongation(reports, corpus):
-    rep = reports["academic"]
-    a = build_combined(rep.model, corpus["academic"].candidate, rep.tower)
-    b = build_prelongation(rep.model, corpus["academic"].candidate, rep.tower)
-    assert a.model.f == b.model.f
-    assert a.model.state_vars == b.model.state_vars
-    assert a.model.input_vars == b.model.input_vars
-
-
-def test_combined_extension_with_empty_forward_chain():
-    # x1+ = x2, x2+ = x3 + u2, x3+ = u1 with y = (x3, u2): the combined
-    # construction with a transformed input but no prolongation chain (d2 = 0)
+def _empty_forward_chain():
+    """x1+ = x2, x2+ = x3 + u2, x3+ = u1 with y = (x3, u2): the combined
+    construction with a transformed input but no prolongation chain (d2 = 0).
+    Returns (model, candidate, tower)."""
     from difflat.analysis import build_tower
     x = [var("x", i) for i in (1, 2, 3)]
     u = [var("u", j) for j in (1, 2)]
@@ -129,10 +111,55 @@ def test_combined_extension_with_empty_forward_chain():
                        g=(x[0], x[2]), point={v: 0.0 for v in x + u})
     cand = FlatCandidate(phi=(x[2], u[1]))
     tower = build_tower(sysm, cand)
+    return tower.context.base_model, cand, tower
+
+
+MODES = {(False, False): "static", (False, True): "prolongation",
+         (True, False): "prelongation", (True, True): "combined"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["empty_forward_chain"])
+def test_extension_is_read_off_the_tower(name):
+    """The extended coordinates are the tower variables, the last two the
+    inputs; the chains step by one shift (the last history to gbar1), the
+    states by the transformed f; the point holds each variable's source at
+    the base jet; and the mode names the nonempty chains."""
+    if name == "empty_forward_chain":
+        sysm, cand, tower = _empty_forward_chain()
+    else:
+        sf = loads_system(CASES[name])
+        rep = analyze(sf.model, sf.candidate, sf.options)
+        sysm, cand, tower = rep.model, sf.candidate, rep.tower
+    ext = build_combined(sysm, cand, tower)
+    model, sys_bar = ext.model, tower.context.sys_bar
+    assert model.state_vars + model.input_vars == tower.variables
+    rows = dict(zip(model.state_vars, model.f))
+    for v, fv in rows.items():
+        if v in sysm.state_vars:
+            assert fv == sys_bar.f[sysm.state_vars.index(v)], (name, v)
+        elif v == Var("zetabar", 1, -1):
+            assert fv == sys_bar.g[0], name
+        else:
+            assert fv == v.shifted(1), (name, v)
+    assert list(model.point) == list(tower.variables)
+    for v, value in model.point.items():
+        src = tower.sources[v]
+        e = (sysm.shift(cand.phi[src.component - 1], src.shift)
+             if src.family == "y" else src)
+        assert value == evaluate(e, sysm.jet_center(expr.vars_of(e))), (name, v)
+    idx = tower.indices
+    assert (ext.d1, ext.d2) == (idx.d1, idx.d2)
+    assert ext.mode == MODES[(idx.d1 > 0, idx.d2 > 0)]
+    if name == "empty_forward_chain":
+        assert tower.context.u_inverse is not None and ext.mode == "prelongation"
+
+
+def test_combined_extension_with_empty_forward_chain():
+    sysm, cand, tower = _empty_forward_chain()
     idx = tower.indices
     assert tower.context.mode == "combined"
     assert (idx.r1, idx.r2, idx.d1, idx.d2) == ((2, 2), (1, 0), 2, 0)
-    ext = build_combined(tower.context.base_model, cand, tower)
+    ext = build_combined(sysm, cand, tower)
     assert (ext.d1, ext.d2) == (2, 0)
     assert ext.model.n == 5
     cert = certify_linearizing(ext)
@@ -170,15 +197,6 @@ def test_singular_transform_is_rejected(reports, corpus, field, image, what):
         build_combined(rep.model, corpus["robot"].candidate, tower)
     assert str(ei.value) == (
         f"{what} transform is not invertible near the point (rank 1)")
-
-
-def test_prolongation_rejects_wrong_class(reports, corpus):
-    rep = reports["academic"]
-    with pytest.raises(ExtensionError):
-        build_prolongation(rep.model, corpus["academic"].candidate, rep.tower)
-    rep = reports["vtol"]
-    with pytest.raises(ExtensionError):
-        build_prelongation(rep.model, corpus["vtol"].candidate, rep.tower)
 
 
 def test_trivial_system_extension_is_identity():
@@ -225,7 +243,7 @@ def test_extension_requires_two_inputs(reports, corpus):
                          point={var("x", 1): 0.0, var("x", 2): 0.0,
                                 var("u", 1): 0.0})
     with pytest.raises(ExtensionError):
-        build_prolongation(single, corpus["robot"].candidate, rep.tower)
+        build_combined(single, corpus["robot"].candidate, rep.tower)
 
 
 # ---------------------------------------------------------------------------
