@@ -38,7 +38,7 @@ for e in norm.F_v:
     if len(text) > 100:
         text = text[:97] + "..."
     print(f"    {text}")
-structural, worst = zero_block_check(norm, report.parameterization, report.model)
+structural, worst = zero_block_check(norm, report.parameterization)
 print(f"  d_y[-R1] F_v: structurally zero = {structural}, "
       f"max |numeric| = {worst:.2e}")
 assert structural and worst <= 1e-10

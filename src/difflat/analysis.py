@@ -1042,7 +1042,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
 
 
 def zero_block_check(norm: NormalizedInputs, param: Parameterization,
-                     sys: SystemModel, opts: AnalyzeOptions | None = None):
+                     opts: AnalyzeOptions | None = None):
     """Lemma 1 / Eq. (8): d_{y_[-R1]} F_v must vanish structurally and
     numerically. Returns (structural_ok, max_abs_numeric)."""
     opts = opts or AnalyzeOptions()

@@ -590,11 +590,15 @@ def canonical(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Calculus, substitution, evaluation.
 
-@lru_cache(maxsize=None)
+# One corpus-sweep round of the benchmark (52 analyses, each extended and
+# certified) fills 6,749 entries and an academic analyze + extend about 750,
+# so no such run evicts; the bound keeps a long-lived process from growing
+# without limit.
+@lru_cache(maxsize=1 << 15)
 def differentiate(e: Expr, v: Var) -> Expr:
     """Exact partial derivative, canonicalized. Canonical trees share
     subexpressions heavily across tower rows and Jacobian entries, so results
-    are memoized (the operation is pure)."""
+    are memoized (the operation is pure), in a bounded LRU cache."""
     if isinstance(e, (Num, Par)):
         return ZERO
     if isinstance(e, Var):
@@ -720,17 +724,23 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
     """Compile `exprs` once into a straight-line function of the leaf values.
 
     The result maps a sequence of numbers, one per entry of `leaves` in that
-    order, to the list of the expressions' values. The shared DAG is walked
-    once: each distinct node object becomes one local, computed in the order
-    `evaluate` with a shared memo would compute it. Values are bit-identical
-    to `evaluate`: constants are `float(value)`, sums `math.fsum`, products
-    left to right (the leading `1.0 *` of `_eval` is exact and dropped), and
-    a zero base under a negative exponent raises the same `PoleError`. A leaf
-    not in `leaves` raises `UnboundLeafError` here, at compile time.
+    order, to the list of the expressions' values. The DAG is walked once
+    and each structurally distinct node becomes one local (common
+    subexpression elimination by value numbering), since canonicalizing
+    constructors such as `differentiate` rebuild equal subtrees as new
+    objects. Locals are computed in the order `evaluate` with a shared memo
+    first meets their nodes, and a node's value depends on its structure
+    alone, so values are bit-identical to `evaluate`: constants are
+    `float(value)`, sums `math.fsum`, products left to right (the leading
+    `1.0 *` of `_eval` is exact and dropped), and a zero base under a
+    negative exponent raises the same first `PoleError`. A leaf not in
+    `leaves` raises `UnboundLeafError` here, at compile time.
     """
     slots = [f"a{i}" for i in range(len(leaves))]
     args = dict(zip(leaves, slots))
-    names = {}    # id(node) -> its local
+    # node -> its local, keyed by the node (cached hash, exact structural
+    # equality): each structurally distinct node becomes one local
+    names = {}
     lines = []
     poles = []    # nodes of negative powers, for the error message
 
@@ -741,7 +751,7 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
             if e not in args:
                 raise UnboundLeafError(f"unbound leaf {to_text(e)}")
             return args[e]
-        hit = names.get(id(e))
+        hit = names.get(e)
         if hit is not None:
             return hit
         if isinstance(e, Add):
@@ -759,7 +769,7 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
         else:
             raise ExprError(f"unknown node {e!r}")
         local = f"t{len(names)}"
-        names[id(e)] = local
+        names[e] = local
         lines.append(f"{local} = {rhs}")
         return local
 

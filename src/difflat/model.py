@@ -10,8 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, evaluate, jacobian, sub as esub, substitute,
-    to_text, vars_of, params_of,
+    EvalError, Expr, Par, Var, _key, evaluate, jacobian, sub as esub,
+    substitute, to_text, vars_of, params_of,
 )
 from .numeric import eval_matrix, numeric_rank, probe_points
 from .solve import SolveError, solve_equations
@@ -98,8 +98,11 @@ class SystemModel:
         raise ModelError(f"cannot seed a value for leaf {to_text(v)}")
 
     def jet_center(self, leaves) -> dict:
+        """The analysis point, then a seed value for each leaf missing from
+        it, added in `expr._key` order: the probes perturb keys in dict
+        order, so the order must not follow a set's hash-seeded iteration."""
         pt = self.analysis_point()
-        for v in leaves:
+        for v in sorted(leaves, key=_key):
             if isinstance(v, Var) and v not in pt:
                 pt[v] = self.seed_value(v)
         return pt

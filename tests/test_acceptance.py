@@ -164,7 +164,7 @@ def test_criterion_5_rank_coincidence(reports, corpus):
 def test_criterion_6_zero_block(academic, reports):
     rep = reports["academic"]
     norm = normalize_inputs(rep.model, rep.parameterization)
-    structural, worst = zero_block_check(norm, rep.parameterization, rep.model)
+    structural, worst = zero_block_check(norm, rep.parameterization)
     assert structural
     assert worst <= 1e-10
     print(f"criterion 6 (Lemma-1 zero block after input normalization, "

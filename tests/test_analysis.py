@@ -1,8 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import difflat
 from difflat import systems
 from difflat.analysis import (
     AnalysisError, AnalyzeOptions, FlatCandidate, _default_trajectory,
@@ -82,6 +88,39 @@ def test_backward_depth_trivial_swap_system():
 
 # ---------------------------------------------------------------------------
 # towers
+
+JET_PROBES = """
+import json
+from difflat import systems
+from difflat.analysis import AnalyzeOptions, _jet_probes
+from difflat.expr import to_text, vars_of
+sf = systems.load("vtol")
+sys = sf.model
+leaves = vars_of(sys.shift(sf.candidate.phi[1], 5)) | set(sys.input_vars)
+print(json.dumps([[[to_text(k), float(v).hex()] for k, v in pt.items()]
+                  for pt in _jet_probes(sys, leaves, AnalyzeOptions())]))
+"""
+
+
+def test_jet_probes_do_not_depend_on_the_hash_seed():
+    """The dependence probes over a set of vtol jet leaves (u1[2] and u1[3]
+    lie outside the analysis point) give each leaf the same value, in the
+    same order, under PYTHONHASHSEED 0 and 3."""
+    path = [str(Path(difflat.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    outs = []
+    for seed in ("0", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", JET_PROBES], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=os.pathsep.join(path)),
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert any(k == "u1[2]" for k, _ in outs[0][1])
+    assert outs[0] == outs[1]
+
 
 def test_vtol_tower(reports):
     t = reports["vtol"].tower
@@ -548,8 +587,7 @@ def test_normalize_inputs_academic_identity(academic, reports):
     # v = (u1, u2): the transform is the identity
     assert norm.u_from_v[var("u", 1)] == Var("ubar", 1, 0)
     assert norm.u_from_v[var("u", 2)] == Var("ubar", 2, 0)
-    structural, worst = zero_block_check(norm, reports["academic"].parameterization,
-                                         academic.model)
+    structural, worst = zero_block_check(norm, reports["academic"].parameterization)
     assert structural and worst <= 1e-10
 
 
@@ -569,8 +607,7 @@ def test_normalize_inputs_robot(robot, reports):
         back[Var("ubar", 2, 0)] = v_vals[1]
         assert abs(evaluate(norm.u_from_v[var("u", 1)], back) - u[0]) < 1e-9
         assert abs(evaluate(norm.u_from_v[var("u", 2)], back) - u[1]) < 1e-9
-    structural, worst = zero_block_check(norm, reports["robot"].parameterization,
-                                         robot.model)
+    structural, worst = zero_block_check(norm, reports["robot"].parameterization)
     assert structural and worst <= 1e-10
 
 

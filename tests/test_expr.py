@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from difflat.analysis import AnalyzeOptions, _tower_probe_points
 from difflat.expr import (
@@ -271,6 +271,14 @@ def test_exact_zero_division_raises_at_construction():
         div(var("x", 1), num(0))
 
 
+def test_differentiate_cache_is_bounded():
+    info = differentiate.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize < 10**6
+    differentiate(mul(var("x", 1), var("x", 2)), var("x", 1))
+    differentiate.cache_clear()
+    assert differentiate.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------------------
 # jacobian
 
@@ -316,6 +324,20 @@ def test_compiled_towers_and_jacobians_match_evaluate(reports):
             _assert_compiled_matches(exprs, leaves, [pt[k] for k in leaves])
 
 
+def _fresh(e):
+    """A structurally equal copy of e in which every interior node is a new
+    object, as canonicalizing constructors rebuild equal subtrees."""
+    if isinstance(e, Add):
+        return Add(tuple(_fresh(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_fresh(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_fresh(e.base), e.exp)
+    if isinstance(e, Fun):
+        return Fun(e.name, _fresh(e.arg))
+    return e
+
+
 _LEAVES = [var("x", 1), var("x", 2), var("u", 1, 1), par("T_s")]
 _VALUE = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3, 3)
 
@@ -323,15 +345,18 @@ _VALUE = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3, 3)
 @st.composite
 def _shared_dags(draw):
     """Expressions built by a short program over a growing pool of nodes, so
-    later nodes reuse earlier node objects (shared subtrees)."""
+    later nodes reuse earlier node objects (shared subtrees), and some are
+    fresh copies of earlier nodes (equal subtrees in distinct objects)."""
     pool = list(_LEAVES)
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.sampled_from(pool))
         b = draw(st.sampled_from(pool))
         op = draw(st.sampled_from(
-            ["add", "mul", "div", "pow", "sin", "cos", "num"]))
+            ["add", "mul", "div", "pow", "sin", "cos", "num", "fresh"]))
         try:
-            if op == "add":
+            if op == "fresh":
+                e = _fresh(a)
+            elif op == "add":
                 e = add(a, b)
             elif op == "mul":
                 e = mul(a, b)
@@ -355,8 +380,30 @@ def _shared_dags(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_shared_dags(),
        st.lists(_VALUE, min_size=len(_LEAVES), max_size=len(_LEAVES)))
+# x1 - 1 and x1 - 2 are unequal nodes with equal hashes (hash(-1) ==
+# hash(-2)): one local for both would be wrong
+@example([add(_LEAVES[0], num(-1)), add(_LEAVES[0], num(-2))], [0.5, 0, 0, 0])
 def test_compiled_shared_dags_match_evaluate(exprs, values):
     _assert_compiled_matches(exprs, _LEAVES, values)
+
+
+def test_compiled_equal_subtrees_share_one_local():
+    x1, x2 = var("x", 1), var("x", 2)
+    e = mul(sin(x1), pow_(cos(add(x1, x2)), -2))
+    one = compile_exprs([e], [x1, x2]).__code__.co_nlocals
+    assert compile_exprs([e, _fresh(e)], [x1, x2]).__code__.co_nlocals == one
+
+
+def test_compiled_kernel_size_floor(reports):
+    """Machine-independent size of the compiled tower Jacobians: the parent
+    of hash-consed compilation gave one local per node object, 221 for
+    vtol and 90 for robot."""
+    for name, most in (("vtol", 120), ("robot", 55)):
+        tower = reports[name].tower
+        exprs = [e for row in jacobian(tower.row_exprs(), tower.variables)
+                 for e in row]
+        kernel = compile_exprs(exprs, tower.leaves)
+        assert kernel.__code__.co_nlocals <= most, name
 
 
 def _tree_walk_leaves(e, kind) -> frozenset:
@@ -434,6 +481,23 @@ def test_compiled_pole_matches_evaluate():
         with pytest.raises(PoleError) as got:
             compile_exprs([x, e], [x, var("x", 2)])([0.0, 0.0])
         assert str(got.value) == str(want.value)
+
+
+def test_compiled_repeated_pole_raises_the_first_pole_met():
+    """Two zero-base negative powers, each built twice as distinct objects:
+    the compiled code raises for the one `evaluate` meets first, with its
+    message, although the other sorts and nests before it."""
+    x1, x2, x3, x4 = (var("x", i) for i in range(1, 5))
+    exprs = [div(x3, sub(x2, 1)), div(x3, x1), div(x4, sub(x2, 1)),
+             div(x4, x1)]
+    assert exprs[0].factors[1] is not exprs[2].factors[1]
+    leaves, values = [x1, x2, x3, x4], [0.0, 1.0, 2.0, 3.0]
+    pt = dict(zip(leaves, values))
+    with pytest.raises(PoleError) as want:
+        evaluate(exprs[0], pt)
+    with pytest.raises(PoleError) as got:
+        compile_exprs(exprs, leaves)(values)
+    assert str(got.value) == str(want.value) == "pole: zero base in 1/(-1 + x2)"
 
 
 def test_compiled_unbound_leaf_raises():
