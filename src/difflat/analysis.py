@@ -37,9 +37,9 @@ from .expr import (
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    PROBE_COUNT, RankProbe, SimulationError, depends_on, eval_matrix,
-    matrix_rank_probe, newton_solve, numeric_rank, probe_points, probe_rank,
-    random_inputs, simulate, verify_parameterization,
+    RankProbe, SimulationError, check_windows, depends_on, eval_matrix,
+    newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
+    simulate, tower_windows,
 )
 from .solve import SolveError, solve_equations
 
@@ -133,20 +133,22 @@ class TowerContext:
 class Tower:
     """The tower map w -> y of the tower variables w; its inverse is F.
 
-    The tower search probes its Jacobian's rank, classification reads its
-    ranks off the inverse of that Jacobian (`jacobian_blocks`), and a tower
-    the solver cannot invert symbolically is evaluated by Newton inversion
-    (`recover`). The rows, the input recovery and their Jacobians compile on
-    first use into straight-line functions of `leaves` (`expr.compile_exprs`,
-    bit-identical to `evaluate`). States, inputs, parameter values and the
-    input transform are read from `context`."""
+    Every numeric decision about a tower reads its `windows` (one
+    `numeric.Window` per verification step, set by the search): its rank,
+    the solver's pivots, the class ranks read off the inverse Jacobian
+    (`jacobian_blocks`) and the verification of F, by Newton inversion
+    (`recover`) where the solver cannot invert the tower. The rows, the
+    input recovery and their Jacobians compile on first use into
+    straight-line functions of `leaves` (`expr.compile_exprs`, bit-identical
+    to `evaluate`); the rest is read from `context`."""
 
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
     indices: ShiftIndices
     context: TowerContext
     sources: dict                  # {tower variable: y leaf, state or input it equals}
-    rank_probe: RankProbe | None = None   # set by the tower search
+    windows: list = field(default_factory=list)   # set by the tower search
+    rank_probe: RankProbe | None = None   # jet center, then each window
 
     def ordered_rows(self):
         return [((j, s), self.rows[(j, s)])
@@ -169,8 +171,8 @@ class Tower:
     @cached_property
     def jet_center(self) -> dict:
         """The transformed system's jet center over the tower variables and
-        every row leaf: the center of the tower probes, and at the tower
-        variables Newton's default seed. Read only."""
+        every row leaf, where the reported at-point rank is taken. Read
+        only."""
         leaves = set(self.variables)
         for e in self.rows.values():
             leaves |= vars_of(e)
@@ -180,7 +182,7 @@ class Tower:
     def jacobian_kernel(self):
         """The Jacobian of the rows (`row_exprs` order) w.r.t. the variables,
         compiled once per tower: maps the values of `leaves` to an array,
-        bit-identical to `eval_matrix`. The tower rank probe, the class ranks,
+        bit-identical to `eval_matrix`. The tower search rank, the class ranks,
         Newton inversion and the linearizing certificate all evaluate it."""
         return _compiled_matrix(self.row_exprs(), self.variables, self.leaves)
 
@@ -233,13 +235,6 @@ class Tower:
                 plan.append(("y", src))
         return plan
 
-    @cached_property
-    def seed_perturbation(self) -> np.ndarray:
-        """1e-3 cos(i) for each tower variable i: verification moves a
-        trajectory seed w by this times (1 + |w|), deterministically, so that
-        Newton convergence demonstrates local invertibility."""
-        return 1e-3 * np.cos(np.arange(len(self.variables)))
-
     def trajectory_seed(self, y_bindings: dict, x_values, u_values):
         """Newton seed from measured data: each tower variable's source, a
         state of `x_values`, an input of `u_values` or an output measurement
@@ -248,17 +243,15 @@ class Tower:
         return np.array([data[src][key] for src, key in self._seed_plan],
                         dtype=float)
 
-    def recover(self, y_bindings: dict, seed=None):
-        """Solve tower(w) = y for w by Newton from `seed` (default: the jet
-        center); return (x values, u values, w)."""
+    def recover(self, y_bindings: dict, seed):
+        """Solve tower(w) = y for w by Newton from `seed`; return (x values,
+        u values, w)."""
         rows = self._compiled[0]
         targets = np.array([y_bindings[t] for t in self.targets])
 
         def residual(w):
             return np.array(rows(self._values(w))) - targets
 
-        if seed is None:
-            seed = [self.jet_center[v] for v in self.variables]
         w = newton_solve(residual, lambda w: self.jacobian_kernel(self._values(w)),
                          seed)
         return (*self.states_inputs(w), w)
@@ -477,26 +470,48 @@ _SIGMA_Y = ((0, 1), (1, 0))
 
 
 def build_tower(sys: SystemModel, cand: FlatCandidate,
-                opts: AnalyzeOptions | None = None,
-                rho=None, gamma=None) -> Tower:
+                opts: AnalyzeOptions | None = None) -> Tower:
     """Construct the stacked shift tower of Props. 2-4 and its index data.
 
     Tries forward detection first (both component orders), then backward,
-    then the combined construction; the first permutation passing every
-    structural check and the functional-independence rank probe wins.
+    then the combined construction. A permutation passing every structural
+    check is admissible when its Jacobian has full rank at some verification
+    window. The first admissible tower of full rank at every window wins;
+    failing that, the first admissible one. Each tower passed over is
+    reported in the diagnostics, with the window where its rank drops.
     """
     opts = opts or AnalyzeOptions()
     if sys.m != 2:
         raise AnalysisError("towers are defined for two-input systems (m = 2)")
     if not cand.is_xu_flat(sys):
         raise AnalysisError("tower construction needs an (x,u)-flat candidate")
-    rho = rho if rho is not None else relative_degrees(sys, cand, opts)
-    diags = []
+    rho = relative_degrees(sys, cand, opts)
+    diags, fallback = [], None
+    try:
+        for tower in _admissible_towers(sys, cand, rho, opts, diags):
+            why = _rank_drop(tower)
+            if why is None:
+                return tower
+            diags.append(f"{tower.context.mode} sigma_y={tower.indices.sigma_y}: {why}")
+            fallback = fallback or tower
+    except (AnalysisError, ModelError) as ex:
+        if fallback is None:
+            raise
+        diags.append(f"backward towers: {ex}")
+    if fallback is None:
+        raise AnalysisError(
+            "no permutation admits the Prop. 2-4 tower structure:\n  - "
+            + "\n  - ".join(diags))
+    fallback.context.diagnostics = diags
+    return fallback
 
+
+def _admissible_towers(sys, cand, rho, opts, diags):
+    """The admissible towers in search order, the backward ones lazily."""
     for sigma_y in _SIGMA_Y:
         t = _try_tower(sys, cand, rho, None, sigma_y, "forward", opts, diags)
         if t is not None:
-            return t
+            yield t
 
     # backward machinery needs g and psi
     sysb = sys
@@ -506,16 +521,13 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
     elif sysb.psi_x is None:
         sysb = invert_extension(sysb)
-    gamma = gamma if gamma is not None else backward_depths(sysb, cand, opts)
+    gamma = backward_depths(sysb, cand, opts)
 
     for mode in ("backward", "combined"):
         for sigma_y in _SIGMA_Y:
             t = _try_tower(sysb, cand, rho, gamma, sigma_y, mode, opts, diags)
             if t is not None:
-                return t
-    raise AnalysisError(
-        "no permutation admits the Prop. 2-4 tower structure:\n  - "
-        + "\n  - ".join(diags))
+                yield t
 
 
 def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
@@ -612,12 +624,17 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
                        diagnostics=list(diags))
     tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx,
                   sources=sources)
-    rp = _tower_probe(tower, opts)
-    why = _rank_deficiency(rp)
-    if why is not None:
-        diags.append(f"{tag}: {why}")
+    try:
+        tower.windows = tower_windows(sys, cand, tower,
+                                      *_default_trajectory(sys, idx, opts))
+    except (EvalError, SimulationError) as ex:
+        diags.append(f"{tag}: verification trajectory: {ex}")
         return None
-    tower.rank_probe = rp
+    rp = tower.rank_probe = _tower_rank(tower, opts)
+    if rp.generic < rp.required:
+        diags.append(f"{tag}: tower rank {rp.generic} < required "
+                     f"{rp.required} at every verification window")
+        return None
     return tower
 
 
@@ -658,29 +675,30 @@ def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
     return rows, tuple(variables)
 
 
-def _tower_probe(tower: Tower, opts):
-    """Rank of the tower Jacobian at the jet center and its seeded
-    perturbations, from the tower's compiled kernel (compiled here, once per
-    candidate tower), its rows taken in the order the search built them
-    (`tower.rows`)."""
-    probes = probe_points(tower.jet_center, opts.seed)
-    keys = [k for k, _ in tower.ordered_rows()]
-    order = [keys.index(k) for k in tower.rows]
-    return matrix_rank_probe(lambda pt: tower.jacobian_at(pt)[order], probes,
-                             tol_rel=opts.tol_rank,
-                             required=len(tower.variables))
+def _tower_rank(tower: Tower, opts) -> RankProbe:
+    """Rank of the tower's compiled Jacobian (compiled here) at the jet
+    center (`at_point`, None if not evaluable) and at each window (`per_point`,
+    0 if not evaluable); `generic` is the highest window rank."""
+    def rank(pt):
+        try:
+            return numeric_rank(tower.jacobian_at(pt), opts.tol_rank)
+        except (EvalError, ValueError):
+            return None
+
+    per_window = [rank(win.pt) or 0 for win in tower.windows]
+    return RankProbe(at_point=rank(tower.jet_center),
+                     generic=max(per_window, default=0), per_point=per_window,
+                     required=len(tower.variables))
 
 
-def _rank_deficiency(rp: RankProbe) -> str | None:
-    """Why the tower rank probe shows no generic full rank, or None: some
-    perturbed probe must evaluate, and every one that does must be full."""
-    perturbed = rp.per_point[1:] if rp.at_point is not None else rp.per_point
-    if not perturbed:
-        return f"tower rank: no perturbed probe evaluated (required {rp.required})"
-    low = min(perturbed)
-    if low < rp.required:
-        return f"tower rank {low} < required {rp.required} at a perturbed probe"
-    return None
+def _rank_drop(tower: Tower) -> str | None:
+    """The tower's rank at the first window where it is below full, or None
+    when it is full at every window."""
+    rp = tower.rank_probe
+    return next((f"tower rank {r} < required {rp.required} at verification "
+                 f"window k = {win.k}"
+                 for win, r in zip(tower.windows, rp.per_point)
+                 if r != rp.required), None)
 
 
 def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
@@ -746,35 +764,22 @@ def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
 # ---------------------------------------------------------------------------
 # Tower inversion.
 
-def _tower_probe_points(tower: Tower, opts: AnalyzeOptions, count=6,
-                        bind=True):
-    """`count` probe points, the jet center first, with the tower variables
-    perturbed; with `bind`, the y-leaf targets are bound to the rows'
-    values, which makes each point consistent."""
-    targets = [(Var("y", j, s), e) for (j, s), e in tower.rows.items()]
-    return list(probe_points(tower.jet_center, opts.seed + 7, count - 1,
-                             perturb=tower.variables,
-                             bind=targets if bind else ()))
-
-
-def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
-                 opts: AnalyzeOptions | None = None) -> Parameterization:
+def invert_tower(sys: SystemModel, cand: FlatCandidate,
+                 tower: Tower) -> Parameterization:
     """Solve the tower equations for the parameterizing map.
 
     Stage A solves states and chain variables from the rows below the top
     shifts (so F_x only sees y_[-R1, R2-1], the Eq.-(7) zero-block shape);
     stage B recovers the inputs from the top rows. Falls back to the
     user-supplied map, then to the implicit (Newton) parameterization of the
-    tower map itself. The result is not verified along a trajectory;
-    `analyze` does that."""
-    opts = opts or AnalyzeOptions()
+    tower map itself. Pivots are picked at the tower's windows; `analyze`
+    verifies the result there."""
     idx = tower.indices
     rows_cnt = len(tower.rows)
     if rows_cnt != len(tower.variables):
         raise AnalysisError(
             f"tower is not square: {rows_cnt} rows, {len(tower.variables)} variables")
     diags = list(tower.context.diagnostics)
-    probe_pts = _tower_probe_points(tower, opts)
 
     top_shift = {j: idx.r2[j - 1] for j in (1, 2)}
     eq_low, eq_top = [], []
@@ -790,9 +795,10 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     F_x = F_u = None
     source = "tower_inverted"
     try:
-        sol_low = solve_equations(eq_low, low_unknowns, probe_pts)
+        points = [win.pt for win in tower.windows]
+        sol_low = solve_equations(eq_low, low_unknowns, points)
         eq_top_sub = [substitute(e, sol_low) for e in eq_top]
-        sol_top = solve_equations(eq_top_sub, top_unknowns, probe_pts)
+        sol_top = solve_equations(eq_top_sub, top_unknowns, points)
         sol = dict(sol_low)
         sol.update(sol_top)
         F_x = tuple(sol[v] for v in sys.state_vars)
@@ -811,7 +817,7 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate, tower: Tower,
     if F_x is not None:
         _check_shapes(param, sys)
         if cand.user_F is not None and source == "tower_inverted":
-            _cross_check_user_F(sys, cand, param, probe_pts, diags)
+            _cross_check_user_F(cand, param, diags)
     return param
 
 
@@ -831,9 +837,9 @@ def _check_shapes(param: Parameterization, sys: SystemModel):
                         f"[-{idx.r1[j - 1]}, {idx.r2[j - 1] + hi_off}]")
 
 
-def _cross_check_user_F(sys, cand, param, probe_pts, diags, tol=1e-8):
+def _cross_check_user_F(cand, param, diags, tol=1e-8):
     worst = 0.0
-    for pt in probe_pts:
+    for pt in (win.pt for win in param.tower.windows):
         try:
             for mine, theirs in ((param.F_x, cand.user_F[0]),
                                  (param.F_u, cand.user_F[1])):
@@ -848,16 +854,14 @@ def _cross_check_user_F(sys, cand, param, probe_pts, diags, tol=1e-8):
     diags.append(f"user_F cross-checked against the inverted tower ({worst:.3g})")
 
 
-def _verify(sys, cand, param, opts: AnalyzeOptions) -> dict:
-    """Residuals of the parameterization along a seeded random trajectory;
-    raises AnalysisError when they exceed the tolerance or cannot be
-    computed."""
+def _verify(param, opts: AnalyzeOptions) -> dict:
+    """Residuals of the parameterization at the tower's windows, along the
+    seeded random trajectory of `_default_trajectory`; raises AnalysisError
+    when they exceed the tolerance or cannot be computed."""
     why = "parameterization failed trajectory verification"
     try:
-        traj, window = _default_trajectory(sys, param.indices, opts)
-        report = verify_parameterization(sys, cand, param, traj, window,
-                                         tol=opts.tol_verify)
-    except (EvalError, SimulationError) as ex:
+        report = check_windows(param, param.tower.windows, tol=opts.tol_verify)
+    except EvalError as ex:
         raise AnalysisError(f"{why}: {ex}") from ex
     if not report.passed:
         raise AnalysisError(
@@ -892,7 +896,7 @@ def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
              opts: AnalyzeOptions | None = None) -> Classification:
     """Decide the flatness class from the index data and certify the rank
     conditions of the Jacobian submatrices of F. The ranks are read off the
-    inverse of the tower Jacobian at the tower probes, for symbolic and
+    inverse of the tower Jacobian at the tower's windows, for symbolic and
     Newton parameterizations alike (`_tower_ranks`)."""
     opts = opts or AnalyzeOptions()
     idx = param.indices
@@ -931,8 +935,8 @@ def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
 
 def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
     """Generic (max) ranks of d_y[R2] F_u, d_y[-R1] F_x and d_y[-R1] g(F)
-    at the tower probes, read off the inverse tower Jacobian (implicit
-    function theorem). A probe where the blocks cannot be evaluated, the
+    at the tower's windows, read off the inverse tower Jacobian (implicit
+    function theorem). A window where the blocks cannot be evaluated, the
     tower Jacobian is singular or an entry is not finite is skipped."""
     tower = param.tower
     col_idx_R2 = [tower.targets.index(c) for c in cols_R2]
@@ -940,15 +944,13 @@ def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
     if sys.g is not None:
         Dg = jacobian(sys.g, list(sys.state_vars) + list(sys.input_vars))
     per_point = []
-    for pt in _tower_probe_points(tower, opts, count=PROBE_COUNT + 1,
-                                  bind=False):
-        w = np.array([pt[v] for v in tower.variables])
+    for win in tower.windows:
         try:
-            dFx, dFu, _ = tower.jacobian_blocks(w)
+            dFx, dFu, _ = tower.jacobian_blocks(win.w)
             ranks = [numeric_rank(dFu[:, col_idx_R2], opts.tol_rank),
                      numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank)]
             if sys.g is not None:
-                xs, us = tower.states_inputs(w)
+                xs, us = tower.states_inputs(win.w)
                 gpt = tower.context.sys_bar.param_bindings()
                 gpt.update(zip(sys.state_vars, xs))
                 gpt.update(zip(sys.input_vars, us))
@@ -958,7 +960,7 @@ def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
         except (EvalError, np.linalg.LinAlgError, ValueError):
             continue
     if not per_point:
-        raise AnalysisError("no probe point admitted a tower Jacobian inverse")
+        raise AnalysisError("no verification window admitted a tower Jacobian inverse")
     ranks = [max(r) for r in zip(*per_point)]
     return ranks[0], ranks[1], (ranks[2] if sys.g is not None else None)
 
@@ -1041,11 +1043,10 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
                             u_from_v=sol, system=sys_v, F_v=F_v)
 
 
-def zero_block_check(norm: NormalizedInputs, param: Parameterization,
-                     opts: AnalyzeOptions | None = None):
+def zero_block_check(norm: NormalizedInputs, param: Parameterization):
     """Lemma 1 / Eq. (8): d_{y_[-R1]} F_v must vanish structurally and
-    numerically. Returns (structural_ok, max_abs_numeric)."""
-    opts = opts or AnalyzeOptions()
+    numerically, the latter at the tower's windows. Returns (structural_ok,
+    max_abs_numeric)."""
     idx = param.indices
     cols = [Var("y", j + 1, -idx.r1[j]) for j in range(2) if idx.r1[j] > 0]
     if not cols or norm.F_v is None:
@@ -1053,13 +1054,12 @@ def zero_block_check(norm: NormalizedInputs, param: Parameterization,
     structural = all(
         v not in vars_of(e) for e in norm.F_v for v in cols)
     worst = 0.0
-    pts = _tower_probe_points(param.tower, opts, count=PROBE_COUNT + 1)
     for e in norm.F_v:
         for c in cols:
             d = differentiate(e, c)
-            for pt in pts:
+            for win in param.tower.windows:
                 try:
-                    worst = max(worst, abs(evaluate(d, pt)))
+                    worst = max(worst, abs(evaluate(d, win.pt)))
                 except EvalError:
                     continue
     return structural, worst
@@ -1131,8 +1131,8 @@ def analyze(sys: SystemModel, cand: FlatCandidate,
     if tower.indices.gamma is None and sys.psi_x is not None:
         gamma = backward_depths(sys, cand, opts)
         tower.indices = replace(tower.indices, gamma=gamma)
-    param = invert_tower(sys, cand, tower, opts)
-    residuals = {} if opts.skip_verification else _verify(sys, cand, param, opts)
+    param = invert_tower(sys, cand, tower)
+    residuals = {} if opts.skip_verification else _verify(param, opts)
     cls = classify(sys, cand, param, opts)
     return AnalysisReport(system=sys.name, indices=param.indices,
                           classification=cls, tower=tower,

@@ -3,6 +3,7 @@ inverse map psi, and the forward/backward shift operators."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -181,9 +182,10 @@ class SystemModel:
             try:
                 xs = [evaluate(e, back) for e in self.psi_x]
                 us = [evaluate(e, back) for e in self.psi_u]
-            except EvalError:
+            except EvalError as ex:
                 if trial == 0:
-                    raise
+                    raise ModelError("psi does not evaluate at the analysis "
+                                     f"point: {ex}") from ex
                 continue
             worst = max(worst, max(abs(a - pt[v])
                                    for a, v in zip(xs, self.state_vars)))
@@ -380,60 +382,31 @@ def choose_extension(sys: SystemModel, tol_rank: float = 1e-8) -> ExtensionChoic
     """Pick m coordinate functions g from (x, u) making (f,g) a local
     diffeomorphism with a rationally solvable inverse.
 
-    Depth-first over the coordinate pool in declaration order (states first,
-    then inputs), keeping rank-increasing prefixes; the first complete
-    selection whose psi the restricted solver can produce wins. Deterministic.
+    Scans the m-subsets of the coordinate pool (states first, then inputs)
+    in `itertools.combinations` order; the first subset completing (f,g) to
+    rank n+m at the analysis point whose psi the restricted solver can
+    produce wins. Deterministic.
     """
     pool = list(sys.state_vars) + list(sys.input_vars)
-    cols = pool
-    pt = sys.analysis_point()
-    base_rows = eval_matrix(jacobian(sys.f, cols), pt)
-    target = sys.n + sys.m
-
-    def rank_with(selection):
-        rows = [base_rows]
-        sel = np.zeros((len(selection), len(cols)))
-        for r, v in enumerate(selection):
-            sel[r, cols.index(v)] = 1.0
-        rows.append(sel)
-        return numeric_rank(np.vstack(rows), tol_rank)
-
-    best_rank_only = None
-
-    def dfs(start, selection):
-        nonlocal best_rank_only
-        if len(selection) == sys.m:
-            if rank_with(selection) != target:
-                return None
-            g = tuple(selection)
-            if best_rank_only is None:
-                best_rank_only = g
-            try:
-                psi_x, psi_u = _solve_psi(sys, g)
-            except SolveError:
-                return None
-            return g, psi_x, psi_u
-        current = rank_with(selection)
-        for i in range(start, len(pool)):
-            v = pool[i]
-            if rank_with(selection + [v]) <= current:
-                continue
-            hit = dfs(i + 1, selection + [v])
-            if hit:
-                return hit
-        return None
-
-    hit = dfs(0, [])
-    if hit is None:
-        if best_rank_only is not None:
-            raise ModelError(
-                "every rank-valid extension map has a non-solvable inverse; "
-                "supply g and psi in the DSL "
-                f"(first rank-valid choice was {[to_text(v) for v in best_rank_only]})")
+    base_rows = eval_matrix(jacobian(sys.f, pool), sys.analysis_point())
+    rank_valid = None
+    for g in itertools.combinations(pool, sys.m):
+        sel = np.eye(len(pool))[[pool.index(v) for v in g]]
+        if numeric_rank(np.vstack([base_rows, sel]), tol_rank) != sys.n + sys.m:
+            continue
+        rank_valid = rank_valid or g
+        try:
+            psi_x, psi_u = _solve_psi(sys, g)
+        except SolveError:
+            continue
+        return ExtensionChoice(source="auto_selected", g=g,
+                               selected_coordinates=tuple(to_text(v) for v in g),
+                               psi_x=psi_x, psi_u=psi_u)
+    if rank_valid is not None:
         raise ModelError(
-            "no m-subset of coordinates completes (f,g) to rank n+m at the "
-            "analysis point; the point may be degenerate — supply g explicitly")
-    g, psi_x, psi_u = hit
-    names = tuple(to_text(v) for v in g)
-    return ExtensionChoice(source="auto_selected", g=g,
-                           selected_coordinates=names, psi_x=psi_x, psi_u=psi_u)
+            "every rank-valid extension map has a non-solvable inverse; "
+            "supply g and psi in the DSL "
+            f"(first rank-valid choice was {[to_text(v) for v in rank_valid]})")
+    raise ModelError(
+        "no m-subset of coordinates completes (f,g) to rank n+m at the "
+        "analysis point; the point may be degenerate — supply g explicitly")

@@ -4,20 +4,20 @@ probe points, trajectory simulation and parameterization verification."""
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .expr import (
-    EvalError, Par, Var, ZERO, differentiate, evaluate, jacobian, vars_of,
-)
+from .expr import EvalError, Par, Var, ZERO, differentiate, evaluate, jacobian
 
 __all__ = [
     "numeric_rank", "fd_jacobian_check", "eval_matrix", "probe_points",
     "RankProbe", "probe_rank", "matrix_rank_probe", "Trajectory",
     "random_inputs", "simulate", "SimulationError", "verify_parameterization",
-    "ResidualReport", "newton_solve",
+    "ResidualReport", "newton_solve", "Window", "tower_windows",
+    "check_windows",
 ]
 
 RANK_TOL = 1e-8
@@ -301,42 +301,61 @@ def window_bindings(sys, cand, traj: Trajectory, k_window, lo: int, hi: int,
         yield k, pt
 
 
+# Step k of a verification window: state x and input u at k, the exact tower
+# point w (`Tower.trajectory_seed`), and `pt` binding the parameters, the
+# output measurements around k (`window_bindings`) and w.
+Window = namedtuple("Window", "k pt x u w")
+
+
+def tower_windows(sys, cand, tower, traj: Trajectory, k_window) -> list:
+    """The `Window` of each step of `k_window` along `traj`, for `tower`.
+    A tower's outputs are (x, u)-flat: they read no g-value history."""
+    idx = tower.indices
+    out = []
+    for k, y in window_bindings(sys, cand, traj, k_window, -max(idx.r1),
+                                max(idx.r2), 0):
+        x, u = traj.state(k), traj.inputs(k)
+        w = tower.trajectory_seed(y, x, u)
+        y.update(zip(tower.variables, w.tolist()))
+        out.append(Window(k, y, x, u, w))
+    return out
+
+
 def verify_parameterization(sys, cand, param, traj: Trajectory,
                             k_window, tol: float = 1e-8) -> ResidualReport:
     """Check |x(k) - F_x(y-shifts)| and |u(k) - F_u(y-shifts)| along the
     trajectory for each k in the window."""
-    r1 = param.indices.r1
-    r2 = param.indices.r2
-    lo, hi = -max(r1), max(r2)
+    return check_windows(param, tower_windows(sys, cand, param.tower, traj,
+                                              k_window), tol)
+
+
+def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
+    """The residuals of `verify_parameterization` at `windows`; an EvalError
+    is raised again, same type, naming its window's k."""
     worst_x = worst_u = 0.0
-    worst_k = None
-    checked = 0
-    # steps of g-value history the outputs phi read
-    zdepth = max([-v.shift for e in cand.phi for v in vars_of(e)
-                  if v.family == sys.gvalue_family] + [0])
-    for k, pt in window_bindings(sys, cand, traj, k_window, lo, hi, zdepth):
-        xk = traj.state(k)
-        uk = traj.inputs(k)
-        if param.F_x is not None:
-            fx = [evaluate(e, pt) for e in param.F_x]
-            fu = [evaluate(e, pt) for e in param.F_u]
-        else:
-            # seed Newton off the measured chain data, deterministically
-            # perturbed so convergence demonstrates local invertibility
-            tower = param.tower
-            seed = tower.trajectory_seed(pt, xk, uk)
-            seed = seed + tower.seed_perturbation * (1.0 + np.abs(seed))
-            fx, fu, _ = tower.recover(pt, seed=seed)
-        rx = max(abs(a - b) for a, b in zip(fx, xk))
-        ru = max(abs(a - b) for a, b in zip(fu, uk))
-        checked += 1
+    worst_k = 0
+    for win in windows:
+        try:
+            if param.F_x is not None:
+                fx = [evaluate(e, win.pt) for e in param.F_x]
+                fu = [evaluate(e, win.pt) for e in param.F_u]
+            else:
+                # seed Newton off the exact tower point w, moved by 1e-3 cos(i)
+                # (1 + |w_i|) so that convergence shows local invertibility
+                w = win.w
+                seed = w + 1e-3 * np.cos(np.arange(w.size)) * (1.0 + np.abs(w))
+                fx, fu, _ = param.tower.recover(win.pt, seed=seed)
+        except EvalError as ex:
+            raise type(ex)(f"at window k = {win.k}: {ex}") from ex
+        rx = max(abs(a - b) for a, b in zip(fx, win.x))
+        ru = max(abs(a - b) for a, b in zip(fu, win.u))
         if max(rx, ru) > max(worst_x, worst_u):
-            worst_k = k
+            worst_k = win.k
         worst_x = max(worst_x, rx)
         worst_u = max(worst_u, ru)
     return ResidualReport(max_residual_x=worst_x, max_residual_u=worst_u,
-                          worst_k=worst_k if worst_k is not None else 0,
-                          tolerance=tol, checked=checked)
+                          worst_k=worst_k, tolerance=tol,
+                          checked=len(windows))
 
 
 def _max_abs(r: np.ndarray) -> float:
@@ -368,7 +387,7 @@ def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError as ex:
-            raise EvalError(f"singular Jacobian in Newton solve: {ex}") from ex
+            raise EvalError("singular Jacobian in Newton solve") from ex
         # damped step for robustness far from the seed
         lam = 1.0
         for _ in range(25):

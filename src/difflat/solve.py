@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
-    EvalError, Expr, Var, differentiate, evaluate, mul, num, pow_, sub,
+    EvalError, Expr, Var, _key, differentiate, evaluate, mul, num, pow_, sub,
     substitute, vars_of,
 )
 
@@ -35,8 +35,9 @@ class _Row:
 
 def _is_affine(e: Expr, unknowns: set) -> dict | None:
     """If e is jointly affine in the unknowns it contains, return the
-    coefficient map {var: Expr}; otherwise None."""
-    present = [v for v in vars_of(e) if v in unknowns]
+    coefficient map {var: Expr} in `expr._key` order (not a set's hash-seeded
+    one, since pivot ties go to the first entry); otherwise None."""
+    present = sorted((v for v in vars_of(e) if v in unknowns), key=_key)
     if not present:
         return None
     coeffs = {}

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import AnalyzeOptions, FlatCandidate
-from .expr import _FAMILY_RANK, Par, Var, evaluate, to_text, vars_of
+from .expr import (
+    _FAMILY_RANK, EvalError, Par, Var, evaluate, to_text, vars_of,
+)
 from .model import SystemModel
 from .parsing import DimTable, ParseError, parse_expression
 
@@ -57,6 +59,7 @@ class SystemFile:
 
 
 def _split_sections(text: str):
+    """Rows {name: [(lhs, rhs, line)]} and header lines {name: line}."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,7 +72,7 @@ def _split_sections(text: str):
             name = line[1:-1].strip().lower()
             if name not in _SECTION_ORDER:
                 raise SystemFileError(f"unknown section [{name}]", lineno)
-            if any(name == seen for seen, _ in sections):
+            if any(name == seen for seen, *_ in sections):
                 raise SystemFileError(f"duplicate section [{name}]", lineno)
             if current is not None:
                 prev = _SECTION_ORDER.index(current[0])
@@ -77,7 +80,7 @@ def _split_sections(text: str):
                     raise SystemFileError(
                         f"section [{name}] out of order (sections follow "
                         f"{', '.join(_SECTION_ORDER)})", lineno)
-            current = (name, [])
+            current = (name, [], lineno)
             sections.append(current)
             continue
         if current is None:
@@ -86,19 +89,23 @@ def _split_sections(text: str):
             raise SystemFileError("expected 'name = expression'", lineno)
         lhs, rhs = line.split("=", 1)
         current[1].append((lhs.strip(), rhs.strip(), lineno))
-    return dict((name, rows) for name, rows in sections)
+    return ({name: rows for name, rows, _ in sections},
+            {name: line for name, _, line in sections})
 
 
 def _parse(text: str, table: DimTable, line: int, what: str = ""):
     """parse_expression of one row; a ParseError is raised as a
     SystemFileError, whose message keeps the parse error's text (it names
-    the line and column already) and whose `.line` is the row's."""
+    the line and column already) and whose `.line` is the row's, and an
+    exact division by zero as one naming the row's line."""
     try:
         return parse_expression(text, table, line=line)
     except ParseError as ex:
         err = SystemFileError(f"{what}{ex}")
         err.line = ex.line
         raise err from ex
+    except EvalError as ex:
+        raise SystemFileError(f"{what}{ex}", line) from ex
 
 
 def _eval_const(text: str, params: dict, lineno: int) -> float:
@@ -106,11 +113,14 @@ def _eval_const(text: str, params: dict, lineno: int) -> float:
     e = _parse(text, table, lineno, "bad numeric expression: ")
     bindings = {Par(k): float(v) for k, v in params.items()}
     bindings[Par("pi")] = math.pi
-    return evaluate(e, bindings)
+    try:
+        return evaluate(e, bindings)
+    except EvalError as ex:
+        raise SystemFileError(f"bad numeric expression: {ex}", lineno) from ex
 
 
 def loads_system(text: str, path: str = "") -> SystemFile:
-    sections = _split_sections(text)
+    sections, headers = _split_sections(text)
     missing = _REQUIRED - set(sections)
     if missing:
         raise SystemFileError(f"missing sections: {', '.join(sorted(missing))}")
@@ -123,7 +133,8 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     try:
         n, m = int(dims["n"]), int(dims["m"])
     except (KeyError, ValueError) as ex:
-        raise SystemFileError(f"[dims] must declare integer n and m: {ex}")
+        raise SystemFileError(f"[dims] must declare integer n and m: {ex}",
+                              headers["dims"])
 
     table = DimTable(n, m, frozenset(params))
 
@@ -137,7 +148,8 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     dyn = sections["dynamics"]
     if len(dyn) != n:
         raise SystemFileError(
-            f"[dynamics] has {len(dyn)} rows, n = {n}", dyn[0][2] if dyn else None)
+            f"[dynamics] has {len(dyn)} rows, n = {n}",
+            dyn[0][2] if dyn else headers["dynamics"])
     state_vars, f = [], []
     for lhs, rhs, ln in dyn:
         if not lhs.endswith("+"):
@@ -174,7 +186,8 @@ def loads_system(text: str, path: str = "") -> SystemFile:
         try:
             g = tuple(by_name[f"g{j + 1}"] for j in range(m))
         except KeyError as ex:
-            raise SystemFileError(f"[extension] must define g1..g{m}: missing {ex}")
+            raise SystemFileError(f"[extension] must define g1..g{m}: missing {ex}",
+                                  headers["extension"])
 
     psi_x = psi_u = None
     inv_rows = parse_rows("inverse")
@@ -190,16 +203,16 @@ def loads_system(text: str, path: str = "") -> SystemFile:
             psi_x = tuple(by_var[v] for v in state_vars)
             psi_u = tuple(by_var[v] for v in input_vars)
         except KeyError as ex:
-            raise SystemFileError(f"[inverse] misses a coordinate: {ex}")
+            raise SystemFileError(f"[inverse] misses a coordinate: {ex}",
+                                  headers["inverse"])
 
     out_rows = parse_rows("output", expect=m)
-    if len(out_rows) != m:
-        raise SystemFileError(f"[output] must define y1..y{m}")
     by_name = {lhs: e for lhs, e, _ in out_rows}
     try:
         phi = tuple(by_name[f"y{j + 1}"] for j in range(m))
     except KeyError as ex:
-        raise SystemFileError(f"[output] must define y1..y{m}: missing {ex}")
+        raise SystemFileError(f"[output] must define y1..y{m}: missing {ex}",
+                              headers["output"])
 
     user_F = None
     par_rows = parse_rows("parameterization")
@@ -212,7 +225,8 @@ def loads_system(text: str, path: str = "") -> SystemFile:
                       tuple(by_var[v] for v in input_vars))
         except KeyError as ex:
             raise SystemFileError(
-                f"[parameterization] misses a coordinate: {ex}")
+                f"[parameterization] misses a coordinate: {ex}",
+                headers["parameterization"])
 
     point = {v: 0.0 for v in state_vars}
     point.update({v: 0.0 for v in input_vars})
@@ -241,6 +255,14 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     model = SystemModel(n=n, m=m, f=tuple(f), state_vars=tuple(state_vars),
                         input_vars=tuple(input_vars), g=g, psi_x=psi_x,
                         psi_u=psi_u, params=params, point=point, name=name)
+    # every analysis starts at the equilibrium: f and g must evaluate there
+    at = model.analysis_point()
+    for e, ln in ([(fi, ln) for fi, (_, _, ln) in zip(f, dyn)]
+                  + [(gj, ln) for _, gj, ln in ext_rows]):
+        try:
+            evaluate(e, at)
+        except EvalError as ex:
+            raise SystemFileError(f"at the equilibrium: {ex}", ln) from ex
     cand = FlatCandidate(phi=phi, user_F=user_F)
     opts = AnalyzeOptions(input_boxes=boxes)
     return SystemFile(model=model, candidate=cand, options=opts, path=path)

@@ -12,10 +12,7 @@ import pytest
 
 from conftest import random_corpus_expressions
 from difflat import systems
-from difflat.analysis import (
-    AnalyzeOptions, _tower_probe_points, analyze, normalize_inputs,
-    zero_block_check,
-)
+from difflat.analysis import analyze, normalize_inputs, zero_block_check
 from difflat.cli import main
 from difflat.expr import (
     Var, differentiate, evaluate, substitute, to_text, var, vars_of,
@@ -137,7 +134,8 @@ def test_criterion_4_index_identities(reports, corpus):
 
 
 def test_criterion_5_rank_coincidence(reports, corpus):
-    # systems with R1 > 0; ranks compared point by point at 10 probes
+    # systems with R1 > 0; ranks compared point by point at the 12
+    # verification windows
     checked = []
     for name in ("academic", "robot"):
         rep = reports[name]
@@ -148,8 +146,8 @@ def test_criterion_5_rank_coincidence(reports, corpus):
         gF = [substitute(gj, dict(zip(
             list(sysm.state_vars) + list(sysm.input_vars),
             list(param.F_x) + list(param.F_u)))) for gj in sysm.g]
-        pts = _tower_probe_points(param.tower, AnalyzeOptions(), count=11)[1:]
-        assert len(pts) == 10
+        pts = [win.pt for win in param.tower.windows]
+        assert len(pts) == 12
         J_g = [[differentiate(e, c) for c in cols] for e in gF]
         J_x = [[differentiate(e, c) for c in cols] for e in param.F_x]
         for pt in pts:
@@ -158,7 +156,7 @@ def test_criterion_5_rank_coincidence(reports, corpus):
             assert rg == rx, (name, rg, rx)
         checked.append(name)
     print(f"criterion 5 (rank d_y[-R1] g(F) == rank d_y[-R1] F_x on "
-          f"{checked} at 10 points each): PASS")
+          f"{checked} at 12 windows each): PASS")
 
 
 def test_criterion_6_zero_block(academic, reports):
@@ -269,7 +267,7 @@ def test_criterion_9_infrastructure(reports, corpus, models_with_psi):
         # parameterization Jacobians where symbolic
         param = rep.parameterization
         if param.F_x is not None:
-            ypt = _tower_probe_points(param.tower, AnalyzeOptions(), count=3)[2]
+            ypt = param.tower.windows[2].pt
             ycols = sorted({v for e in list(param.F_x) + list(param.F_u)
                             for v in vars_of(e)}, key=to_text)
             assert fd_ok(list(param.F_x) + list(param.F_u), ycols, ypt)

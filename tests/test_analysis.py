@@ -1,9 +1,11 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ import pytest
 import difflat
 from difflat import systems
 from difflat.analysis import (
-    AnalysisError, AnalyzeOptions, FlatCandidate, _default_trajectory,
-    _rank_deficiency, _tower_probe_points, analyze, backward_depths,
-    build_tower, classify, normalize_inputs, relative_degrees,
+    VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate,
+    _default_trajectory, _rank_drop, _try_tower, analyze, backward_depths,
+    build_tower, classify, invert_tower, normalize_inputs, relative_degrees,
     zero_block_check,
 )
 from difflat.expr import (
@@ -22,7 +24,7 @@ from difflat.expr import (
 )
 from difflat.model import SystemModel, invert_extension
 from difflat.numeric import (
-    PROBE_COUNT, RankProbe, eval_matrix, newton_solve, numeric_rank,
+    RankProbe, check_windows, eval_matrix, newton_solve, numeric_rank,
     random_inputs, simulate, window_bindings,
 )
 from difflat.parsing import DimTable, parse_expression
@@ -181,7 +183,7 @@ def test_tower_functional_independence(reports):
     for rep in reports.values():
         rp = rep.tower.rank_probe
         assert rp.generic == rp.required
-        assert all(r == rp.required for r in rp.per_point[1:])
+        assert rp.per_point == [rp.required] * VERIFY_STEPS
 
 
 def test_index_identities(reports, corpus):
@@ -328,45 +330,74 @@ def test_exact_seed_reproduces_the_targets(name, full):
 
 
 def test_relabeled_swapped_vtol_starts_on_the_singular_locus():
-    """Why verification fails on vtol with relabeled states and swapped
-    outputs: the exact seed is not at fault. At k = 0 the trajectory sits at
-    x3 = pi/2, where the accepted tower's input transform divides by
-    cos(x3); the tower Jacobian there is rank deficient, and neither the
-    rows nor the input recovery reproduce the trajectory. At every later k
-    the exact seed solves the rows."""
+    """On vtol with relabeled states and swapped outputs the first tower,
+    sigma_y = (0, 1), is admissible but singular where the verification
+    trajectory starts: at k = 0 the attitude x3 is pi/2, where its input
+    transform divides by cos(x3), so its Jacobian at the exact tower point
+    is rank deficient there and full at every later window. The search
+    passes over it for sigma_y = (1, 0), whose exact seed solves the rows
+    at every window. Verifying the first tower fails at k = 0, and the error
+    names that window."""
+    sf = loads_system(VTOL_RELABELED_SWAPPED)
+    sysm, cand, opts = sf.model, sf.candidate, sf.options
+    first = _try_tower(sysm, cand, relative_degrees(sysm, cand, opts), None,
+                       (0, 1), "forward", opts, [])
+    ranks = first.rank_probe.per_point
+    assert ranks[0] <= 2 and ranks[1:] == [10] * (VERIFY_STEPS - 1)
+    assert _rank_drop(first) == (f"tower rank {ranks[0]} < required 10 at "
+                                 "verification window k = 0")
+    with pytest.raises(EvalError, match=r"^at window k = 0: Newton "):
+        check_windows(invert_tower(sysm, cand, first), first.windows)
     windows = _exact_seed_windows(VTOL_RELABELED_SWAPPED)
-    assert [k for k, rank, *_ in windows if rank < 10] == [0]
-    k, rank, row_err, u_err = windows[0]
-    assert rank <= 2 and row_err > 1.0 and u_err > 100.0
-    for k, rank, row_err, u_err in windows[1:]:
-        assert row_err <= 1e-12, k
+    assert [k for k, *_ in windows] == list(range(VERIFY_STEPS))
+    for k, rank, row_err, u_err in windows:
+        assert rank == 10 and row_err <= 1e-12 and u_err <= 1e-9, k
 
 
 def test_tower_rank_diagnostic_names_the_deficient_rank():
-    """A candidate tower rejected because one perturbed probe is rank
-    deficient reports that probe's rank, not the (full) generic one."""
+    """A tower passed over because its rank drops at a verification window
+    reports that window and the rank there."""
     text = systems.source("vtol").replace("y1 = x1\ny2 = x2",
                                           "y1 = x2\ny2 = x1")
     sf = loads_system(text)
     rep = analyze(sf.model, sf.candidate, sf.options)
     assert rep.indices.sigma_y == (1, 0)
     assert rep.classification.diagnostics[0] == (
-        "forward sigma_y=(0, 1): tower rank 9 < required 10 at a perturbed "
-        "probe")
+        "forward sigma_y=(0, 1): tower rank 2 < required 10 at verification "
+        "window k = 0")
 
 
-@pytest.mark.parametrize("at_point, per_point, why", [
-    (2, [2, 10, 10], None),
-    (10, [10, 10, 9], "tower rank 9 < required 10 at a perturbed probe"),
-    (None, [10, 8], "tower rank 8 < required 10 at a perturbed probe"),
-    (None, [10, 10], None),
-    (10, [10], "tower rank: no perturbed probe evaluated (required 10)"),
-    (None, [], "tower rank: no perturbed probe evaluated (required 10)"),
+@pytest.mark.parametrize("per_window, drop", [
+    ([10, 10, 10], None),
+    ([2, 10, 10], "tower rank 2 < required 10 at verification window k = 0"),
+    ([10, 10, 9], "tower rank 9 < required 10 at verification window k = 2"),
+    ([10, 0, 8], "tower rank 0 < required 10 at verification window k = 1"),
 ])
-def test_rank_deficiency(at_point, per_point, why):
-    rp = RankProbe(at_point=at_point, generic=max(per_point, default=0),
-                   per_point=per_point, required=10)
-    assert _rank_deficiency(rp) == why
+def test_rank_drop(per_window, drop):
+    """The first window whose rank is not full, a window that cannot be
+    evaluated (rank 0) included."""
+    windows = [SimpleNamespace(k=k) for k in range(len(per_window))]
+    rp = RankProbe(at_point=None, generic=10, per_point=per_window,
+                   required=10)
+    assert _rank_drop(SimpleNamespace(windows=windows, rank_probe=rp)) == drop
+
+
+def test_without_a_regular_tower_the_first_admissible_one_is_kept():
+    """academic with u2 in micro-units: its one admissible tower has a
+    window where the float rank drops (the Jacobian's condition number is
+    near 1/tol_rank there). The search keeps it and reports the drop, and
+    verification passes."""
+    head, tail = systems.source("academic").split("[equilibrium]")
+    text = (re.sub(r"\bu2\b", "(1000000*u2)", head) + "[equilibrium]"
+            + tail.replace("u2 = -1 .. 1", "u2 = -1/1000000 .. 1/1000000"))
+    sf = loads_system(text)
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    assert rep.classification.kind == "backward_flat"
+    assert rep.residuals["pass"]
+    drops = [d for d in rep.classification.diagnostics
+             if "at verification window" in d]
+    assert drops and drops[0].startswith(
+        f"{rep.tower.context.mode} sigma_y={rep.indices.sigma_y}: ")
 
 
 @pytest.fixture(scope="module")
@@ -389,10 +420,8 @@ def symbolic(reports, corpus):
 @pytest.mark.parametrize("name", ["robot", "academic", "double_chain"])
 def test_inverse_tower_jacobian_matches_the_symbolic_partials(symbolic, name):
     """By the implicit function theorem the inverse tower Jacobian is dF: at
-    each tower probe its y[-R1] and y[R2] columns match the evaluated
-    partials of the symbolic F_x and F_u, with the same ranks. Where the
-    tower Jacobian is singular (the analysis point of robot and academic),
-    F has a pole."""
+    each verification window its y[-R1] and y[R2] columns match the
+    evaluated partials of the symbolic F_x and F_u, with the same ranks."""
     rep, opts = symbolic[name]
     param, idx = rep.parameterization, rep.indices
     assert param.source == "tower_inverted"
@@ -401,18 +430,10 @@ def test_inverse_tower_jacobian_matches_the_symbolic_partials(symbolic, name):
     cols_R2 = [Var("y", j + 1, idx.r2[j]) for j in range(2)]
     cols = cols_mR1 + cols_R2
     at = [imp.targets.index(c) for c in cols]
-    pts = _tower_probe_points(param.tower, opts, count=PROBE_COUNT + 1)
-    assert len(pts) == 11
-    inverted = 0
+    pts = [win.pt for win in imp.windows]
+    assert len(pts) == VERIFY_STEPS
     for pt in pts:
-        try:
-            dFx, dFu, _ = imp.jacobian_blocks(
-                [pt[v] for v in param.tower.variables])
-        except np.linalg.LinAlgError:
-            with pytest.raises(EvalError):
-                eval_matrix(jacobian(list(param.F_x + param.F_u), cols), pt)
-            continue
-        inverted += 1
+        dFx, dFu, _ = imp.jacobian_blocks([pt[v] for v in imp.variables])
         for F, block in ((param.F_x, dFx), (param.F_u, dFu)):
             want = eval_matrix(jacobian(list(F), cols), pt)
             np.testing.assert_allclose(block[:, at], want, rtol=1e-7,
@@ -421,21 +442,19 @@ def test_inverse_tower_jacobian_matches_the_symbolic_partials(symbolic, name):
             eval_matrix(jacobian(list(param.F_u), cols_R2), pt))
         assert numeric_rank(dFx[:, at[:2]]) == numeric_rank(
             eval_matrix(jacobian(list(param.F_x), cols_mR1), pt))
-    assert inverted >= PROBE_COUNT
 
 
 def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
-    """classify skips a tower probe whose blocks are not finite and reads
-    the same ranks off the others; with every probe skipped it fails. The
-    tower Jacobian is singular at the center probe, so only the PROBE_COUNT
-    perturbed ones reach the poisoning."""
+    """classify skips a verification window whose blocks are not finite and
+    reads the same ranks off the others; with every window skipped it
+    fails."""
     rep = reports["robot"]
     param = rep.parameterization
     blocks = param.tower.jacobian_blocks
     poisoned = []
 
     def poison(w):
-        dFx, dFu, M = blocks(w)  # LinAlgError at the center
+        dFx, dFu, M = blocks(w)
         if len(poisoned) < poison.count:
             poisoned.append(w)
             dFu = np.full_like(dFu, np.inf)
@@ -447,10 +466,10 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
     assert len(poisoned) == 1
     assert cls.to_json() == rep.classification.to_json()
     poisoned.clear()
-    poison.count = PROBE_COUNT
-    with pytest.raises(AnalysisError, match="no probe point"):
+    poison.count = VERIFY_STEPS
+    with pytest.raises(AnalysisError, match="no verification window"):
         classify(rep.model, robot.candidate, param, robot.options)
-    assert len(poisoned) == PROBE_COUNT
+    assert len(poisoned) == VERIFY_STEPS
 
 
 def test_trivial_system_is_linearizing():

@@ -1,10 +1,12 @@
 import json
+import random
+import re
 
 import pytest
 
 from difflat import systems
 from difflat.cli import main
-from difflat.sysfile import loads_system
+from difflat.sysfile import SystemFileError, loads_system
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +61,8 @@ def test_analyze_input_error_exit_code(paths, tmp_path, capsys):
 
 # vtol with its states relabeled x1..x6 -> x6, x1, x5, x4, x3, x2 and its
 # outputs swapped: the verification trajectory starts on the singular locus
-# of the accepted tower's input transform (cos(x3) = 0), where Newton
-# inversion fails
+# of the first admissible tower's input transform (cos(x3) = 0), where
+# Newton inversion fails, so the tower search passes over that tower
 VTOL_RELABELED_SWAPPED = """
 [params]
 T_s = 1/10
@@ -97,12 +99,12 @@ u2 = -1/4 .. 1/4
 """
 
 
-def test_failed_trajectory_verification_is_a_typed_error(tmp_path, capsys):
-    p = tmp_path / "vtol_relabeled.sys"
-    p.write_text(VTOL_RELABELED_SWAPPED, encoding="utf-8")
-    rc, _, err = run(capsys, "analyze", str(p))
+def test_failed_trajectory_verification_is_a_typed_error(paths, capsys):
+    # vtol's residuals are near 1e-9, far above this tolerance
+    rc, _, err = run(capsys, "analyze", paths["vtol"], "--tol-verify", "1e-15")
     assert rc == 1
-    assert "analysis error: parameterization failed trajectory verification" in err
+    assert ("analysis error: parameterization failed trajectory "
+            "verification: max residual") in err
     assert "Traceback" not in err
 
 
@@ -236,3 +238,59 @@ def test_print_round_trip(paths, capsys):
     assert sf.model.n == 3
     rc2, out2, _ = run(capsys, "print", paths["robot"])
     assert out == out2
+
+
+# replacement tokens and inserted lines of the mutation test: exact zero
+# divisions, poles at the equilibrium, unknown leaves, broken syntax and
+# malformed sections
+_TOKENS = ["0", "1/0", "1/x1", "x1", "x9", "u3", "y1", "(", ")", "+", "*",
+           "/", "^", "pi", "sin(", "zeta1[-1]", "", "=", "[", "]", "n", "#"]
+_LINES = ["[dims]", "[output]", "x1 = 0", "a = 1/0", "n = 0", "m = 3",
+          "y3 = x1", "g1 = 1/x1", "u1 = 1 .. 0", "x1+ = x1"]
+_TOKEN = re.compile(r"[A-Za-z_]\w*(\[-?\d+\])?|\d+(\.\d+)?|\S")
+
+
+def _mutant(text, rng):
+    """`text` with one or two lines deleted, duplicated, swapped, inserted
+    or with one token replaced."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        op, i = rng.randrange(5), rng.randrange(len(lines))
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            tokens = list(_TOKEN.finditer(lines[i]))
+            if tokens:
+                t = rng.choice(tokens)
+                lines[i] = (lines[i][:t.start()] + rng.choice(_TOKENS)
+                            + lines[i][t.end():])
+        elif op == 3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines.insert(i, rng.choice(_LINES))
+        lines = lines or [""]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_files_end_in_an_exit_code(tmp_path, capsys):
+    """Seeded mutations of the bundled files: `difflat analyze` returns an
+    exit code on each, never raises, and every SystemFileError but a missing
+    section names its line."""
+    rng = random.Random(11)
+    path = tmp_path / "mutant.sys"
+    codes = []
+    for _ in range(200):
+        text = _mutant(systems.source(rng.choice(systems.names())), rng)
+        try:
+            loads_system(text)
+        except SystemFileError as ex:
+            assert ex.line is not None or str(ex).startswith(
+                "missing sections"), (text, str(ex))
+        path.write_text(text, encoding="utf-8")
+        rc, _, err = run(capsys, "analyze", str(path))
+        assert "Traceback" not in err
+        codes.append(rc)
+    assert {0, 1} <= set(codes) <= {0, 1, 2}

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from difflat.analysis import AnalyzeOptions, _tower_probe_points
 from difflat.expr import (
     Add, EvalError, Fun, Mul, Par, PoleError, Pow, UnboundLeafError, Var, add,
     canonical, compile_exprs, cos, cot, differentiate, div, evaluate,
@@ -319,7 +318,7 @@ def test_compiled_towers_and_jacobians_match_evaluate(reports):
         tower = report.tower
         rows = tower.row_exprs()
         exprs = rows + [e for row in jacobian(rows, tower.variables) for e in row]
-        for pt in _tower_probe_points(tower, AnalyzeOptions()):
+        for pt in [tower.jet_center] + [win.pt for win in tower.windows]:
             leaves = list(tower.variables) + [k for k in pt if isinstance(k, Par)]
             _assert_compiled_matches(exprs, leaves, [pt[k] for k in leaves])
 

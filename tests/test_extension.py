@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from difflat import analysis, expr, extension, numeric, systems
-from difflat.analysis import FlatCandidate, analyze
+from difflat.analysis import VERIFY_STEPS, FlatCandidate, analyze
 from difflat.expr import EvalError, Var, compile_exprs, evaluate, jacobian, var
 from difflat.extension import (
     ExtensionError, build_combined, certify_linearizing, truncated,
@@ -278,37 +278,43 @@ def _matrix_or_error(fn):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tower_kernel_matches_the_tree_walked_jacobian(name, monkeypatch):
-    """At every probe of the tower search's rank probe (every candidate
-    tower) and of the certificate, the matrix read off the tower's compiled
-    kernel is byte-equal to the tree-walked Jacobian of the rows, in the row
-    and column order each takes: the search's row order against the tower
-    variables, and `row_exprs` against the extended coordinates."""
-    seen = []     # (rows, cols, probe, matrix or error)
+    """At every point where the tower search reads a rank (the jet center and
+    each verification window of every candidate tower) and at every probe of
+    the certificate, the matrix read off the tower's compiled kernel is
+    byte-equal to the tree-walked Jacobian of the rows, in the row and
+    column order each takes: `row_exprs` against the tower variables, and
+    against the extended coordinates."""
+    seen = []     # (rows, cols, point, matrix or error)
     towers = []
 
-    def spy(module, rows_cols):
-        real = module.matrix_rank_probe
+    def record(rows, cols, matrix_at, points):
+        seen.extend((rows, cols, pt, _matrix_or_error(lambda: matrix_at(pt)))
+                    for pt in points)
 
-        def probe(matrix_at, probes, *args, **kwargs):
-            probes = list(probes)
-            rows, cols = rows_cols()
-            seen.extend((rows, cols, pt, _matrix_or_error(lambda: matrix_at(pt)))
-                        for pt in probes)
-            return real(matrix_at, probes, *args, **kwargs)
-        monkeypatch.setattr(module, "matrix_rank_probe", probe)
+    real_tower_rank = analysis._tower_rank
 
-    real_tower_probe = analysis._tower_probe
-    monkeypatch.setattr(analysis, "_tower_probe", lambda tower, opts: (
-        towers.append(tower) or real_tower_probe(tower, opts)))
-    spy(analysis, lambda: (list(towers[-1].rows.values()),
-                           list(towers[-1].variables)))
+    def tower_rank(tower, opts):
+        towers.append(tower)
+        record(tower.row_exprs(), list(tower.variables), tower.jacobian_at,
+               [tower.jet_center] + [win.pt for win in tower.windows])
+        return real_tower_rank(tower, opts)
+
+    monkeypatch.setattr(analysis, "_tower_rank", tower_rank)
     sf = loads_system(CASES[name])
     rep = analyze(sf.model, sf.candidate, sf.options)
     ext = build_combined(rep.model, sf.candidate, rep.tower)
-    spy(extension, lambda: (ext.tower.row_exprs(),
-                            list(ext.model.state_vars) + list(ext.model.input_vars)))
+    real_probe = extension.matrix_rank_probe
+
+    def probe(matrix_at, probes, *args, **kwargs):
+        probes = list(probes)
+        record(ext.tower.row_exprs(),
+               list(ext.model.state_vars) + list(ext.model.input_vars),
+               matrix_at, probes)
+        return real_probe(matrix_at, probes, *args, **kwargs)
+
+    monkeypatch.setattr(extension, "matrix_rank_probe", probe)
     assert certify_linearizing(ext, sf.options).passed
-    assert len(seen) == (len(towers) + 1) * (PROBE_COUNT + 1)
+    assert len(seen) == (len(towers) * (1 + VERIFY_STEPS) + PROBE_COUNT + 1)
     for rows, cols, pt, got in seen:
         J = jacobian(rows, cols)
         assert got == _matrix_or_error(lambda: eval_matrix(J, pt))

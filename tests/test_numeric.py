@@ -415,3 +415,9 @@ def test_newton_nan_residual_is_never_progress():
 
     with pytest.raises(EvalError, match="stagnated"):
         newton_solve(residual, lambda w: np.eye(2), np.ones(2))
+
+
+def test_a_singular_newton_step_is_a_plain_eval_error():
+    with pytest.raises(EvalError) as ei:
+        newton_solve(lambda w: w - 1.0, lambda w: np.zeros((2, 2)), np.zeros(2))
+    assert str(ei.value) == "singular Jacobian in Newton solve"

@@ -174,22 +174,59 @@ def test_cli_reports_match_golden(name, tmp_path):
     _assert_matches_golden(name, snapshot(name, tmp_path))
 
 
-def test_cli_reports_match_golden_under_hash_seed_3(tmp_path):
-    """The snapshots of every case, taken in a fresh interpreter with
-    PYTHONHASHSEED=3, match the goldens too."""
+def _fresh(code, hash_seed, *args):
+    """Run `code` with `args` in a fresh interpreter under PYTHONHASHSEED
+    `hash_seed`, with this directory importable; return its stdout."""
     path = [str(Path(difflat.__file__).parents[1]), str(Path(__file__).parent)]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONHASHSEED="3", PYTHONPATH=os.pathsep.join(path))
-    code = ("import json, sys, test_snapshot as t; print(json.dumps("
-            "{n: t.snapshot(n, sys.argv[1]) for n in sorted(t.CASES)}))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    snaps = json.loads(proc.stdout)
+    return proc.stdout
+
+
+def test_cli_reports_match_golden_under_hash_seed_3(tmp_path):
+    """The snapshots of every case, taken in a fresh interpreter with
+    PYTHONHASHSEED=3, match the goldens too."""
+    code = ("import json, sys, test_snapshot as t; print(json.dumps("
+            "{n: t.snapshot(n, sys.argv[1]) for n in sorted(t.CASES)}))")
+    snaps = json.loads(_fresh(code, "3", tmp_path))
     assert sorted(snaps) == sorted(CASES)
     for name, mine in snaps.items():
         _assert_matches_golden(name, mine)
+
+
+ANALYZE_JSON = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+import test_snapshot as t
+out = {}
+for name in sorted(t.CASES):
+    path = f"{sys.argv[1]}/{name}.sys"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(t.CASES[name])
+    buf = StringIO()
+    with redirect_stdout(buf):
+        t.main(["analyze", path, "--json"])
+    out[name] = buf.getvalue()
+print(json.dumps(out))
+"""
+
+
+def test_analyze_json_does_not_depend_on_the_hash_seed(tmp_path):
+    """`analyze --json` of every case, F and residuals included, is the same
+    text under PYTHONHASHSEED 0 and 3."""
+    outs = []
+    for seed in ("0", "3"):
+        (tmp_path / seed).mkdir()
+        outs.append(json.loads(_fresh(ANALYZE_JSON, seed, tmp_path / seed)))
+    assert sorted(outs[0]) == sorted(CASES)
+    for name in CASES:
+        assert outs[0][name] == outs[1][name], name
 
 
 if __name__ == "__main__":

@@ -174,3 +174,26 @@ def test_input_inference_error_reports_the_first_dynamics_line():
         loads_system(bad)
     assert "cannot infer 2 input variables" in str(ei.value)
     assert ei.value.line == MINIMAL.splitlines().index("x1+ = u1") + 1
+
+
+@pytest.mark.parametrize("row, broken, at, message", [
+    ("x1+ = u1", "x1+ = u1 + u1/0", "x1+ = u1 + u1/0", "division by exact zero"),
+    ("x1+ = u1", "x1+ = 1/x1 + u1", "x1+ = 1/x1 + u1",
+     "at the equilibrium: pole: zero base in 1/x1"),
+    ("[dims]", "[params]\na = 1/0\n[dims]", "a = 1/0",
+     "bad numeric expression: division by exact zero"),
+    ("n = 2", "n = two", "[dims]", "[dims] must declare integer n and m"),
+    ("y2 = x2", "y3 = x2", "[output]", "[output] must define y1..y2"),
+    ("[output]", "[extension]\ng1 = x1\ng3 = x2\n[output]", "[extension]",
+     "[extension] must define g1..g2"),
+])
+def test_row_and_section_errors_name_their_line(row, broken, at, message):
+    """An exact division by zero, a pole of f at the equilibrium and a
+    malformed section raise a SystemFileError with the line of the row, or
+    of the section's header."""
+    bad = MINIMAL.replace(row, broken)
+    line = bad.splitlines().index(at) + 1
+    with pytest.raises(SystemFileError) as ei:
+        loads_system(bad)
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}: {message}")
