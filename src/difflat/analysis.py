@@ -140,13 +140,15 @@ class Tower:
     (`recover`) where the solver cannot invert the tower. The rows, the
     input recovery and their Jacobians compile on first use into
     straight-line functions of `leaves` (`expr.compile_exprs`, bit-identical
-    to `evaluate`); the rest is read from `context`."""
+    to `evaluate`), as do its outputs (`output_kernel`); the rest is read
+    from `context`."""
 
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
     indices: ShiftIndices
     context: TowerContext
     sources: dict                  # {tower variable: y leaf, state or input it equals}
+    outputs: tuple                 # the candidate's phi over the base model's x, u
     windows: list = field(default_factory=list)   # set by the tower search
     rank_probe: RankProbe | None = None   # jet center, then each window
 
@@ -220,34 +222,52 @@ class Tower:
         return np.asarray(w).tolist() + self._param_values
 
     @cached_property
-    def _seed_plan(self) -> list:
-        """Where `trajectory_seed` reads each tower variable's source: ("x",
-        state index), ("u", input index) or ("y", output leaf)."""
+    def output_kernel(self):
+        """The outputs compiled once over the base model's states, inputs and
+        parameters (`window_plan`), as towers are (x, u)-flat."""
         base = self.context.base_model
-        plan = []
-        for v in self.variables:
-            src = self.sources[v]
-            if src in base.state_vars:
-                plan.append(("x", base.state_vars.index(src)))
-            elif src in base.input_vars:
-                plan.append(("u", base.input_vars.index(src)))
-            else:
-                plan.append(("y", src))
-        return plan
+        return compile_exprs(self.outputs, [*base.state_vars, *base.input_vars,
+                                            *self.window_plan[2]])
 
-    def trajectory_seed(self, y_bindings: dict, x_values, u_values):
+    @cached_property
+    def window_plan(self) -> tuple:
+        """How `numeric.tower_windows` reads a trajectory by position: the
+        output times k + lo .. k + hi around a step k, the parameter leaves,
+        the keys of `Window.pt` (parameters, y<j>[s] for s = lo .. hi, tower
+        variables) and the position of each target among its y values."""
+        m, lo, hi = len(self.outputs), -max(self.indices.r1), max(self.indices.r2)
+        params = list(self.context.base_model.param_bindings())
+        ys = [Var("y", j + 1, s) for s in range(lo, hi + 1) for j in range(m)]
+        at = [(s - lo) * m + j - 1 for (j, s), _ in self.ordered_rows()]
+        return lo, hi, params, params + ys + list(self.variables), at
+
+    @cached_property
+    def _seed_plan(self) -> list:
+        """Where `trajectory_seed` reads each tower variable's source: its
+        position among the states, then the inputs, then the targets."""
+        base = self.context.base_model
+        data = [*base.state_vars, *base.input_vars, *self.targets]
+        return [data.index(self.sources[v]) for v in self.variables]
+
+    @cached_property
+    def seed_offset(self) -> np.ndarray:
+        """1e-3 cos(i) for tower variable i: Newton starts off the exact point
+        w, at w + seed_offset (1 + |w|), to show local invertibility."""
+        return 1e-3 * np.cos(np.arange(len(self.variables)))
+
+    def trajectory_seed(self, y, x_values, u_values):
         """Newton seed from measured data: each tower variable's source, a
-        state of `x_values`, an input of `u_values` or an output measurement
-        of `y_bindings` (`_seed_plan`, computed once per tower)."""
-        data = {"x": x_values, "y": y_bindings, "u": u_values}
-        return np.array([data[src][key] for src, key in self._seed_plan],
-                        dtype=float)
+        state of `x_values`, an input of `u_values` or a measured target of
+        `y` (`targets` order), read by position (`_seed_plan`)."""
+        data = [*x_values, *u_values, *y]
+        return np.array([data[i] for i in self._seed_plan], dtype=float)
 
-    def recover(self, y_bindings: dict, seed):
-        """Solve tower(w) = y for w by Newton from `seed`; return (x values,
-        u values, w)."""
+    def recover(self, y, seed):
+        """Solve tower(w) = y for w by Newton from `seed`, where `y` holds
+        the measured targets in `targets` order; return (x values, u values,
+        w)."""
         rows = self._compiled[0]
-        targets = np.array([y_bindings[t] for t in self.targets])
+        targets = np.array(y, dtype=float)
 
         def residual(w):
             return np.array(rows(self._values(w))) - targets
@@ -623,10 +643,9 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
                        zeta_inverse=zeta_inverse, gbar=gbar,
                        diagnostics=list(diags))
     tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx,
-                  sources=sources)
+                  sources=sources, outputs=cand.phi)
     try:
-        tower.windows = tower_windows(sys, cand, tower,
-                                      *_default_trajectory(sys, idx, opts))
+        tower.windows = tower_windows(tower, *_default_trajectory(sys, idx, opts))
     except (EvalError, SimulationError) as ex:
         diags.append(f"{tag}: verification trajectory: {ex}")
         return None

@@ -679,10 +679,20 @@ def evaluate(e: Expr, point: Mapping[Union[Var, Par], float],
     Canonical trees share subexpression objects heavily (common denominators,
     trig atoms), so repeated nodes are memoized by identity within one call;
     pass a shared `memo` to amortize across several expressions at one point.
+    A float overflow or domain error (`**`, `fsum`, `sin`) raises `EvalError`.
     """
     if memo is None:
         memo = {}
-    return _eval(e, point, memo)
+    try:
+        return _eval(e, point, memo)
+    except (OverflowError, ValueError) as ex:
+        raise _float_error(ex) from ex
+
+
+def _float_error(ex: Exception) -> EvalError:
+    """The error both evaluators raise for a float operation that overflows
+    or leaves its domain."""
+    return EvalError(f"float error: {ex}")
 
 
 def _eval(e: Expr, point, memo: dict) -> float:
@@ -733,8 +743,9 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
     alone, so values are bit-identical to `evaluate`: constants are
     `float(value)`, sums `math.fsum`, products left to right (the leading
     `1.0 *` of `_eval` is exact and dropped), and a zero base under a
-    negative exponent raises the same first `PoleError`. A leaf not in
-    `leaves` raises `UnboundLeafError` here, at compile time.
+    negative exponent raises the same first `PoleError`, and a float overflow
+    or domain error the same `EvalError`. A leaf not in `leaves` raises
+    `UnboundLeafError` here, at compile time.
     """
     slots = [f"a{i}" for i in range(len(leaves))]
     args = dict(zip(leaves, slots))
@@ -775,10 +786,12 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
 
     out = [emit(e) for e in exprs]
     head = f"{', '.join(slots)}, = map(float, values)" if slots else "pass"
-    body = "\n    ".join([head] + lines + [f"return [{', '.join(out)}]"])
+    body = "\n        ".join(lines + [f"return [{', '.join(out)}]"])
     namespace = {"_fsum": math.fsum, "_sin": math.sin, "_cos": math.cos,
-                 "_pole": _pole, "_poles": poles}
-    exec(compile(f"def compiled(values):\n    {body}\n",
+                 "_pole": _pole, "_poles": poles, "_float_error": _float_error}
+    exec(compile(f"def compiled(values):\n    {head}\n    try:\n        {body}\n"
+                 "    except (OverflowError, ValueError) as ex:\n"
+                 "        raise _float_error(ex) from ex\n",
                  "<difflat.compile_exprs>", "exec"), namespace)
     return namespace["compiled"]
 

@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 PI = Par("pi")
+# Entries a model's shift cache keeps; the oldest goes first beyond it. One
+# analysis adds fewer than ten, so only a long-lived model that analyzes many
+# candidates reaches it.
+SHIFT_CACHE_SIZE = 1024
 
 
 class ModelError(Exception):
@@ -159,6 +163,8 @@ class SystemModel:
         image = self._delta_image if step > 0 else self._delta_inv_image
         mapping = {v: image(v) for v in vars_of(e)}
         out = substitute(e, mapping)
+        if len(self._shift_cache) >= SHIFT_CACHE_SIZE:
+            del self._shift_cache[next(iter(self._shift_cache))]
         self._shift_cache[key] = out
         return out
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -179,8 +179,8 @@ class Trajectory:
 
     def point(self, k: int, sys, input_depth: int = 0, zeta_depth: int = 0) -> dict:
         """Jet bindings at time k: states, input forward-shifts, g-histories.
-        `output_values` binds the same values by position; this dict is the
-        reference the tests compare it with."""
+        `tower_windows` binds the outputs by position instead; this dict is
+        the reference the tests compare it with."""
         pt = dict(self.params)
         xk = self.state(k)
         for i, v in enumerate(sys.state_vars):
@@ -240,7 +240,9 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.max_residual_x, self.max_residual_u) <= self.tolerance
+        """Both residuals within the tolerance; a NaN residual fails."""
+        return (self.max_residual_x <= self.tolerance
+                and self.max_residual_u <= self.tolerance)
 
     def to_json(self):
         return {
@@ -252,86 +254,49 @@ class ResidualReport:
         }
 
 
-@lru_cache(maxsize=32)
-def _leaf_rows(family: str, count: int, shifts: range) -> tuple:
-    """(family<1>[s], ..., family<count>[s]) for each s in shifts: the y
-    leaves of a window and the g-history leaves of the outputs, built once
-    per argument tuple (a few per system) instead of once per read."""
-    return tuple(tuple(Var(family, j + 1, s) for j in range(count))
-                 for s in shifts)
+class Window(namedtuple("Window", "k x u y w bindings")):
+    """Step k of a verification window: state x and input u at k, measured
+    targets y (`Tower.targets` order), exact tower point w, and the (keys,
+    values) that `pt` binds on first read (Newton reads none of them)."""
+
+    @cached_property
+    def pt(self) -> dict:
+        return dict(zip(*self.bindings))
 
 
-def output_values(sys, cand, traj: Trajectory, k: int, zdepth: int):
-    """Evaluate the candidate outputs phi at trajectory time k, binding
-    `zdepth` steps of g-value history.
-
-    The bindings are those of `traj.point(k, sys, 0, zdepth)`, read by
-    position: the states from `traj.x`, the inputs from `traj.u` and the
-    g-history from `traj.zeta` at the same trajectory index, zipped with
-    the system's state and input leaves and with prebuilt history leaves.
-    One `evaluate` memo serves all of phi."""
-    i = traj.index(k)
-    pt = dict(traj.params)
-    pt.update(zip(sys.state_vars, traj.x[i]))
-    pt.update(zip(sys.input_vars, traj.u[i]))
-    history = _leaf_rows(sys.gvalue_family, sys.m, range(-1, -zdepth - 1, -1))
-    for b, leaves in enumerate(history, start=1):
-        pt.update(zip(leaves, traj.zeta[i - b]))
-    memo = {}
-    return [evaluate(p, pt, memo) for p in cand.phi]
-
-
-def window_bindings(sys, cand, traj: Trajectory, k_window, lo: int, hi: int,
-                    zdepth: int):
-    """(k, bindings of y<j>[s], s in [lo, hi], measured along the trajectory
-    around k) for each k of the window, in order. The outputs phi are
-    evaluated once per trajectory time (`output_values`), and the y leaves
-    come from a small bounded cache keyed by (lo, hi, number of outputs)."""
-    shifts = range(lo, hi + 1)
-    leaves = _leaf_rows("y", len(cand.phi), shifts)
-    outputs = {}    # trajectory time -> phi values
-    for k in k_window:
-        pt = dict(traj.params)
-        for s, ys in zip(shifts, leaves):
-            values = outputs.get(k + s)
-            if values is None:
-                values = outputs[k + s] = output_values(sys, cand, traj,
-                                                        k + s, zdepth)
-            pt.update(zip(ys, values))
-        yield k, pt
-
-
-# Step k of a verification window: state x and input u at k, the exact tower
-# point w (`Tower.trajectory_seed`), and `pt` binding the parameters, the
-# output measurements around k (`window_bindings`) and w.
-Window = namedtuple("Window", "k pt x u w")
-
-
-def tower_windows(sys, cand, tower, traj: Trajectory, k_window) -> list:
-    """The `Window` of each step of `k_window` along `traj`, for `tower`.
-    A tower's outputs are (x, u)-flat: they read no g-value history."""
-    idx = tower.indices
+def tower_windows(tower, traj: Trajectory, k_window) -> list:
+    """The `Window` of each step of `k_window` along `traj`, for `tower`,
+    read by position (`Tower.window_plan`): the tower's compiled outputs run
+    once per trajectory time, on the states, inputs and parameters there."""
+    lo, hi, params, keys, at = tower.window_plan
+    values = [traj.params[p] for p in params]
+    outputs = {}    # trajectory time -> output values
     out = []
-    for k, y in window_bindings(sys, cand, traj, k_window, -max(idx.r1),
-                                max(idx.r2), 0):
-        x, u = traj.state(k), traj.inputs(k)
+    for k in k_window:
+        ys = []
+        for t in range(k + lo, k + hi + 1):
+            if t not in outputs:
+                i = traj.index(t)
+                outputs[t] = tower.output_kernel([*traj.x[i], *traj.u[i], *values])
+            ys += outputs[t]
+        x, u, y = traj.state(k), traj.inputs(k), [ys[p] for p in at]
         w = tower.trajectory_seed(y, x, u)
-        y.update(zip(tower.variables, w.tolist()))
-        out.append(Window(k, y, x, u, w))
+        out.append(Window(k, x, u, y, w, (keys, values + ys + w.tolist())))
     return out
 
 
 def verify_parameterization(sys, cand, param, traj: Trajectory,
                             k_window, tol: float = 1e-8) -> ResidualReport:
     """Check |x(k) - F_x(y-shifts)| and |u(k) - F_u(y-shifts)| along the
-    trajectory for each k in the window."""
-    return check_windows(param, tower_windows(sys, cand, param.tower, traj,
-                                              k_window), tol)
+    trajectory for each k in the window, read by `param.tower`, which was
+    built from `sys` and `cand`."""
+    return check_windows(param, tower_windows(param.tower, traj, k_window), tol)
 
 
 def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
-    """The residuals of `verify_parameterization` at `windows`; an EvalError
-    is raised again, same type, naming its window's k."""
+    """The residuals of `verify_parameterization` at `windows`, NaN if any is
+    (`_max_abs`); an EvalError is raised again, same type, naming its k."""
+    tower = param.tower
     worst_x = worst_u = 0.0
     worst_k = 0
     for win in windows:
@@ -340,29 +305,26 @@ def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
                 fx = [evaluate(e, win.pt) for e in param.F_x]
                 fu = [evaluate(e, win.pt) for e in param.F_u]
             else:
-                # seed Newton off the exact tower point w, moved by 1e-3 cos(i)
-                # (1 + |w_i|) so that convergence shows local invertibility
                 w = win.w
-                seed = w + 1e-3 * np.cos(np.arange(w.size)) * (1.0 + np.abs(w))
-                fx, fu, _ = param.tower.recover(win.pt, seed=seed)
+                fx, fu, _ = tower.recover(win.y, w + tower.seed_offset * (1.0 + np.abs(w)))
         except EvalError as ex:
             raise type(ex)(f"at window k = {win.k}: {ex}") from ex
-        rx = max(abs(a - b) for a, b in zip(fx, win.x))
-        ru = max(abs(a - b) for a, b in zip(fu, win.u))
-        if max(rx, ru) > max(worst_x, worst_u):
-            worst_k = win.k
-        worst_x = max(worst_x, rx)
-        worst_u = max(worst_u, ru)
+        rx = _max_abs([a - b for a, b in zip(fx, win.x)])
+        ru = _max_abs([a - b for a, b in zip(fu, win.u)])
+        before = _max_abs([worst_x, worst_u])
+        if before == before and not _max_abs([rx, ru]) <= before:
+            worst_k = win.k    # the first largest residual, or the first NaN
+        worst_x, worst_u = _max_abs([worst_x, rx]), _max_abs([worst_u, ru])
     return ResidualReport(max_residual_x=worst_x, max_residual_u=worst_u,
                           worst_k=worst_k, tolerance=tol,
                           checked=len(windows))
 
 
-def _max_abs(r: np.ndarray) -> float:
-    """max |r_i| as a Python float, NaN when an entry is NaN (as
+def _max_abs(r: list) -> float:
+    """max |r_i| of a list of floats, NaN when an entry is NaN (as
     `np.max(np.abs(r))` is), so that a NaN residual never counts as
     progress; Python's `max` alone would skip a NaN after the first entry."""
-    a = [abs(v) for v in r.tolist()]
+    a = [abs(v) for v in r]
     total = sum(a)
     return max(a) if total == total else total
 
@@ -379,7 +341,7 @@ def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
     iteration stops when the norm is at most `tol`."""
     w = np.array(seed, dtype=float)
     r = residual_fn(w)
-    norm = _max_abs(r)
+    norm = _max_abs(r.tolist())
     for _ in range(max_iter):
         if norm <= tol:
             return w
@@ -393,7 +355,7 @@ def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
         for _ in range(25):
             cand = w - lam * step
             rc = residual_fn(cand)
-            norm_c = _max_abs(rc)
+            norm_c = _max_abs(rc.tolist())
             if norm_c < norm:
                 w, r, norm = cand, rc, norm_c
                 break

@@ -25,7 +25,7 @@ from difflat.expr import (
 from difflat.model import SystemModel, invert_extension
 from difflat.numeric import (
     RankProbe, check_windows, eval_matrix, newton_solve, numeric_rank,
-    random_inputs, simulate, window_bindings,
+    random_inputs, simulate, tower_windows, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 from difflat.sysfile import loads_system
@@ -279,16 +279,48 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
                            [pt0[v] for v in sysm.input_vars],
                            vtol.options.input_boxes, H + K)
         traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
-        for k, y in window_bindings(sysm, vtol.candidate, traj, range(6),
-                                    -max(idx.r1), max(idx.r2), 0):
-            w0 = imp.trajectory_seed(y, traj.state(k), traj.inputs(k))
-            w0 = w0 + 1e-3 * np.cos(np.arange(w0.size)) * (1.0 + np.abs(w0))
-            got, want = imp.recover(y, seed=w0), ref_recover(y, w0)
+        for win in tower_windows(imp, traj, range(6)):
+            w0 = win.w + 1e-3 * np.cos(np.arange(win.w.size)) * (1.0 + np.abs(win.w))
+            got, want = imp.recover(win.y, seed=w0), ref_recover(win.pt, w0)
             for a, b in zip(got, want):
                 assert np.array(a).tobytes() == np.array(b).tobytes()
             w = got[2]
             for a, b in zip(imp.jacobian_blocks(w), ref_blocks(w)):
                 assert a.tobytes() == b.tobytes()
+
+
+def test_one_step_vtol_verification_matches_the_tree_walked_reference(reports,
+                                                                      vtol):
+    """A one-step vtol `verify_parameterization` gives, bit for bit, the
+    residuals of the tree-walked Newton reference, fed with the outputs
+    evaluated at `Trajectory.point`, the exact tower point read off each
+    tower variable's source and the same seed perturbation."""
+    rep = reports["vtol"]
+    sysm, idx, param = rep.model, rep.indices, rep.parameterization
+    imp = param.tower
+    ref_recover, _ = _tree_walked_newton(imp)
+    pt0 = sysm.analysis_point()
+    H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
+    us = random_inputs(random.Random(5), [pt0[v] for v in sysm.input_vars],
+                       vtol.options.input_boxes, H + K)
+    traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+    for k in range(6):
+        x, u = traj.state(k), traj.inputs(k)
+        y = {}
+        for s in range(-max(idx.r1), max(idx.r2) + 1):
+            at = traj.point(k + s, sysm)
+            for j, phi in enumerate(vtol.candidate.phi):
+                y[Var("y", j + 1, s)] = evaluate(phi, at)
+        measured = dict(y)
+        measured.update(zip([*sysm.state_vars, *sysm.input_vars], [*x, *u]))
+        w = np.array([measured[imp.sources[v]] for v in imp.variables])
+        fx, fu, _ = ref_recover(y, w + 1e-3 * np.cos(np.arange(w.size))
+                                * (1.0 + np.abs(w)))
+        out = verify_parameterization(sysm, vtol.candidate, param, traj,
+                                      range(k, k + 1))
+        assert out.passed and out.checked == 1
+        assert out.max_residual_x == max(abs(a - b) for a, b in zip(fx, x))
+        assert out.max_residual_u == max(abs(a - b) for a, b in zip(fu, u))
 
 
 def _exact_seed_windows(text):
@@ -303,15 +335,13 @@ def _exact_seed_windows(text):
     rows = compile_exprs(tower.row_exprs(), tower.leaves)
     params = list(rep.model.param_bindings().values())
     out = []
-    for k, y in window_bindings(rep.model, sf.candidate, traj, window,
-                                -max(idx.r1), max(idx.r2), 0):
-        w = tower.trajectory_seed(y, traj.state(k), traj.inputs(k))
-        values = list(w) + params
-        residual = np.array(rows(values)) - [y[t] for t in tower.targets]
-        _, us = tower.states_inputs(w)
-        out.append((k, numeric_rank(tower.jacobian_kernel(values)),
+    for win in tower_windows(tower, traj, window):
+        values = list(win.w) + params
+        residual = np.array(rows(values)) - [win.pt[t] for t in tower.targets]
+        _, us = tower.states_inputs(win.w)
+        out.append((win.k, numeric_rank(tower.jacobian_kernel(values)),
                     np.abs(residual).max(),
-                    max(abs(a - b) for a, b in zip(us, traj.inputs(k)))))
+                    max(abs(a - b) for a, b in zip(us, win.u))))
     return out
 
 

@@ -108,6 +108,42 @@ def test_failed_trajectory_verification_is_a_typed_error(paths, capsys):
     assert "Traceback" not in err
 
 
+def test_float_overflow_in_simulation_is_an_input_error(tmp_path, capsys):
+    """A verification trajectory whose state overflows a float (x3 squares
+    itself past 1e308 by step 7) rejects each tower with a typed simulation
+    error, and the CLI exits with its input-error code, no traceback."""
+    path = tmp_path / "overflow.sys"
+    path.write_text("""
+[dims]
+n = 3
+m = 2
+
+[dynamics]
+x1+ = x2
+x2+ = u1
+x3+ = x3^2 + u2
+
+[extension]
+g1 = x1
+g2 = x3
+
+[output]
+y1 = x1
+y2 = x3
+
+[equilibrium]
+x3 = 1/2
+
+[simulation]
+u2 = 100 .. 200
+""", encoding="utf-8")
+    rc, _, err = run(capsys, "analyze", str(path))
+    assert rc == 1
+    assert ("verification trajectory: evaluation failed at step k=7: float "
+            "error: ") in err
+    assert "Traceback" not in err
+
+
 def test_extend_academic(paths, tmp_path, capsys):
     out_file = tmp_path / "academic_ext.sys"
     rc, out, _ = run(capsys, "extend", paths["academic"], "--json",

@@ -405,6 +405,23 @@ def test_compiled_kernel_size_floor(reports):
         assert kernel.__code__.co_nlocals <= most, name
 
 
+def test_float_errors_are_the_same_eval_error_from_both_evaluators():
+    """A power or a sum that overflows, and a sum or a sine outside its
+    domain, raise one `EvalError` with one message from `evaluate` and from a
+    compiled kernel, never a raw `OverflowError` or `ValueError`."""
+    x1, x2 = var("x", 1), var("x", 2)
+    inf = float("inf")
+    for exprs, values in (([pow_(x1, 3)], [1e200, 0.0]),
+                          ([add(x1, x2)], [1e308, 1e308]),
+                          ([add(x1, x2)], [inf, -inf]),
+                          ([mul(x2, x2), sin(x1)], [inf, 1.0])):
+        with pytest.raises(EvalError, match=r"^float error: "):
+            evaluate(exprs[-1], dict(zip([x1, x2], values)))
+        with pytest.raises(EvalError, match=r"^float error: "):
+            compile_exprs(exprs, [x1, x2])(values)
+        _assert_compiled_matches(exprs, [x1, x2], values)
+
+
 def _tree_walk_leaves(e, kind) -> frozenset:
     """The leaves of type `kind` under e by a recursive walk of every path."""
     out = set()

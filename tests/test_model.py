@@ -281,3 +281,25 @@ def test_shift_is_a_ring_morphism(corpus, models_with_psi):
 def test_backward_shift_without_psi_raises(vtol):
     with pytest.raises(ModelError):
         backward_shift(var("x", 1), vtol.model)
+
+
+def test_repeated_analyses_on_one_model_keep_its_shift_cache_bounded(
+        robot, monkeypatch):
+    """A long-lived model analyzing ever new candidates keeps at most
+    `SHIFT_CACHE_SIZE` shift images, dropping the oldest first, and the
+    analyses still agree with a fresh model's."""
+    from difflat import analyze, model
+    from difflat.analysis import FlatCandidate
+    monkeypatch.setattr(model, "SHIFT_CACHE_SIZE", 8)
+    sysm = analyze(robot.model, robot.candidate, robot.options).model
+    sysm._shift_cache.clear()
+    sizes = []
+    for c in range(1, 7):
+        phi = (robot.candidate.phi[0],
+               add(robot.candidate.phi[1], mul(c, var("x", 3))))
+        rep = analyze(sysm, FlatCandidate(phi=phi), robot.options)
+        fresh = analyze(invert_extension(robot.model), FlatCandidate(phi=phi),
+                        robot.options)
+        assert rep.to_json() == fresh.to_json()
+        sizes.append(len(sysm._shift_cache))
+    assert max(sizes) == 8

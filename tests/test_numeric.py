@@ -4,12 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from difflat.analysis import FlatCandidate
 from difflat.expr import EvalError, Par, Var, add, evaluate, mul, pow_, var
 from difflat.numeric import (
     PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
-    newton_solve, numeric_rank, probe_points, random_inputs, simulate,
-    verify_parameterization, window_bindings,
+    check_windows, newton_solve, numeric_rank, probe_points, random_inputs,
+    simulate, tower_windows, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -245,10 +244,10 @@ def test_corrupted_parameterization_is_caught(reports, robot):
 
 def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
                                                            monkeypatch):
-    """The window's y bindings evaluate phi once per trajectory time, and the
-    residuals are bit-identical to reading the outputs afresh for every
-    shift of every step."""
-    from difflat import numeric
+    """The windows run the tower's compiled outputs once per trajectory time,
+    on the states, inputs and parameters there, and the residuals are
+    bit-identical to evaluating the outputs afresh at `Trajectory.point` for
+    every shift of every step."""
     rep = reports["robot"]
     sysm, param, cand = rep.model, rep.parameterization, robot.candidate
     rng = random.Random(7)
@@ -260,58 +259,80 @@ def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
     for k in range(10):
         pt = dict(traj.params)
         for s in range(lo, hi + 1):
-            for j, val in enumerate(numeric.output_values(sysm, cand, traj,
-                                                          k + s, 0)):
-                pt[Var("y", j + 1, s)] = val
+            at = traj.point(k + s, sysm)
+            for j, phi in enumerate(cand.phi):
+                pt[Var("y", j + 1, s)] = evaluate(phi, at)
         fx = [evaluate(e, pt) for e in param.F_x]
         fu = [evaluate(e, pt) for e in param.F_u]
         worst_x = max([worst_x] + [abs(a - b) for a, b in zip(fx, traj.state(k))])
         worst_u = max([worst_u] + [abs(a - b) for a, b in zip(fu, traj.inputs(k))])
 
-    times = []
-    read = numeric.output_values
+    reads = []
+    kernel = param.tower.output_kernel
 
-    def counted(sys, cand, traj, k, zdepth):
-        times.append(k)
-        return read(sys, cand, traj, k, zdepth)
+    def counted(values):
+        reads.append(values)
+        return kernel(values)
 
-    monkeypatch.setattr(numeric, "output_values", counted)
+    monkeypatch.setitem(param.tower.__dict__, "output_kernel", counted)
     out = verify_parameterization(sysm, cand, param, traj, range(0, 10))
-    assert times == list(range(lo, 10 + hi))
+    params = list(traj.params.values())
+    assert reads == [traj.x[traj.index(t)] + traj.u[traj.index(t)] + params
+                     for t in range(lo, 10 + hi)]
     assert (out.max_residual_x, out.max_residual_u) == (worst_x, worst_u)
 
 
-def _point_window(sys, cand, traj, k_window, lo, hi, zdepth):
-    """`window_bindings` built from `Trajectory.point` dicts, one per read."""
-    for k in k_window:
-        pt = dict(traj.params)
-        for s in range(lo, hi + 1):
-            at = traj.point(k + s, sys, input_depth=0, zeta_depth=zdepth)
-            for j, phi in enumerate(cand.phi):
-                pt[Var("y", j + 1, s)] = evaluate(phi, at)
-        yield k, pt
-
-
 def test_window_bindings_match_trajectory_points(reports, corpus):
-    """The positional output reads bind the values `Trajectory.point` binds:
-    on the robot and vtol windows, and for outputs of academic that read
-    two steps of g-value history."""
-    history = FlatCandidate(phi=(
-        add(var("x", 1), var("zeta", 1, -1)),
-        add(mul(var("x", 3), var("zeta", 2, -2)), var("u", 1))))
-    cases = [(reports[name].model, corpus[name].candidate,
-              -max(reports[name].indices.r1), max(reports[name].indices.r2), 0)
-             for name in ("robot", "vtol")]
-    cases.append((reports["academic"].model, history, -2, 1, 2))
-    for sysm, cand, lo, hi, zdepth in cases:
+    """A window's positional reads bind the values `Trajectory.point` binds,
+    on the robot and vtol windows: `Window.pt` (the parameters, every output
+    shift around k and the tower point, in that order), the target vector
+    in `Tower.targets` order, and the exact tower point read off each tower
+    variable's source."""
+    for name in ("robot", "vtol"):
+        sysm, cand = reports[name].model, corpus[name].candidate
+        tower = reports[name].tower
+        lo, hi = -max(tower.indices.r1), max(tower.indices.r2)
         pt0 = sysm.analysis_point()
         H, K = 5, 12
         us = random_inputs(random.Random(11), [pt0[v] for v in sysm.input_vars],
                            {}, H + K)
         traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
-        window = range(-1, 6)
-        assert list(window_bindings(sysm, cand, traj, window, lo, hi, zdepth)) \
-            == list(_point_window(sysm, cand, traj, window, lo, hi, zdepth))
+        windows = tower_windows(tower, traj, range(-1, 6))
+        assert [win.k for win in windows] == list(range(-1, 6))
+        for win in windows:
+            pt = dict(traj.params)
+            for s in range(lo, hi + 1):
+                at = traj.point(win.k + s, sysm)
+                for j, phi in enumerate(cand.phi):
+                    pt[Var("y", j + 1, s)] = evaluate(phi, at)
+            measured = dict(pt)
+            measured.update(zip(sysm.state_vars, traj.state(win.k)))
+            measured.update(zip(sysm.input_vars, traj.inputs(win.k)))
+            w = [measured[tower.sources[v]] for v in tower.variables]
+            pt.update(zip(tower.variables, w))
+            assert list(win.pt.items()) == list(pt.items())
+            assert win.y == [pt[t] for t in tower.targets]
+            assert win.w.tolist() == w
+            assert (win.x, win.u) == (traj.state(win.k), traj.inputs(win.k))
+
+
+def test_a_nan_residual_fails_verification(reports):
+    """A NaN in the first or the last component of a window's state or input
+    gives a NaN residual, which fails the 1e-8 gate and names its window."""
+    rep = reports["robot"]
+    windows = rep.tower.windows
+    assert check_windows(rep.parameterization, windows).passed
+    for field in ("x", "u"):
+        for i in (0, -1):
+            poisoned = list(windows)
+            values = list(getattr(windows[3], field))
+            values[i] = math.nan
+            poisoned[3] = windows[3]._replace(**{field: values})
+            out = check_windows(rep.parameterization, poisoned)
+            worst = out.max_residual_x if field == "x" else out.max_residual_u
+            assert math.isnan(worst) and not out.passed, (field, i)
+            assert out.worst_k == windows[3].k
+            assert out.to_json()["pass"] is False
 
 
 def test_one_step_vtol_windows_build_no_var_after_the_first(reports, vtol,
