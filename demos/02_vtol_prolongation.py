@@ -45,6 +45,6 @@ print(f"  input: ({', '.join(to_text(v) for v in ext.model.input_vars)})")
 
 cert = certify_linearizing(ext, sf.options)
 print(f"\ncertificate: square={cert.square}, rank {cert.rank}/{cert.required} "
-      f"at {cert.points_checked} probe points "
+      f"at {cert.points_checked} verification windows "
       f"(at the chart point: {cert.at_point_rank})")
 assert cert.passed

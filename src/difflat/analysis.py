@@ -137,11 +137,11 @@ class Tower:
     `numeric.Window` per verification step, set by the search): its rank,
     the solver's pivots, the class ranks read off the inverse Jacobian
     (`jacobian_blocks`) and the verification of F, by Newton inversion
-    (`recover`) where the solver cannot invert the tower. The rows, the
-    input recovery and their Jacobians compile on first use into
-    straight-line functions of `leaves` (`expr.compile_exprs`, bit-identical
-    to `evaluate`), as do its outputs (`output_kernel`); the rest is read
-    from `context`."""
+    (`recover`) where the solver cannot invert the tower; the reported
+    at-point rank is taken at `point`. The rows, the input recovery and
+    their Jacobians compile on first use into straight-line functions of
+    `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), as do its
+    outputs (`output_kernel`); the rest is read from `context`."""
 
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
@@ -150,7 +150,7 @@ class Tower:
     sources: dict                  # {tower variable: y leaf, state or input it equals}
     outputs: tuple                 # the candidate's phi over the base model's x, u
     windows: list = field(default_factory=list)   # set by the tower search
-    rank_probe: RankProbe | None = None   # jet center, then each window
+    rank_probe: RankProbe | None = None   # `point`, then each window
 
     def ordered_rows(self):
         return [((j, s), self.rows[(j, s)])
@@ -171,14 +171,19 @@ class Tower:
         return list(self.variables) + [Par(k) for k in self.context.sys_bar.params]
 
     @cached_property
-    def jet_center(self) -> dict:
-        """The transformed system's jet center over the tower variables and
-        every row leaf, where the reported at-point rank is taken. Read
-        only."""
-        leaves = set(self.variables)
-        for e in self.rows.values():
-            leaves |= vars_of(e)
-        return self.context.sys_bar.jet_center(leaves)
+    def point(self) -> dict:
+        """Each tower variable's source (`sources`: an output shift, a state
+        or an input) at the base model's analysis jet, in variable order,
+        then the parameters: the point of the reported at-point rank and of
+        the extension. Read only."""
+        base = self.context.base_model
+        exprs = [base.shift(self.outputs[src.component - 1], src.shift)
+                 if src.family == "y" else src
+                 for src in map(self.sources.get, self.variables)]
+        center = base.jet_center(set().union(*map(vars_of, exprs)))
+        point = {v: evaluate(e, center) for v, e in zip(self.variables, exprs)}
+        point.update(base.param_bindings())
+        return point
 
     @cached_property
     def jacobian_kernel(self):
@@ -191,6 +196,14 @@ class Tower:
     def jacobian_at(self, pt) -> np.ndarray:
         """The tower Jacobian at a point binding every leaf."""
         return self.jacobian_kernel([pt[v] for v in self.leaves])
+
+    def rank_at(self, pt, tol_rel: float) -> int | None:
+        """The numeric rank of the tower Jacobian at a point binding every
+        leaf, None where it hits a pole or a non-finite entry."""
+        try:
+            return numeric_rank(self.jacobian_at(pt), tol_rel)
+        except (EvalError, ValueError):
+            return None
 
     @cached_property
     def u_recovery(self) -> dict:
@@ -536,7 +549,7 @@ def _admissible_towers(sys, cand, rho, opts, diags):
     # backward machinery needs g and psi
     sysb = sys
     if sysb.g is None:
-        choice = choose_extension(sysb)
+        choice = choose_extension(sysb, opts.tol_rank)
         sysb = sysb.with_g(choice.g).with_psi(choice.psi_x, choice.psi_u)
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
     elif sysb.psi_x is None:
@@ -564,12 +577,11 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
     forward, backward = mode != "backward", mode != "forward"
     if mode == "backward":
         # Prop. 3 hypothesis: the outputs jointly regular in u
-        rp = probe_rank(list(cand.phi), list(sys.input_vars),
-                        _jet_probes(sys, set().union(*[vars_of(p) for p in cand.phi])
-                                    | set(sys.input_vars), opts),
-                        tol_rel=opts.tol_rank, required=sys.m)
-        if rp.generic != sys.m:
-            diags.append(f"{tag}: rank d_u phi = {rp.generic} < m "
+        leaves = set().union(*map(vars_of, cand.phi)) | set(sys.input_vars)
+        rank = probe_rank(list(cand.phi), list(sys.input_vars),
+                          _jet_probes(sys, leaves, opts), opts.tol_rank)
+        if rank != sys.m:
+            diags.append(f"{tag}: rank d_u phi = {rank} < m "
                          "(candidate routed to the combined construction)")
             return None
     u_inverse = tdef = zeta_inverse = gbar = None
@@ -695,19 +707,17 @@ def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
 
 
 def _tower_rank(tower: Tower, opts) -> RankProbe:
-    """Rank of the tower's compiled Jacobian (compiled here) at the jet
-    center (`at_point`, None if not evaluable) and at each window (`per_point`,
-    0 if not evaluable); `generic` is the highest window rank."""
-    def rank(pt):
-        try:
-            return numeric_rank(tower.jacobian_at(pt), opts.tol_rank)
-        except (EvalError, ValueError):
-            return None
-
-    per_window = [rank(win.pt) or 0 for win in tower.windows]
-    return RankProbe(at_point=rank(tower.jet_center),
-                     generic=max(per_window, default=0), per_point=per_window,
-                     required=len(tower.variables))
+    """Rank of the tower's compiled Jacobian (compiled here) at `point`
+    (`at_point`, None if not evaluable) and at each window (`per_point`, 0
+    if not evaluable); `generic` is the highest window rank."""
+    per_window = [tower.rank_at(win.pt, opts.tol_rank) or 0
+                  for win in tower.windows]
+    try:
+        at_point = tower.rank_at(tower.point, opts.tol_rank)
+    except EvalError:
+        at_point = None
+    return RankProbe(at_point=at_point, generic=max(per_window, default=0),
+                     per_point=per_window, required=len(tower.variables))
 
 
 def _rank_drop(tower: Tower) -> str | None:
@@ -834,16 +844,16 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate,
     param = Parameterization(F_x=F_x, F_u=F_u, indices=idx, source=source,
                              tower=tower, diagnostics=diags)
     if F_x is not None:
-        _check_shapes(param, sys)
+        _check_shapes(idx, F_x, F_u)
         if cand.user_F is not None and source == "tower_inverted":
             _cross_check_user_F(cand, param, diags)
     return param
 
 
-def _check_shapes(param: Parameterization, sys: SystemModel):
+def _check_shapes(idx: ShiftIndices, F_x, F_u, whose=""):
     """Eq. (5)/(6) leaf windows, including the Eq. (7) zero block."""
-    idx = param.indices
-    for name, exprs, hi_off in (("F_x", param.F_x, -1), ("F_u", param.F_u, 0)):
+    for name, exprs, hi_off in ((whose + "F_x", F_x, -1),
+                                (whose + "F_u", F_u, 0)):
         for e in exprs:
             for v in vars_of(e):
                 if v.family != "y":
@@ -857,15 +867,22 @@ def _check_shapes(param: Parameterization, sys: SystemModel):
 
 
 def _cross_check_user_F(cand, param, diags, tol=1e-8):
-    worst = 0.0
+    """The user-supplied F in the inverted F's leaf windows and equal to it
+    at every verification window where both evaluate, of which there must be
+    one."""
+    _check_shapes(param.indices, *cand.user_F, whose="user-supplied ")
+    mine, theirs = (*param.F_x, *param.F_u), (*cand.user_F[0], *cand.user_F[1])
+    deviations = []
     for pt in (win.pt for win in param.tower.windows):
         try:
-            for mine, theirs in ((param.F_x, cand.user_F[0]),
-                                 (param.F_u, cand.user_F[1])):
-                for a, b in zip(mine, theirs):
-                    worst = max(worst, abs(evaluate(a, pt) - evaluate(b, pt)))
+            deviations += [abs(evaluate(a, pt) - evaluate(b, pt))
+                           for a, b in zip(mine, theirs)]
         except EvalError:
             continue
+    if not deviations:
+        raise AnalysisError("user-supplied parameterization does not evaluate "
+                            "at any verification window")
+    worst = max(deviations)
     if worst > tol:
         raise AnalysisError(
             f"user-supplied parameterization disagrees with the inverted tower "

@@ -1,8 +1,8 @@
 """Command-line interface: analyze | extend | verify | print.
 
-Exit codes: 0 ok, 1 input or analysis error (a failed trajectory check in
-analyze/extend included), 2 classification assertion failure, 3 certificate
-failure, 4 numeric verification failure (verify).
+Exit codes: 0 ok, 1 input, usage or analysis error (a failed trajectory
+check in analyze/extend included), 2 classification assertion failure, 3
+certificate failure, 4 numeric verification failure (verify).
 """
 
 from __future__ import annotations
@@ -188,32 +188,43 @@ def cmd_print(args) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "--json": dict(action="store_true", help="emit machine-readable JSON"),
+    "--out": dict(help="output path of the extended system"),
+    "--tol-rank": dict(type=float, default=1e-8),
+    "--tol-verify": dict(type=float, default=1e-8),
+    "--steps": dict(type=int, default=30),
+    "--trials": dict(type=int, default=5),
+    "--seed": dict(type=int, default=2023),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
+    """One subcommand each, with only the flags its command reads."""
     p = argparse.ArgumentParser(
         prog="difflat",
         description="flatness analysis and exact linearization of "
                     "discrete-time two-input systems")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("analyze", cmd_analyze), ("extend", cmd_extend),
-                     ("verify", cmd_verify), ("print", cmd_print)):
+    common = ("--json", "--tol-rank", "--tol-verify", "--seed")
+    for name, fn, flags in (
+            ("analyze", cmd_analyze, common),
+            ("extend", cmd_extend, common + ("--out",)),
+            ("verify", cmd_verify, common + ("--steps", "--trials")),
+            ("print", cmd_print, ())):
         sp = sub.add_parser(name)
         sp.add_argument("file")
-        sp.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-        sp.add_argument("--out", default=None,
-                        help="output path for emitted files")
-        sp.add_argument("--tol-rank", type=float, default=1e-8, dest="tol_rank")
-        sp.add_argument("--tol-verify", type=float, default=1e-8,
-                        dest="tol_verify")
-        sp.add_argument("--steps", type=int, default=30)
-        sp.add_argument("--trials", type=int, default=5)
-        sp.add_argument("--seed", type=int, default=2023)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as ex:    # a usage error is an input error; --help is 0
+        return EXIT_INPUT if ex.code else EXIT_OK
     try:
         return args.fn(args)
     except ClassificationError as ex:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from .expr import Var, evaluate, substitute, to_text, vars_of
 from .model import SystemModel
-from .numeric import matrix_rank_probe, probe_points, probe_rank
 from .analysis import AnalysisError, AnalyzeOptions, FlatCandidate, Tower
 
 __all__ = [
@@ -88,9 +87,13 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
     history to gbar1, the states by f over the transformed inputs); the
     inputs are the last two, (ubar1[d2], ubar2), or the original inputs when
     the tower has no input transform. An empty chain leaves the Prop.-2
-    prolongation or the Prop.-3 prelongation. The point is each variable's
-    source (`Tower.sources`: an output shift, a state or an input) at the
-    base jet, in coordinate order, the order the emitted file re-parses to."""
+    prolongation or the Prop.-3 prelongation. The point is the tower's
+    analysis point (`Tower.point`) in coordinate order, the order the
+    emitted file re-parses to.
+
+    The transforms need no rank check here: over its two new coordinates an
+    input or history transform's Jacobian is triangular with diagonal 1/c
+    and 1, c the pivot its solver required to be nonzero."""
     if sys.m != 2:
         raise ExtensionError("extensions are defined for two-input systems (m = 2)")
     ctx = tower.context
@@ -103,67 +106,29 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
                 "prelongation chains need a constant history: the analysis "
                 f"point is not a fixed point (residual {resid:.3g})")
     *state, u1, u2 = tower.variables
-    exprs = [sys.shift(cand.phi[src.component - 1], src.shift)
-             if src.family == "y" else src
-             for src in map(tower.sources.get, tower.variables)]
-    center = sys.jet_center(set().union(*map(vars_of, exprs)))
-    point = {v: evaluate(e, center) for v, e in zip(tower.variables, exprs)}
     output = tuple(cand.phi)
     if ctx.u_inverse is not None:
         output = tuple(substitute(p, ctx.u_inverse) for p in cand.phi)
     model = SystemModel(
         n=len(state), m=2, f=tuple(ctx.sys_bar.shift(v, 1) for v in state),
         state_vars=tuple(state), input_vars=(u1, u2), params=sys.params,
-        point=point, name=sys.name + "_ext")
-    ext = ExtendedSystem(base=sys, model=model, tower=tower, output=output)
-    _check_transform_ranks(ext)
-    return ext
-
-
-def _check_transform_ranks(ext: ExtendedSystem, opts: AnalyzeOptions | None = None):
-    """Phi_u / Phi_zeta invertibility near the point (rank m in the new
-    coordinates)."""
-    opts = opts or AnalyzeOptions()
-    sys = ext.base
-    ctx = ext.tower.context
-    hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
-    for what, transform, keys, cols in (
-            ("input", ctx.u_inverse, sys.input_vars,
-             [Var("ubar", 1, 0), Var("ubar", 2, 0)]),
-            ("history", ctx.zeta_inverse, hist,
-             [Var("zetabar", 1, -1), Var("zetabar", 2, -1)])):
-        if not transform:
-            continue
-        rows = [transform[v] for v in keys]
-        leaves = set(cols)
-        for e in rows:
-            leaves |= vars_of(e)
-        if what == "input":
-            center = ext.model.jet_center(leaves)
-        else:
-            # the chain values come from the extended point, the rest from
-            # the base system's jet
-            center = sys.jet_center({v for v in leaves if v.family != "zetabar"})
-            for c in cols:
-                center[c] = ext.model.point.get(c, 0.0)
-        rp = probe_rank(rows, cols, probe_points(center, opts.seed),
-                        tol_rel=opts.tol_rank, required=2)
-        if rp.generic != 2:
-            raise ExtensionError(
-                f"{what} transform is not invertible near the point (rank {rp.generic})")
+        point={v: tower.point[v] for v in tower.variables},
+        name=sys.name + "_ext")
+    return ExtendedSystem(base=sys, model=model, tower=tower, output=output)
 
 
 def certify_linearizing(ext: ExtendedSystem,
                         opts: AnalyzeOptions | None = None) -> Certificate:
     """Check that the tower, read over the extended coordinates, is a square
-    map of full rank n_ext + m_ext at the extended point and perturbed
-    probes: the parameterizing map of the extension is then a local
-    diffeomorphism, i.e. the extended system is static feedback linearizable.
+    map of full rank n_ext + m_ext: the parameterizing map of the extension
+    is then a local diffeomorphism, i.e. the extended system is static
+    feedback linearizable.
 
     The extended coordinates are the tower variables in the same order
-    (`build_combined` lists them so), and the rank is read off the tower's
-    compiled Jacobian (`Tower.jacobian_kernel`), the one the tower search,
-    the class ranks and Newton inversion evaluate."""
+    (`build_combined` lists them so), so the generic rank is the one the
+    tower search took at the verification windows (`Tower.rank_probe`),
+    with the same compiled Jacobian (`Tower.jacobian_kernel`). The at-point
+    rank is that Jacobian at the extended model's own point."""
     opts = opts or AnalyzeOptions()
     tower = ext.tower
     model = ext.model
@@ -178,12 +143,11 @@ def certify_linearizing(ext: ExtendedSystem,
         raise ExtensionError(
             "tower rows reference coordinates outside the extended system: "
             + ", ".join(sorted({to_text(v) for v in stray})))
-    rp = matrix_rank_probe(tower.jacobian_at,
-                           probe_points(model.analysis_point(), opts.seed),
-                           tol_rel=opts.tol_rank, required=required)
+    rp = tower.rank_probe
     return Certificate(square=True, rank=rp.generic, required=required,
                        points_checked=len(rp.per_point),
-                       at_point_rank=rp.at_point)
+                       at_point_rank=tower.rank_at(model.analysis_point(),
+                                                   opts.tol_rank))
 
 
 def truncated(ext: ExtendedSystem, which: str) -> ExtendedSystem:

@@ -14,7 +14,7 @@ from .expr import EvalError, Par, Var, ZERO, differentiate, evaluate, jacobian
 
 __all__ = [
     "numeric_rank", "fd_jacobian_check", "eval_matrix", "probe_points",
-    "RankProbe", "probe_rank", "matrix_rank_probe", "Trajectory",
+    "RankProbe", "probe_rank", "Trajectory",
     "random_inputs", "simulate", "SimulationError", "verify_parameterization",
     "ResidualReport", "newton_solve", "Window", "tower_windows",
     "check_windows",
@@ -112,37 +112,20 @@ class RankProbe:
     required: int | None = None
 
 
-def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL,
-               required: int | None = None) -> RankProbe:
-    """Numeric rank of the Jacobian of `rows` w.r.t. `cols` at the probe
-    points (binding dicts, center first), tree-walked by `eval_matrix`; see
-    `matrix_rank_probe`. The tower Jacobian has a compiled kernel instead
-    (`analysis.Tower.jacobian_at`)."""
+def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL) -> int:
+    """Generic numeric rank of the Jacobian of `rows` w.r.t. `cols`: the
+    highest over the probe points (binding dicts), tree-walked by
+    `eval_matrix`; a probe where the matrix hits an evaluation pole or has a
+    non-finite entry is skipped. The tower Jacobian has a compiled kernel
+    instead (`analysis.Tower.rank_at`)."""
     J = jacobian(rows, cols)
-    return matrix_rank_probe(lambda pt: eval_matrix(J, pt), probes, tol_rel,
-                             required)
-
-
-def matrix_rank_probe(matrix_at, probes, tol_rel: float = RANK_TOL,
-                      required: int | None = None) -> RankProbe:
-    """Numeric rank of the matrix `matrix_at(pt)` at each probe point (center
-    first). Reports the at-center rank and the generic (max) rank; a probe
-    where the matrix hits an evaluation pole or has a non-finite entry is
-    skipped."""
-    at_point = None
-    per_point = []
-    for i, pt in enumerate(probes):
+    rank = 0
+    for pt in probes:
         try:
-            rank = numeric_rank(matrix_at(pt), tol_rel)
+            rank = max(rank, numeric_rank(eval_matrix(J, pt), tol_rel))
         except (EvalError, ValueError):
-            rank = None
-        if i == 0:
-            at_point = rank
-        if rank is not None:
-            per_point.append(rank)
-    generic = max(per_point) if per_point else 0
-    return RankProbe(at_point=at_point, generic=generic,
-                     per_point=per_point, required=required)
+            continue
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_criterion_1_vtol(paths, capsys, tmp_path):
     cert = j["certificate"]
     assert cert["square"] and cert["rank"] == 10 == cert["required"]
     assert cert["at_point_rank"] == 10          # full rank at the chart point
-    assert cert["points_checked"] >= 10         # plus ten perturbed probes
+    assert cert["points_checked"] >= 10         # the verification windows
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     print(f"criterion 1 (VTOL forward-flat, d=2, rank 10/10): "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import difflat
-from difflat import systems
+from difflat import analysis, systems
 from difflat.analysis import (
     VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate,
     _default_trajectory, _rank_drop, _try_tower, analyze, backward_depths,
@@ -526,6 +526,49 @@ def test_user_F_cross_check_disagreement_raises(academic):
     with pytest.raises(AnalysisError) as ei:
         analyze(academic.model, cand)
     assert "unique" in str(ei.value) or "disagrees" in str(ei.value)
+
+
+@pytest.mark.parametrize("x3, why", [
+    ("y1[9]", "user-supplied F_x leaf y1[9] outside the window [-1, 1]"),
+    ("y1 + 10^400", "user-supplied parameterization does not evaluate at "
+                    "any verification window"),
+])
+def test_user_F_the_windows_cannot_evaluate_is_rejected(reports, robot, x3, why):
+    """A user F is held to the inverted F's leaf windows, and must evaluate
+    at some verification window: robot's own F with x3 moved outside its
+    window, or overflowing everywhere, is not passed as cross-checked."""
+    param = reports["robot"].parameterization
+    F_x, F_u = param.F_x, param.F_u
+    cand = FlatCandidate(phi=robot.candidate.phi,
+                         user_F=(F_x[:2] + (P(x3, 3, 2),), F_u))
+    with pytest.raises(AnalysisError) as ei:
+        analyze(robot.model, cand, robot.options)
+    assert str(ei.value) == why
+
+
+def test_auto_selected_extension_map_reads_tol_rank(monkeypatch):
+    """The extension map the search selects for its backward towers is
+    ranked at the analysis's `tol_rank`, as every other rank is: vtol
+    without its [extension] section, every admissible tower enumerated."""
+    seen = []
+    real = analysis.choose_extension
+
+    def spy(sysm, *args):
+        seen.append(args)
+        return real(sysm, *args)
+
+    monkeypatch.setattr(analysis, "choose_extension", spy)
+    text = systems.source("vtol").replace("[extension]\ng1 = x1\ng2 = x5\n", "")
+    sf = loads_system(text)
+    opts = sf.options
+    opts.tol_rank = 1e-7
+    rho = relative_degrees(sf.model, sf.candidate, opts)
+    diags = []
+    towers = list(analysis._admissible_towers(sf.model, sf.candidate, rho,
+                                              opts, diags))
+    assert seen == [(1e-7,)]
+    assert "auto-selected extension map g = ('x1', 'x5')" in diags
+    assert [t.context.mode for t in towers] == ["forward", "forward"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 
@@ -226,6 +227,54 @@ u2 = y2[1]
     rc, _, err = run(capsys, "analyze", str(p))
     assert rc == 1
     assert "unique" in err or "disagrees" in err
+
+
+def test_user_F_outside_its_window_fails_analyze(paths, reports, tmp_path,
+                                                 capsys):
+    """robot with its own inverted F as [parameterization], but x3 = y1[9]:
+    no window binds y1[9], and the leaf is outside F_x's Eq. (5) window."""
+    from difflat.expr import to_text
+    param = reports["robot"].parameterization
+    rows = [f"x1 = {to_text(param.F_x[0])}", f"x2 = {to_text(param.F_x[1])}",
+            "x3 = y1[9]", f"u1 = {to_text(param.F_u[0])}",
+            f"u2 = {to_text(param.F_u[1])}"]
+    p = tmp_path / "robot_F.sys"
+    text = systems.source("robot").replace(
+        "[equilibrium]", "[parameterization]\n" + "\n".join(rows)
+        + "\n\n[equilibrium]")
+    p.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, "analyze", str(p))
+    assert rc == 1
+    assert err == ("analysis error: user-supplied F_x leaf y1[9] outside "
+                   "the window [-1, 1]\n")
+
+
+# every flag of the CLI, and the flags a command does not read
+_FLAGS = {"--json": [], "--out": [os.devnull], "--tol-rank": ["1e-8"],
+          "--tol-verify": ["1e-8"], "--steps": ["3"], "--trials": ["1"],
+          "--seed": ["1"]}
+_UNREAD = {"analyze": ["--out", "--steps", "--trials"],
+           "extend": ["--steps", "--trials"],
+           "verify": ["--out"],
+           "print": sorted(_FLAGS)}
+
+
+@pytest.mark.parametrize("command", sorted(_UNREAD))
+def test_a_command_rejects_the_flags_it_does_not_read(paths, capsys, command):
+    for flag in _UNREAD[command]:
+        rc, out, err = run(capsys, command, paths["robot"], flag, *_FLAGS[flag])
+        assert (rc, out) == (1, ""), flag
+        assert f"unrecognized arguments: {flag}" in err, flag
+
+
+def test_usage_errors_exit_1_and_help_exits_0(paths, capsys):
+    for argv in ([], ["analyze"], ["frobnicate", paths["robot"]],
+                 ["verify", paths["robot"], "--steps", "many"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert "usage: difflat" in err, argv
+    rc, out, _ = run(capsys, "verify", "--help")
+    assert rc == 0 and out.startswith("usage: difflat verify")
 
 
 def test_verify_tolerance_flag_is_honored(paths, capsys):

@@ -318,7 +318,7 @@ def test_compiled_towers_and_jacobians_match_evaluate(reports):
         tower = report.tower
         rows = tower.row_exprs()
         exprs = rows + [e for row in jacobian(rows, tower.variables) for e in row]
-        for pt in [tower.jet_center] + [win.pt for win in tower.windows]:
+        for pt in [tower.point] + [win.pt for win in tower.windows]:
             leaves = list(tower.variables) + [k for k in pt if isinstance(k, Par)]
             _assert_compiled_matches(exprs, leaves, [pt[k] for k in leaves])
 

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+import re
 
 import pytest
 
@@ -10,7 +10,7 @@ from difflat.extension import (
     ExtensionError, build_combined, certify_linearizing, truncated,
 )
 from difflat.model import SystemModel
-from difflat.numeric import PROBE_COUNT, eval_matrix, simulate
+from difflat.numeric import eval_matrix, simulate
 from difflat.parsing import DimTable, parse_expression
 from difflat.sysfile import loads_system
 from test_snapshot import CASES
@@ -183,22 +183,6 @@ def test_prelongation_needs_a_fixed_point(academic):
         "is not a fixed point (residual 0.1)")
 
 
-@pytest.mark.parametrize("field, image, what", [
-    ("u_inverse", Var("ubar", 1, 0), "input"),
-    ("zeta_inverse", Var("zetabar", 1, -1), "history"),
-])
-def test_singular_transform_is_rejected(reports, corpus, field, image, what):
-    # both original coordinates mapped to one new coordinate: rank 1 < m
-    rep = reports["robot"]
-    ctx = rep.tower.context
-    singular = {k: image for k in getattr(ctx, field)}
-    tower = replace(rep.tower, context=replace(ctx, **{field: singular}))
-    with pytest.raises(ExtensionError) as ei:
-        build_combined(rep.model, corpus["robot"].candidate, tower)
-    assert str(ei.value) == (
-        f"{what} transform is not invertible near the point (rank 1)")
-
-
 def test_trivial_system_extension_is_identity():
     # x+ = u with y = x: d = 0, no chain; the extension is the system itself
     # in transformed input coordinates
@@ -266,6 +250,31 @@ def test_vtol_certificate_full_rank_at_the_point(exts):
     assert cert.at_point_rank == 10
 
 
+def _academic_u2_in_micro_units():
+    """academic with u2 = v / 10^6, written again as u2."""
+    head, tail = systems.source("academic").split("[equilibrium]")
+    return (re.sub(r"\bu2\b", "(u2/1000000)", head) + "[equilibrium]"
+            + tail.replace("u2 = -1 .. 1", "u2 = -1000000 .. 1000000"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["academic_u2_micro"])
+def test_the_certificate_reads_the_tower_ranks(name):
+    """The certificate's rank is the tower search's, over the same windows,
+    and its at-point rank is the tower's at `Tower.point`, which is the
+    extended point: `extend` and `analyze` report the same ranks. With u2
+    in micro-units academic's windows reach rank 9 of 9, where a cloud of
+    perturbations around the extended point read 8."""
+    sf = loads_system(CASES.get(name) or _academic_u2_in_micro_units())
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    ext = build_combined(rep.model, sf.candidate, rep.tower)
+    cert = certify_linearizing(ext, sf.options).to_json()
+    ranks = rep.to_json()["ranks"]["tower"]
+    assert cert["at_point_rank"] == ranks["at_point"]
+    assert cert["rank"] == ranks["generic"]
+    assert cert["points_checked"] == VERIFY_STEPS
+    assert cert["pass"]
+
+
 # ---------------------------------------------------------------------------
 # the compiled tower Jacobian: one kernel per tower, shared by every rank
 
@@ -278,9 +287,9 @@ def _matrix_or_error(fn):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tower_kernel_matches_the_tree_walked_jacobian(name, monkeypatch):
-    """At every point where the tower search reads a rank (the jet center and
-    each verification window of every candidate tower) and at every probe of
-    the certificate, the matrix read off the tower's compiled kernel is
+    """At every point where the tower search reads a rank (`Tower.point`
+    and each verification window of every candidate tower) and at the
+    certificate's point, the matrix read off the tower's compiled kernel is
     byte-equal to the tree-walked Jacobian of the rows, in the row and
     column order each takes: `row_exprs` against the tower variables, and
     against the extended coordinates."""
@@ -296,25 +305,24 @@ def test_tower_kernel_matches_the_tree_walked_jacobian(name, monkeypatch):
     def tower_rank(tower, opts):
         towers.append(tower)
         record(tower.row_exprs(), list(tower.variables), tower.jacobian_at,
-               [tower.jet_center] + [win.pt for win in tower.windows])
+               [tower.point] + [win.pt for win in tower.windows])
         return real_tower_rank(tower, opts)
 
     monkeypatch.setattr(analysis, "_tower_rank", tower_rank)
     sf = loads_system(CASES[name])
     rep = analyze(sf.model, sf.candidate, sf.options)
     ext = build_combined(rep.model, sf.candidate, rep.tower)
-    real_probe = extension.matrix_rank_probe
+    real_at = ext.tower.jacobian_at
 
-    def probe(matrix_at, probes, *args, **kwargs):
-        probes = list(probes)
+    def at(pt):
         record(ext.tower.row_exprs(),
                list(ext.model.state_vars) + list(ext.model.input_vars),
-               matrix_at, probes)
-        return real_probe(matrix_at, probes, *args, **kwargs)
+               real_at, [pt])
+        return real_at(pt)
 
-    monkeypatch.setattr(extension, "matrix_rank_probe", probe)
+    monkeypatch.setattr(ext.tower, "jacobian_at", at)
     assert certify_linearizing(ext, sf.options).passed
-    assert len(seen) == (len(towers) * (1 + VERIFY_STEPS) + PROBE_COUNT + 1)
+    assert len(seen) == (len(towers) * (1 + VERIFY_STEPS) + 1)
     for rows, cols, pt, got in seen:
         J = jacobian(rows, cols)
         assert got == _matrix_or_error(lambda: eval_matrix(J, pt))
