@@ -27,19 +27,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, compile_exprs, differentiate, evaluate,
+    EvalError, Expr, Par, Var, ZERO, compile_exprs, differentiate, evaluate,
     jacobian, shift_vars, sub as esub, substitute, to_text, vars_of,
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    RankProbe, SimulationError, check_windows, depends_on, eval_matrix,
-    newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
-    simulate, tower_windows,
+    RankProbe, SimulationError, block_triangular_solver, check_windows,
+    depends_on, eval_matrix, newton_solve, numeric_rank, probe_points,
+    probe_rank, random_inputs, simulate, tower_windows,
 )
 from .solve import SolveError, solve_equations
 
@@ -52,6 +52,7 @@ __all__ = [
 
 SHIFT_CAP_FACTOR = 2
 VERIFY_STEPS = 12
+OUTPUT_KERNEL_CACHE_SIZE = 16
 
 
 class AnalysisError(Exception):
@@ -141,7 +142,8 @@ class Tower:
     at-point rank is taken at `point`. The rows, the input recovery and
     their Jacobians compile on first use into straight-line functions of
     `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), as do its
-    outputs (`output_kernel`); the rest is read from `context`."""
+    outputs (`output_kernel`, shared by the towers of one search); the rest
+    is read from `context`."""
 
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
@@ -186,12 +188,25 @@ class Tower:
         return point
 
     @cached_property
-    def jacobian_kernel(self):
+    def _jacobian(self):
         """The Jacobian of the rows (`row_exprs` order) w.r.t. the variables,
-        compiled once per tower: maps the values of `leaves` to an array,
-        bit-identical to `eval_matrix`. The tower search rank, the class ranks,
-        Newton inversion and the linearizing certificate all evaluate it."""
+        compiled once per tower at its structural nonzeros (`_compiled_matrix`)."""
         return _compiled_matrix(self.row_exprs(), self.variables, self.leaves)
+
+    @property
+    def jacobian_kernel(self):
+        """The tower Jacobian as a function of the values of `leaves` to an
+        array, bit-identical to `eval_matrix`. The tower search rank, the
+        class ranks and the linearizing certificate evaluate it; Newton
+        inversion reads its nonzeros alone (`step_solver`)."""
+        return self._jacobian[2]
+
+    @cached_property
+    def step_solver(self):
+        """`(nonzero values, r) -> J^-1 r` for the tower Jacobian J
+        (`numeric.block_triangular_solver` over `_jacobian`'s nonzeros),
+        built on the first Newton inversion of the tower."""
+        return block_triangular_solver(self._jacobian[0], len(self.variables))
 
     def jacobian_at(self, pt) -> np.ndarray:
         """The tower Jacobian at a point binding every leaf."""
@@ -219,7 +234,7 @@ class Tower:
         u_exprs = [self.u_recovery[v] for v in self.context.base_model.input_vars]
         return (compile_exprs(self.row_exprs(), self.leaves),
                 compile_exprs(u_exprs, self.leaves),
-                _compiled_matrix(u_exprs, self.variables, self.leaves))
+                _compiled_matrix(u_exprs, self.variables, self.leaves)[2])
 
     @cached_property
     def _state_rows(self) -> list:
@@ -236,11 +251,12 @@ class Tower:
 
     @cached_property
     def output_kernel(self):
-        """The outputs compiled once over the base model's states, inputs and
-        parameters (`window_plan`), as towers are (x, u)-flat."""
+        """The outputs compiled over the base model's states, inputs and
+        parameters (`window_plan`), as towers are (x, u)-flat; every tower
+        of one search shares one compile (`_compiled_outputs`)."""
         base = self.context.base_model
-        return compile_exprs(self.outputs, [*base.state_vars, *base.input_vars,
-                                            *self.window_plan[2]])
+        return _compiled_outputs(self.outputs, (*base.state_vars, *base.input_vars,
+                                                *self.window_plan[2]))
 
     @cached_property
     def window_plan(self) -> tuple:
@@ -278,15 +294,18 @@ class Tower:
     def recover(self, y, seed):
         """Solve tower(w) = y for w by Newton from `seed`, where `y` holds
         the measured targets in `targets` order; return (x values, u values,
-        w)."""
-        rows = self._compiled[0]
+        w). Each Newton step evaluates the Jacobian's nonzeros and solves by
+        substitution in block triangular order (`step_solver`)."""
+        rows, nonzeros = self._compiled[0], self._jacobian[1]
         targets = np.array(y, dtype=float)
 
         def residual(w):
             return np.array(rows(self._values(w))) - targets
 
-        w = newton_solve(residual, lambda w: self.jacobian_kernel(self._values(w)),
-                         seed)
+        def step(w):
+            return partial(self.step_solver, nonzeros(self._values(w)))
+
+        w = newton_solve(residual, step, seed)
         return (*self.states_inputs(w), w)
 
     def states_inputs(self, w):
@@ -305,11 +324,32 @@ class Tower:
         return dFx, dFu, M
 
 
+@lru_cache(maxsize=OUTPUT_KERNEL_CACHE_SIZE)
+def _compiled_outputs(outputs: tuple, leaves: tuple):
+    """`compile_exprs(outputs, leaves)`, kept for the most recent searches:
+    the candidate towers of one analysis read the same outputs over the
+    same leaves."""
+    return compile_exprs(outputs, leaves)
+
+
 def _compiled_matrix(exprs, cols, leaves):
-    """The Jacobian of `exprs` w.r.t. `cols`, compiled over `leaves`."""
-    fn = compile_exprs([e for row in jacobian(exprs, cols) for e in row], leaves)
+    """The Jacobian of `exprs` w.r.t. `cols`, compiled over `leaves` at its
+    structural nonzeros only: (their (row, column) pairs in row-major order,
+    their values as a function of the leaf values, the dense array as one,
+    zero elsewhere)."""
+    J = jacobian(exprs, cols)
+    nonzeros = [(i, j) for i, row in enumerate(J)
+                for j, e in enumerate(row) if e != ZERO]
+    fn = compile_exprs([J[i][j] for i, j in nonzeros], leaves)
     shape = (len(exprs), len(cols))
-    return lambda values: np.array(fn(values)).reshape(shape)
+    flat = [i * shape[1] + j for i, j in nonzeros]
+
+    def dense(values):
+        out = np.zeros(shape[0] * shape[1])
+        out[flat] = fn(values)
+        return out.reshape(shape)
+
+    return nonzeros, fn, dense
 
 
 @dataclass

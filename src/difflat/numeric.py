@@ -1,5 +1,6 @@
 """Numeric primitives: SVD ranks, finite-difference cross-checks, jet-space
-probe points, trajectory simulation and parameterization verification."""
+probe points, trajectory simulation, parameterization verification and
+Newton inversion with a block triangular step solve."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ __all__ = [
     "numeric_rank", "fd_jacobian_check", "eval_matrix", "probe_points",
     "RankProbe", "probe_rank", "Trajectory",
     "random_inputs", "simulate", "SimulationError", "verify_parameterization",
-    "ResidualReport", "newton_solve", "Window", "tower_windows",
-    "check_windows",
+    "ResidualReport", "newton_solve", "block_triangular_solver", "Window",
+    "tower_windows", "check_windows",
 ]
 
 RANK_TOL = 1e-8
@@ -307,32 +308,32 @@ def _max_abs(r: list) -> float:
     """max |r_i| of a list of floats, NaN when an entry is NaN (as
     `np.max(np.abs(r))` is), so that a NaN residual never counts as
     progress; Python's `max` alone would skip a NaN after the first entry."""
-    a = [abs(v) for v in r]
+    a = list(map(abs, r))
     total = sum(a)
     return max(a) if total == total else total
 
 
 def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
                  max_iter: int = 60) -> np.ndarray:
-    """Dense Newton iteration for square systems; raises on stagnation.
+    """Damped Newton iteration for square systems; raises on stagnation.
 
     `residual_fn(w)` returns the residual as a 1-D float array. It runs once
     at the seed and once per trial step; an accepted step's residual is
-    carried into the next iteration. The infinity norm of each residual is
-    taken once, on Python floats (`_max_abs`): a trial step is accepted when
-    its norm is below the current one, which a NaN norm never is, and the
-    iteration stops when the norm is at most `tol`."""
+    carried into the next iteration. `jacobian_fn(w)` returns the step solve
+    at w, which maps the residual, as a list of floats, to the step
+    `J(w)^-1 r` (a `block_triangular_solver` bound to the Jacobian's values)
+    and raises `EvalError` where `J(w)` is singular; it runs once per
+    iteration. The infinity norm of each residual is taken once, on Python
+    floats (`_max_abs`): a trial step is accepted when its norm is below the
+    current one, which a NaN norm never is, and the iteration stops when the
+    norm is at most `tol`."""
     w = np.array(seed, dtype=float)
     r = residual_fn(w)
     norm = _max_abs(r.tolist())
     for _ in range(max_iter):
         if norm <= tol:
             return w
-        J = jacobian_fn(w)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as ex:
-            raise EvalError("singular Jacobian in Newton solve") from ex
+        step = np.array(jacobian_fn(w)(r.tolist()))
         # damped step for robustness far from the seed
         lam = 1.0
         for _ in range(25):
@@ -348,3 +349,107 @@ def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
     if norm <= tol:
         return w
     raise EvalError("Newton iteration did not converge")
+
+
+def block_triangular_solver(nonzeros, n: int):
+    """Compile `(values, r) -> J^-1 r` for the n x n matrix J whose
+    structural nonzeros are `nonzeros`, (row, column) pairs whose values
+    `values` lists in the same order; every other entry is zero.
+
+    Rows are matched to columns by augmenting paths, and Tarjan's strongly
+    connected components of the row dependencies (row i needs the unknown
+    matched to row i' when J[i, matched column of i'] is a nonzero) give the
+    diagonal blocks in the order they can be solved (the block triangular
+    form of Duff and Reid). The code is straight-line: a 1 x 1 block
+    subtracts its row's known terms and divides by its pivot, a larger
+    block is one `numpy.linalg.solve`. A zero pivot, a singular block or a
+    pattern without a perfect matching raises
+    `EvalError("singular Jacobian in Newton solve")`."""
+    at = {ij: p for p, ij in enumerate(nonzeros)}
+    cols_of = [[] for _ in range(n)]
+    for i, j in nonzeros:
+        cols_of[i].append(j)
+    row_of = [None] * n    # column -> its matched row
+
+    def augment(i, seen):
+        for j in cols_of[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] is None or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    for i in range(n):
+        if not augment(i, set()):
+            raise EvalError(_SINGULAR)
+    col_of = [None] * n
+    for j, i in enumerate(row_of):
+        col_of[i] = j
+    lines = []
+    for block in _tarjan([[row_of[j] for j in cols_of[i] if j != col_of[i]]
+                          for i in range(n)]):
+        cols = [col_of[i] for i in block]
+
+        def known(i):    # row i's residual less its terms outside the block
+            return "".join([f"r[{i}]"] + [f" - v[{at[i, j]}] * x{j}"
+                                          for j in cols_of[i] if j not in cols])
+
+        if len(block) == 1:
+            i, j = block[0], cols[0]
+            lines += [f"p = v[{at[i, j]}]", "if p == 0.0: _singular()",
+                      f"x{j} = ({known(i)}) / p"]
+        else:
+            matrix = ", ".join("[" + ", ".join(
+                f"v[{at[i, j]}]" if (i, j) in at else "0.0" for j in cols) + "]"
+                for i in block)
+            rhs = ", ".join(known(i) for i in block)
+            lines.append(f"{''.join(f'x{j}, ' for j in cols)}= "
+                         f"_solve([{matrix}], [{rhs}])")
+    body = "\n    ".join(lines + [f"return [{', '.join(f'x{j}' for j in range(n))}]"])
+    namespace = {"_singular": _singular, "_solve": _solve_block}
+    exec(compile(f"def solve(v, r):\n    {body}\n",
+                 "<difflat.block_triangular_solver>", "exec"), namespace)
+    return namespace["solve"]
+
+
+_SINGULAR = "singular Jacobian in Newton solve"
+
+
+def _singular():
+    raise EvalError(_SINGULAR)
+
+
+def _solve_block(A, b) -> list:
+    try:
+        return np.linalg.solve(A, b).tolist()
+    except np.linalg.LinAlgError as ex:
+        raise EvalError(_SINGULAR) from ex
+
+
+def _tarjan(needs) -> list:
+    """Tarjan's strongly connected components of the graph i -> needs[i],
+    each a list of nodes, every component after the ones it needs."""
+    index, low, stack, on_stack, out = {}, {}, [], set(), []
+
+    def visit(i):
+        index[i] = low[i] = len(index)
+        stack.append(i)
+        on_stack.add(i)
+        for k in needs[i]:
+            if k not in index:
+                visit(k)
+                low[i] = min(low[i], low[k])
+            elif k in on_stack:
+                low[i] = min(low[i], index[k])
+        if low[i] == index[i]:
+            block = []
+            while not block or block[-1] != i:
+                block.append(stack.pop())
+                on_stack.discard(block[-1])
+            out.append(sorted(block))
+
+    for i in range(len(needs)):
+        if i not in index:
+            visit(i)
+    return out

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import difflat
-from difflat import analysis, systems
+from difflat import analysis, numeric, systems
 from difflat.analysis import (
     VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate,
     _default_trajectory, _rank_drop, _try_tower, analyze, backward_depths,
@@ -237,11 +238,14 @@ def test_vtol_parameterization_is_implicit(reports):
 
 def _tree_walked_newton(imp):
     """`recover` and `jacobian_blocks` of an implicit parameterization, built
-    from evaluate/eval_matrix around the same newton_solve."""
+    from evaluate/eval_matrix around the same newton_solve and the same
+    compiled step solve (`Tower.step_solver`), fed the eval_matrix values at
+    the tower Jacobian's structural nonzeros."""
     base = imp.context.base_model
     variables = list(imp.variables)
     rows = imp.row_exprs()
     J = jacobian(rows, variables)
+    nonzeros = imp._jacobian[0]
     u_exprs = [imp.u_recovery[v] for v in base.input_vars]
     dU = jacobian(u_exprs, variables)
 
@@ -250,11 +254,15 @@ def _tree_walked_newton(imp):
         pt.update((v, float(x)) for v, x in zip(variables, w))
         return pt
 
+    def step(w):
+        M = eval_matrix(J, point(w)).tolist()
+        return partial(imp.step_solver, [M[i][j] for i, j in nonzeros])
+
     def recover(y, seed):
         targets = np.array([y[t] for t in imp.targets])
         w = newton_solve(
             lambda w: np.array([evaluate(r, point(w)) for r in rows]) - targets,
-            lambda w: eval_matrix(J, point(w)), seed)
+            step, seed)
         pt = point(w)
         us = [evaluate(e, pt) for e in u_exprs]
         return [pt[v] for v in base.state_vars], us, w
@@ -321,6 +329,57 @@ def test_one_step_vtol_verification_matches_the_tree_walked_reference(reports,
         assert out.passed and out.checked == 1
         assert out.max_residual_x == max(abs(a - b) for a, b in zip(fx, x))
         assert out.max_residual_u == max(abs(a - b) for a, b in zip(fu, u))
+
+
+@pytest.mark.parametrize("name", ["robot", "academic"])
+def test_newton_recovers_the_windows_through_a_two_by_two_block(name, reports,
+                                                                monkeypatch):
+    """The robot and academic tower Jacobians each have one 2 x 2 diagonal
+    block in block triangular form, which the step solve hands to
+    `numpy.linalg.solve`; `Tower.recover` from the perturbed seed returns
+    each window's x and u to within 1e-9."""
+    tower = reports[name].tower
+    blocks = []
+    real = numeric._solve_block
+
+    def recorded(A, b):
+        blocks.append(len(b))
+        return real(A, b)
+
+    monkeypatch.setattr(numeric, "_solve_block", recorded)
+    monkeypatch.delitem(tower.__dict__, "step_solver", raising=False)
+    for win in tower.windows:
+        w = win.w
+        xs, us, _ = tower.recover(win.y, w + tower.seed_offset * (1.0 + np.abs(w)))
+        assert max(abs(a - b) for a, b in zip(xs, win.x)) <= 1e-9, win.k
+        assert max(abs(a - b) for a, b in zip(us, win.u)) <= 1e-9, win.k
+    assert blocks and set(blocks) == {2}
+
+
+@pytest.mark.parametrize("text, towers", [(systems.source("robot"), 1),
+                                          (VTOL_RELABELED_SWAPPED, 2)])
+def test_one_analysis_compiles_the_outputs_once(text, towers, monkeypatch):
+    """Every candidate tower of one analysis reads the outputs through one
+    compiled kernel: robot tries five permutations and builds one tower, the
+    relabeled swapped vtol builds two (it passes over the first)."""
+    compiled, built = [], []
+    real, real_init = compile_exprs, analysis.Tower.__init__
+
+    def counting(exprs, leaves):
+        compiled.append(list(exprs))
+        return real(exprs, leaves)
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "compile_exprs", counting)
+    monkeypatch.setattr(analysis.Tower, "__init__", init)
+    analysis._compiled_outputs.cache_clear()
+    sf = loads_system(text)
+    analyze(sf.model, sf.candidate, sf.options)
+    assert len(built) == towers
+    assert sum(exprs == list(sf.candidate.phi) for exprs in compiled) == 1
 
 
 def _exact_seed_windows(text):

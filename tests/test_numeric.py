@@ -1,14 +1,17 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difflat.expr import EvalError, Par, Var, add, evaluate, mul, pow_, var
 from difflat.numeric import (
     PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
-    check_windows, newton_solve, numeric_rank, probe_points, random_inputs,
-    simulate, tower_windows, verify_parameterization,
+    block_triangular_solver, check_windows, newton_solve, numeric_rank,
+    probe_points, random_inputs, simulate, tower_windows,
+    verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -408,22 +411,30 @@ def _recording(fn, points):
     return recorded
 
 
+DENSE_2X2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
+DIAGONAL_2X2 = [(0, 0), (1, 1)]
+
+
 def test_newton_evaluates_the_residual_once_per_point():
     # from w = 3 the full Newton step on atan overshoots, so the line search
     # halves twice before the first accepted step; the seed, each accepted
     # step and each rejected trial cost one residual evaluation apiece
     res, jac = [], []
-    w = newton_solve(_recording(np.arctan, res),
-                     _recording(lambda w: np.diag(1.0 / (1.0 + w ** 2)), jac),
-                     np.array([3.0]))
+    solve = block_triangular_solver([(0, 0)], 1)
+    w = newton_solve(
+        _recording(np.arctan, res),
+        _recording(lambda w: partial(solve, [1.0 / (1.0 + w[0] ** 2)]), jac),
+        np.array([3.0]))
     assert w[0] == 0.0
     assert len(res) == 1 + len(jac) + 2
     assert len({p.tobytes() for p in res}) == len(res)
     # a linear system converges in one step: the seed and the solution
     A, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+    solve = block_triangular_solver(DENSE_2X2, 2)
     res, jac = [], []
     newton_solve(_recording(lambda w: A @ w - b, res),
-                 _recording(lambda w: A, jac), np.zeros(2))
+                 _recording(lambda w: partial(solve, A.ravel().tolist()), jac),
+                 np.zeros(2))
     assert (len(res), len(jac)) == (2, 1)
 
 
@@ -434,11 +445,70 @@ def test_newton_nan_residual_is_never_progress():
     def residual(w):
         return np.array([w[0], 1.0 if w[1] == 1.0 else np.nan])
 
+    identity = partial(block_triangular_solver(DIAGONAL_2X2, 2), [1.0, 1.0])
     with pytest.raises(EvalError, match="stagnated"):
-        newton_solve(residual, lambda w: np.eye(2), np.ones(2))
+        newton_solve(residual, lambda w: identity, np.ones(2))
 
 
 def test_a_singular_newton_step_is_a_plain_eval_error():
+    zeros = partial(block_triangular_solver(DENSE_2X2, 2), [0.0] * 4)
     with pytest.raises(EvalError) as ei:
-        newton_solve(lambda w: w - 1.0, lambda w: np.zeros((2, 2)), np.zeros(2))
+        newton_solve(lambda w: w - 1.0, lambda w: zeros, np.zeros(2))
     assert str(ei.value) == "singular Jacobian in Newton solve"
+
+
+def test_a_zero_pivot_is_a_singular_newton_step():
+    # lower triangular: the 1 x 1 block of row 1 divides by J[1, 1] = 0
+    solve = block_triangular_solver([(0, 0), (1, 0), (1, 1)], 2)
+    assert solve([2.0, 1.0, 4.0], [2.0, 9.0]) == [1.0, 2.0]
+    with pytest.raises(EvalError) as ei:
+        newton_solve(lambda w: w - 1.0, lambda w: partial(solve, [2.0, 1.0, 0.0]),
+                     np.zeros(2))
+    assert str(ei.value) == "singular Jacobian in Newton solve"
+
+
+def test_a_pattern_without_a_perfect_matching_is_singular():
+    # both rows have their only nonzeros in column 0
+    with pytest.raises(EvalError) as ei:
+        block_triangular_solver([(0, 0), (1, 0)], 2)
+    assert str(ei.value) == "singular Jacobian in Newton solve"
+
+
+def test_a_nan_jacobian_entry_ends_in_stagnation():
+    solve = block_triangular_solver([(0, 0), (1, 0), (1, 1)], 2)
+    with pytest.raises(EvalError, match="stagnated"):
+        newton_solve(lambda w: w - 1.0,
+                     lambda w: partial(solve, [1.0, math.nan, 1.0]), np.zeros(2))
+
+
+@st.composite
+def _block_triangular_systems(draw):
+    """(nonzeros, values, r, dense J): a block lower triangular matrix with
+    diagonal blocks of size 1-3, full blocks with a dominant diagonal, a
+    random pattern below them, rows and columns permuted at random."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    value = st.floats(-1.0, 1.0, allow_nan=False)
+    J = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if block[i] == block[j]:
+                J[rows[i], cols[j]] = draw(value) + (4.0 if i == j else 0.0)
+            elif block[j] < block[i] and draw(st.booleans()):
+                J[rows[i], cols[j]] = draw(value)
+    nonzeros = [(i, j) for i in range(n) for j in range(n) if J[i, j] != 0.0]
+    r = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                      min_size=n, max_size=n))
+    return nonzeros, [J[i, j] for i, j in nonzeros], r, J
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_block_triangular_systems())
+def test_block_triangular_solve_matches_a_dense_solve(system):
+    nonzeros, values, r, J = system
+    got = block_triangular_solver(nonzeros, len(r))(values, r)
+    want = np.linalg.solve(J, r)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
