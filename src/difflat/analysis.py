@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
 
 SHIFT_CAP_FACTOR = 2
 VERIFY_STEPS = 12
-OUTPUT_KERNEL_CACHE_SIZE = 16
 
 
 class AnalysisError(Exception):
@@ -131,6 +130,26 @@ class TowerContext:
 
 
 @dataclass
+class SparseKernel:
+    """A matrix of expressions compiled at its structural nonzeros. Called
+    on the values of the leaves it was compiled over, it returns the dense
+    array, zero off the nonzeros."""
+
+    nonzeros: list                 # (row, column) of each nonzero, row-major
+    values: object                 # leaf values -> the nonzeros' values, in order
+    shape: tuple
+    flat: list = field(init=False)  # each nonzero's index in the flat array
+
+    def __post_init__(self):
+        self.flat = [i * self.shape[1] + j for i, j in self.nonzeros]
+
+    def __call__(self, leaf_values) -> np.ndarray:
+        out = np.zeros(self.shape[0] * self.shape[1])
+        out[self.flat] = self.values(leaf_values)
+        return out.reshape(self.shape)
+
+
+@dataclass
 class Tower:
     """The tower map w -> y of the tower variables w; its inverse is F.
 
@@ -142,8 +161,7 @@ class Tower:
     at-point rank is taken at `point`. The rows, the input recovery and
     their Jacobians compile on first use into straight-line functions of
     `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), as do its
-    outputs (`output_kernel`, shared by the towers of one search); the rest
-    is read from `context`."""
+    outputs (`output_kernel`); the rest is read from `context`."""
 
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
@@ -188,25 +206,22 @@ class Tower:
         return point
 
     @cached_property
-    def _jacobian(self):
+    def jacobian_kernel(self) -> SparseKernel:
         """The Jacobian of the rows (`row_exprs` order) w.r.t. the variables,
-        compiled once per tower at its structural nonzeros (`_compiled_matrix`)."""
+        compiled once per tower at its structural nonzeros: maps the values
+        of `leaves` to an array, bit-identical to `eval_matrix`. The tower
+        search rank, the class ranks and the linearizing certificate
+        evaluate it; Newton inversion reads its nonzeros alone
+        (`SparseKernel.values`, `step_solver`)."""
         return _compiled_matrix(self.row_exprs(), self.variables, self.leaves)
-
-    @property
-    def jacobian_kernel(self):
-        """The tower Jacobian as a function of the values of `leaves` to an
-        array, bit-identical to `eval_matrix`. The tower search rank, the
-        class ranks and the linearizing certificate evaluate it; Newton
-        inversion reads its nonzeros alone (`step_solver`)."""
-        return self._jacobian[2]
 
     @cached_property
     def step_solver(self):
         """`(nonzero values, r) -> J^-1 r` for the tower Jacobian J
-        (`numeric.block_triangular_solver` over `_jacobian`'s nonzeros),
+        (`numeric.block_triangular_solver` over `jacobian_kernel.nonzeros`),
         built on the first Newton inversion of the tower."""
-        return block_triangular_solver(self._jacobian[0], len(self.variables))
+        return block_triangular_solver(self.jacobian_kernel.nonzeros,
+                                       len(self.variables))
 
     def jacobian_at(self, pt) -> np.ndarray:
         """The tower Jacobian at a point binding every leaf."""
@@ -234,7 +249,7 @@ class Tower:
         u_exprs = [self.u_recovery[v] for v in self.context.base_model.input_vars]
         return (compile_exprs(self.row_exprs(), self.leaves),
                 compile_exprs(u_exprs, self.leaves),
-                _compiled_matrix(u_exprs, self.variables, self.leaves)[2])
+                _compiled_matrix(u_exprs, self.variables, self.leaves))
 
     @cached_property
     def _state_rows(self) -> list:
@@ -251,12 +266,11 @@ class Tower:
 
     @cached_property
     def output_kernel(self):
-        """The outputs compiled over the base model's states, inputs and
-        parameters (`window_plan`), as towers are (x, u)-flat; every tower
-        of one search shares one compile (`_compiled_outputs`)."""
+        """The outputs compiled once over the base model's states, inputs and
+        parameters (`window_plan`), as towers are (x, u)-flat."""
         base = self.context.base_model
-        return _compiled_outputs(self.outputs, (*base.state_vars, *base.input_vars,
-                                                *self.window_plan[2]))
+        return compile_exprs(self.outputs, [*base.state_vars, *base.input_vars,
+                                            *self.window_plan[2]])
 
     @cached_property
     def window_plan(self) -> tuple:
@@ -296,7 +310,7 @@ class Tower:
         the measured targets in `targets` order; return (x values, u values,
         w). Each Newton step evaluates the Jacobian's nonzeros and solves by
         substitution in block triangular order (`step_solver`)."""
-        rows, nonzeros = self._compiled[0], self._jacobian[1]
+        rows, nonzeros = self._compiled[0], self.jacobian_kernel.values
         targets = np.array(y, dtype=float)
 
         def residual(w):
@@ -324,32 +338,14 @@ class Tower:
         return dFx, dFu, M
 
 
-@lru_cache(maxsize=OUTPUT_KERNEL_CACHE_SIZE)
-def _compiled_outputs(outputs: tuple, leaves: tuple):
-    """`compile_exprs(outputs, leaves)`, kept for the most recent searches:
-    the candidate towers of one analysis read the same outputs over the
-    same leaves."""
-    return compile_exprs(outputs, leaves)
-
-
-def _compiled_matrix(exprs, cols, leaves):
+def _compiled_matrix(exprs, cols, leaves) -> SparseKernel:
     """The Jacobian of `exprs` w.r.t. `cols`, compiled over `leaves` at its
-    structural nonzeros only: (their (row, column) pairs in row-major order,
-    their values as a function of the leaf values, the dense array as one,
-    zero elsewhere)."""
+    structural nonzeros only."""
     J = jacobian(exprs, cols)
     nonzeros = [(i, j) for i, row in enumerate(J)
                 for j, e in enumerate(row) if e != ZERO]
-    fn = compile_exprs([J[i][j] for i, j in nonzeros], leaves)
-    shape = (len(exprs), len(cols))
-    flat = [i * shape[1] + j for i, j in nonzeros]
-
-    def dense(values):
-        out = np.zeros(shape[0] * shape[1])
-        out[flat] = fn(values)
-        return out.reshape(shape)
-
-    return nonzeros, fn, dense
+    return SparseKernel(nonzeros, compile_exprs([J[i][j] for i, j in nonzeros], leaves),
+                        (len(exprs), len(cols)))
 
 
 @dataclass
