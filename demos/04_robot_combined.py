@@ -14,7 +14,8 @@ import random
 from difflat import (
     analyze, build_combined, certify_linearizing, systems, to_text,
 )
-from difflat.numeric import simulate, verify_parameterization
+from difflat.analysis import verification_trajectory
+from difflat.numeric import verify_parameterization
 
 sf = systems.load("robot")
 report = analyze(sf.model, sf.candidate, sf.options)
@@ -46,10 +47,8 @@ print(f"certificate: rank {cert.rank}/{cert.required} -> "
 
 print("\n== trajectory certification of the parameterizing map ==")
 model = report.model
-rng = random.Random(7)
-H, K = 2, 34
-us = [[rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)] for _ in range(H + K)]
-traj = simulate(model, [0.0, 0.0, 0.0], us, H, K)
+traj = verification_trajectory(model, idx, 30, random.Random(7),
+                               sf.options.input_boxes)
 out = verify_parameterization(model, sf.candidate, report.parameterization,
                               traj, range(0, 30), tol=1e-8)
 print(f"  30-step random trajectory: max |x - F_x| = {out.max_residual_x:.2e}, "

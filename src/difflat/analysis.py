@@ -48,6 +48,7 @@ __all__ = [
     "Tower", "Parameterization", "Classification", "AnalyzeOptions",
     "relative_degrees", "backward_depths", "build_tower", "invert_tower",
     "classify", "normalize_inputs", "analyze", "AnalysisReport",
+    "verification_trajectory",
 ]
 
 SHIFT_CAP_FACTOR = 2
@@ -160,8 +161,8 @@ class Tower:
     (`recover`) where the solver cannot invert the tower; the reported
     at-point rank is taken at `point`. The rows, the input recovery and
     their Jacobians compile on first use into straight-line functions of
-    `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), as do its
-    outputs (`output_kernel`); the rest is read from `context`."""
+    `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), each its
+    own `*_kernel`; the rest is read from `context`."""
 
     rows: dict                     # (orig component 1-based j, shift s) -> Expr
     variables: tuple
@@ -237,19 +238,27 @@ class Tower:
 
     @cached_property
     def u_recovery(self) -> dict:
-        """{original input leaf: expr over the tower variables}: the inverse
-        input transform, or the identity when the tower has none."""
-        ctx = self.context
-        return ctx.u_inverse or {v: v for v in ctx.base_model.input_vars}
+        """{original input leaf: expr over the tower variables}, in input
+        order: the inverse input transform, or the identity when the tower
+        has none."""
+        inverse = self.context.u_inverse or {}
+        return {v: inverse.get(v, v) for v in self.context.base_model.input_vars}
 
     @cached_property
-    def _compiled(self):
-        """(rows, u recovery, u-recovery Jacobian); the Jacobian returns an
-        array."""
-        u_exprs = [self.u_recovery[v] for v in self.context.base_model.input_vars]
-        return (compile_exprs(self.row_exprs(), self.leaves),
-                compile_exprs(u_exprs, self.leaves),
-                _compiled_matrix(u_exprs, self.variables, self.leaves))
+    def row_kernel(self):
+        """The rows (`row_exprs` order), compiled: Newton's residual."""
+        return compile_exprs(self.row_exprs(), self.leaves)
+
+    @cached_property
+    def u_kernel(self):
+        """The input recovery (`u_recovery`), compiled."""
+        return compile_exprs([*self.u_recovery.values()], self.leaves)
+
+    @cached_property
+    def u_jacobian_kernel(self) -> SparseKernel:
+        """The input recovery's Jacobian, compiled at its nonzeros."""
+        return _compiled_matrix([*self.u_recovery.values()], self.variables,
+                                self.leaves)
 
     @cached_property
     def _state_rows(self) -> list:
@@ -310,7 +319,7 @@ class Tower:
         the measured targets in `targets` order; return (x values, u values,
         w). Each Newton step evaluates the Jacobian's nonzeros and solves by
         substitution in block triangular order (`step_solver`)."""
-        rows, nonzeros = self._compiled[0], self.jacobian_kernel.values
+        rows, nonzeros = self.row_kernel, self.jacobian_kernel.values
         targets = np.array(y, dtype=float)
 
         def residual(w):
@@ -325,7 +334,7 @@ class Tower:
     def states_inputs(self, w):
         """(x values, u values) at the tower-variable point w."""
         values = self._values(w)
-        return [values[i] for i in self._state_rows], self._compiled[1](values)
+        return [values[i] for i in self._state_rows], self.u_kernel(values)
 
     def jacobian_blocks(self, w):
         """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
@@ -334,7 +343,7 @@ class Tower:
         M = np.linalg.inv(self.jacobian_kernel(values))  # vars x targets
         dFx = M[self._state_rows, :]
         # chain rule for u = Phi_u(vars)
-        dFu = self._compiled[2](values) @ M
+        dFu = self.u_jacobian_kernel(values) @ M
         return dFx, dFu, M
 
 
@@ -588,8 +597,7 @@ def _admissible_towers(sys, cand, rho, opts, diags):
         choice = choose_extension(sysb, opts.tol_rank)
         sysb = sysb.with_g(choice.g).with_psi(choice.psi_x, choice.psi_u)
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
-    elif sysb.psi_x is None:
-        sysb = invert_extension(sysb)
+    sysb = invert_extension(sysb)    # solves for a missing psi, checks any psi
     gamma = backward_depths(sysb, cand, opts)
 
     for mode in ("backward", "combined"):
@@ -693,7 +701,9 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
     tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx,
                   sources=sources, outputs=cand.phi)
     try:
-        tower.windows = tower_windows(tower, *_default_trajectory(sys, idx, opts))
+        traj = verification_trajectory(sys, idx, VERIFY_STEPS,
+                                       random.Random(opts.seed + 1), opts.input_boxes)
+        tower.windows = tower_windows(tower, traj, range(VERIFY_STEPS))
     except (EvalError, SimulationError) as ex:
         diags.append(f"{tag}: verification trajectory: {ex}")
         return None
@@ -927,9 +937,9 @@ def _cross_check_user_F(cand, param, diags, tol=1e-8):
 
 
 def _verify(param, opts: AnalyzeOptions) -> dict:
-    """Residuals of the parameterization at the tower's windows, along the
-    seeded random trajectory of `_default_trajectory`; raises AnalysisError
-    when they exceed the tolerance or cannot be computed."""
+    """Residuals of the parameterization at the tower's windows (its
+    `verification_trajectory`); raises AnalysisError when they exceed the
+    tolerance or cannot be computed."""
     why = "parameterization failed trajectory verification"
     try:
         report = check_windows(param, param.tower.windows, tol=opts.tol_verify)
@@ -943,22 +953,16 @@ def _verify(param, opts: AnalyzeOptions) -> dict:
     return report.to_json()
 
 
-def trajectory_frame(sys, idx: ShiftIndices, steps: int):
-    """(H, K, x0, u0) of a trajectory verified over `steps` steps: H =
-    max(R1) + 1 samples before k = 0, K = steps + max(R2) + 1 from it, the
-    start state x0 and the nominal input u0 taken from the analysis point."""
+def verification_trajectory(sys, idx: ShiftIndices, steps: int, rng, boxes):
+    """The trajectory verifying F at k = 0 .. steps - 1: H = max(R1) + 1
+    samples before k = 0 and K = steps + max(R2) + 1 from it, from the
+    analysis point, each input drawn from its 1-based `boxes` entry by `rng`
+    (`random_inputs`), or held at the point's input when `rng` is None."""
     pt = sys.analysis_point()
-    return (max(idx.r1) + 1, steps + max(idx.r2) + 1,
-            [pt[v] for v in sys.state_vars], [pt[v] for v in sys.input_vars])
-
-
-def _default_trajectory(sys, idx: ShiftIndices, opts: AnalyzeOptions):
-    """The verification trajectory and its step window: inputs drawn from the
-    [simulation] boxes with seed opts.seed + 1."""
-    H, K, x0, u0 = trajectory_frame(sys, idx, VERIFY_STEPS)
-    us = random_inputs(random.Random(opts.seed + 1), u0, opts.input_boxes,
-                       H + K)
-    return simulate(sys, x0, us, H, K), range(0, VERIFY_STEPS)
+    H, K = max(idx.r1) + 1, steps + max(idx.r2) + 1
+    u0 = [pt[v] for v in sys.input_vars]
+    us = [u0] * (H + K) if rng is None else random_inputs(rng, u0, boxes, H + K)
+    return simulate(sys, [pt[v] for v in sys.state_vars], us, H, K)
 
 
 # ---------------------------------------------------------------------------

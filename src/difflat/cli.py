@@ -15,14 +15,12 @@ from pathlib import Path
 
 from .analysis import (
     AnalysisError, AnalyzeOptions, ClassificationError, FlatCandidate,
-    analyze, trajectory_frame,
+    analyze, verification_trajectory,
 )
 from .expr import EvalError
 from .extension import build_combined, certify_linearizing
 from .model import ModelError
-from .numeric import (
-    SimulationError, random_inputs, simulate, verify_parameterization,
-)
+from .numeric import SimulationError, fold_residuals, verify_parameterization
 from .parsing import ParseError
 from .sysfile import (
     SystemFile, SystemFileError, load_system, loads_system, print_system,
@@ -134,52 +132,36 @@ def cmd_verify(args) -> int:
     opts = _options(sf, args)
     opts.skip_verification = True
     report = analyze(sf.model, sf.candidate, opts)
-    param = report.parameterization
-    sys_model = report.model
-    H, K, x0, u0 = trajectory_frame(sys_model, param.indices, args.steps)
-
-    if args.trials == 0:
-        trials = [[list(u0) for _ in range(H + K)]]
-    else:
-        rng = random.Random(args.seed)
-        trials = [random_inputs(rng, u0, opts.input_boxes, H + K)
-                  for _ in range(args.trials)]
-
-    worst = {"max_residual_x": 0.0, "max_residual_u": 0.0, "worst_k": 0,
-             "tolerance": args.tol_verify, "pass": True}
-    rng = random.Random(args.seed + 1)
-    for t, seq in enumerate(trials):
-        attempts = 0
-        while True:
+    param, model = report.parameterization, report.model
+    first, resample = random.Random(args.seed), random.Random(args.seed + 1)
+    reports = []
+    for t in range(args.trials or 1):
+        rng = first if args.trials else None
+        for _ in range(11):
             try:
-                traj = simulate(sys_model, x0, seq, H, K)
-                rep = verify_parameterization(
-                    sys_model, sf.candidate, param, traj,
-                    range(0, args.steps), tol=args.tol_verify)
+                traj = verification_trajectory(model, param.indices, args.steps,
+                                               rng, opts.input_boxes)
+                reports.append(verify_parameterization(
+                    model, sf.candidate, param, traj, range(0, args.steps),
+                    tol=args.tol_verify))
                 break
             except (SimulationError, EvalError) as ex:
-                if args.trials == 0:
+                if rng is None:
                     # the constant trajectory is what was asked for; a pole on
                     # it (a singular parameterization locus) is a hard failure
                     print(f"constant trajectory hits a pole: {ex}",
                           file=sys.stderr)
                     return EXIT_VERIFY
-                attempts += 1
-                if attempts > 10:
-                    print(f"trial {t}: pole persisted after 10 resamples",
-                          file=sys.stderr)
-                    return EXIT_VERIFY
-                seq = random_inputs(rng, u0, opts.input_boxes, H + K)
-        j = rep.to_json()
-        if max(j["max_residual_x"], j["max_residual_u"]) > max(
-                worst["max_residual_x"], worst["max_residual_u"]):
-            worst.update({k: j[k] for k in
-                          ("max_residual_x", "max_residual_u", "worst_k")})
-        worst["pass"] = worst["pass"] and j["pass"]
-    payload = {"schema": "1", "trials": len(trials), "steps": args.steps,
-               **worst}
+                rng = resample
+        else:
+            print(f"trial {t}: pole persisted after 10 resamples", file=sys.stderr)
+            return EXIT_VERIFY
+    worst = fold_residuals(((r.worst_k, r.max_residual_x, r.max_residual_u)
+                            for r in reports), args.tol_verify)
+    payload = {"schema": "1", "trials": len(reports), "steps": args.steps,
+               **worst.to_json()}
     _emit(payload, args.json)
-    return EXIT_OK if worst["pass"] else EXIT_VERIFY
+    return EXIT_OK if worst.passed else EXIT_VERIFY
 
 
 def cmd_print(args) -> int:

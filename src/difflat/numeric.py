@@ -18,7 +18,7 @@ __all__ = [
     "RankProbe", "probe_rank", "Trajectory",
     "random_inputs", "simulate", "SimulationError", "verify_parameterization",
     "ResidualReport", "newton_solve", "block_triangular_solver", "Window",
-    "tower_windows", "check_windows",
+    "tower_windows", "check_windows", "fold_residuals",
 ]
 
 RANK_TOL = 1e-8
@@ -278,12 +278,11 @@ def verify_parameterization(sys, cand, param, traj: Trajectory,
 
 
 def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
-    """The residuals of `verify_parameterization` at `windows`, NaN if any is
-    (`_max_abs`); an EvalError is raised again, same type, naming its k."""
+    """The residuals of `verify_parameterization` at `windows`, folded by
+    `fold_residuals`; an EvalError is raised again, same type, naming its k."""
     tower = param.tower
-    worst_x = worst_u = 0.0
-    worst_k = 0
-    for win in windows:
+
+    def residuals(win):
         try:
             if param.F_x is not None:
                 fx = [evaluate(e, win.pt) for e in param.F_x]
@@ -293,15 +292,26 @@ def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
                 fx, fu, _ = tower.recover(win.y, w + tower.seed_offset * (1.0 + np.abs(w)))
         except EvalError as ex:
             raise type(ex)(f"at window k = {win.k}: {ex}") from ex
-        rx = _max_abs([a - b for a, b in zip(fx, win.x)])
-        ru = _max_abs([a - b for a, b in zip(fu, win.u)])
+        return (win.k, _max_abs([a - b for a, b in zip(fx, win.x)]),
+                _max_abs([a - b for a, b in zip(fu, win.u)]))
+
+    return fold_residuals(map(residuals, windows), tol)
+
+
+def fold_residuals(rows, tol: float) -> ResidualReport:
+    """One report over `rows` of (k, residual in x, residual in u): their
+    maxima, NaN if any is (`_max_abs`), the k of the first largest max(x, u)
+    or of the first NaN, and the count of rows; it passes when each row
+    does. `difflat verify` folds its trials (k = their `worst_k`) so."""
+    worst_x = worst_u = 0.0
+    worst_k = checked = 0
+    for checked, (k, rx, ru) in enumerate(rows, 1):
         before = _max_abs([worst_x, worst_u])
         if before == before and not _max_abs([rx, ru]) <= before:
-            worst_k = win.k    # the first largest residual, or the first NaN
+            worst_k = k    # the first largest residual, or the first NaN
         worst_x, worst_u = _max_abs([worst_x, rx]), _max_abs([worst_u, ru])
     return ResidualReport(max_residual_x=worst_x, max_residual_u=worst_u,
-                          worst_k=worst_k, tolerance=tol,
-                          checked=len(windows))
+                          worst_k=worst_k, tolerance=tol, checked=checked)
 
 
 def _max_abs(r: list) -> float:

@@ -12,15 +12,17 @@ import pytest
 
 from conftest import random_corpus_expressions
 from difflat import systems
-from difflat.analysis import analyze, normalize_inputs, zero_block_check
+from difflat.analysis import (
+    analyze, normalize_inputs, verification_trajectory, zero_block_check,
+)
 from difflat.cli import main
 from difflat.expr import (
-    Var, differentiate, evaluate, substitute, to_text, var, vars_of,
+    EvalError, Var, differentiate, evaluate, substitute, to_text, var, vars_of,
 )
 from difflat.extension import build_combined, certify_linearizing, truncated
 from difflat.model import backward_shift, forward_shift
 from difflat.numeric import (
-    eval_matrix, fd_jacobian_check, numeric_rank, simulate,
+    SimulationError, eval_matrix, fd_jacobian_check, numeric_rank,
     verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
@@ -174,26 +176,21 @@ def test_criterion_7_trajectory_verification(reports, corpus):
     for name, rep in reports.items():
         sf = corpus[name]
         sysm = rep.model
-        idx = rep.indices
-        H = max(idx.r1) + 1
-        K = 30 + max(idx.r2) + 1
-        pt = sysm.analysis_point()
-        x0 = [pt[v] for v in sysm.state_vars]
-        u0 = [pt[v] for v in sysm.input_vars]
         rng = random.Random(7)
         for trial in range(5):
-            while True:
-                us = [[rng.uniform(*sf.options.input_boxes.get(
-                    j + 1, (u0[j] - 0.2, u0[j] + 0.2)))
-                    for j in range(sysm.m)] for _ in range(H + K)]
+            for _ in range(11):    # the first draw and at most 10 resamples
                 try:
-                    traj = simulate(sysm, x0, us, H, K)
+                    traj = verification_trajectory(sysm, rep.indices, 30, rng,
+                                                   sf.options.input_boxes)
                     out = verify_parameterization(
                         sysm, sf.candidate, rep.parameterization, traj,
                         range(0, 30), tol=1e-8)
                     break
-                except Exception:
+                except (SimulationError, EvalError):
                     continue  # resample a trajectory that left the chart
+            else:
+                pytest.fail(f"{name} trial {trial}: pole persisted after 10 "
+                            "resamples")
             assert out.passed, (name, trial, out.to_json())
             assert out.max_residual_x <= 1e-8 and out.max_residual_u <= 1e-8
     elapsed = time.monotonic() - t0

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,19 +15,19 @@ import pytest
 import difflat
 from difflat import analysis, numeric, systems
 from difflat.analysis import (
-    VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate,
-    _default_trajectory, _rank_drop, _try_tower, analyze, backward_depths,
-    build_tower, classify, invert_tower, normalize_inputs, relative_degrees,
+    VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate, _rank_drop,
+    _try_tower, analyze, backward_depths, build_tower, classify, invert_tower,
+    normalize_inputs, relative_degrees, verification_trajectory,
     zero_block_check,
 )
 from difflat.expr import (
-    EvalError, Var, compile_exprs, differentiate, evaluate, jacobian, to_text,
-    var, vars_of,
+    EvalError, Var, add, compile_exprs, differentiate, evaluate, jacobian,
+    num, to_text, var, vars_of,
 )
-from difflat.model import SystemModel, invert_extension
+from difflat.model import ModelError, SystemModel, invert_extension
 from difflat.numeric import (
     RankProbe, check_windows, eval_matrix, newton_solve, numeric_rank,
-    random_inputs, simulate, tower_windows, verify_parameterization,
+    tower_windows, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 from difflat.sysfile import loads_system
@@ -280,13 +281,9 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
     rep = reports["vtol"]
     sysm, idx, imp = rep.model, rep.indices, rep.parameterization.tower
     ref_recover, ref_blocks = _tree_walked_newton(imp)
-    pt0 = sysm.analysis_point()
-    H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
     for seed in (1, 2):
-        us = random_inputs(random.Random(seed),
-                           [pt0[v] for v in sysm.input_vars],
-                           vtol.options.input_boxes, H + K)
-        traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+        traj = verification_trajectory(sysm, idx, 6, random.Random(seed),
+                                       vtol.options.input_boxes)
         for win in tower_windows(imp, traj, range(6)):
             w0 = win.w + 1e-3 * np.cos(np.arange(win.w.size)) * (1.0 + np.abs(win.w))
             got, want = imp.recover(win.y, seed=w0), ref_recover(win.pt, w0)
@@ -307,11 +304,8 @@ def test_one_step_vtol_verification_matches_the_tree_walked_reference(reports,
     sysm, idx, param = rep.model, rep.indices, rep.parameterization
     imp = param.tower
     ref_recover, _ = _tree_walked_newton(imp)
-    pt0 = sysm.analysis_point()
-    H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
-    us = random_inputs(random.Random(5), [pt0[v] for v in sysm.input_vars],
-                       vtol.options.input_boxes, H + K)
-    traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+    traj = verification_trajectory(sysm, idx, 6, random.Random(5),
+                                   vtol.options.input_boxes)
     for k in range(6):
         x, u = traj.state(k), traj.inputs(k)
         y = {}
@@ -389,11 +383,13 @@ def _exact_seed_windows(text):
     sf.options.skip_verification = True
     rep = analyze(sf.model, sf.candidate, sf.options)
     tower, idx = rep.tower, rep.indices
-    traj, window = _default_trajectory(rep.model, idx, sf.options)
+    traj = verification_trajectory(rep.model, idx, VERIFY_STEPS,
+                                   random.Random(sf.options.seed + 1),
+                                   sf.options.input_boxes)
     rows = compile_exprs(tower.row_exprs(), tower.leaves)
     params = list(rep.model.param_bindings().values())
     out = []
-    for win in tower_windows(tower, traj, window):
+    for win in tower_windows(tower, traj, range(VERIFY_STEPS)):
         values = list(win.w) + params
         residual = np.array(rows(values)) - [win.pt[t] for t in tower.targets]
         _, us = tower.states_inputs(win.w)
@@ -627,6 +623,26 @@ def test_auto_selected_extension_map_reads_tol_rank(monkeypatch):
     assert seen == [(1e-7,)]
     assert "auto-selected extension map g = ('x1', 'x5')" in diags
     assert [t.context.mode for t in towers] == ["forward", "forward"]
+
+
+def test_an_auto_selected_psi_is_checked_as_a_declared_one(robot, monkeypatch):
+    """The search checks the inverse map psi of an auto-selected extension
+    map as `invert_extension` checks a declared one: on robot without its
+    [extension] section, a psi off by 1e-6 raises the 1e-9 check's error."""
+    real = analysis.choose_extension
+
+    def wrong(sysm, *args):
+        choice = real(sysm, *args)
+        return replace(choice, psi_x=(add(choice.psi_x[0], num(1e-6)),
+                                      *choice.psi_x[1:]))
+
+    monkeypatch.setattr(analysis, "choose_extension", wrong)
+    sf = loads_system(systems.source("robot").replace(
+        "[extension]\ng1 = x3\ng2 = x1\n", ""))
+    assert sf.model.g is None
+    with pytest.raises(ModelError, match=r"^psi verification residual .* "
+                                         r"exceeds 1e-9$"):
+        analyze(sf.model, sf.candidate, sf.options)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import random
 import re
 
 import pytest
 
-from difflat import systems
+from difflat import cli, systems
+from difflat.analysis import verification_trajectory
 from difflat.cli import main
+from difflat.expr import EvalError
+from difflat.numeric import ResidualReport, verify_parameterization
 from difflat.sysfile import SystemFileError, loads_system
 
 
@@ -181,6 +185,100 @@ def test_verify_robot(paths, capsys):
     j = json.loads(out)
     assert j["pass"] is True
     assert max(j["max_residual_x"], j["max_residual_u"]) <= 1e-8
+
+
+def _crafted_trials(monkeypatch, trials):
+    """Make `difflat verify` get the report of each of `trials`, (worst_k,
+    residual in x, residual in u) in order, from its trajectories."""
+    reports = iter([ResidualReport(rx, ru, k, 1e-8) for k, rx, ru in trials])
+    monkeypatch.setattr(cli, "verify_parameterization",
+                        lambda *args, **kwargs: next(reports))
+
+
+def test_verify_folds_each_residual_over_every_trial(paths, capsys, monkeypatch):
+    """`verify` reports the largest x residual of any trial and the largest
+    u residual of any trial, though they come from different trials, and
+    the k of the trial with the first largest of both."""
+    _crafted_trials(monkeypatch, [(4, 3e-13, 1e-13), (7, 1e-13, 5e-13),
+                                  (9, 2e-13, 5e-13)])
+    rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--trials", "3")
+    assert rc == 0
+    j = json.loads(out)
+    assert (j["max_residual_x"], j["max_residual_u"]) == (3e-13, 5e-13)
+    assert (j["worst_k"], j["trials"], j["pass"]) == (7, 3, True)
+
+
+def test_verify_fails_on_a_nan_trial_and_names_its_k(paths, capsys, monkeypatch):
+    _crafted_trials(monkeypatch, [(4, 3e-13, 1e-13), (6, math.nan, 1e-13),
+                                  (7, 1e-13, 5e-13)])
+    rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--trials", "3")
+    assert rc == 4
+    j = json.loads(out)
+    assert math.isnan(j["max_residual_x"]) and j["max_residual_u"] == 5e-13
+    assert (j["worst_k"], j["pass"]) == (6, False)
+
+
+def test_verify_robot_reports_the_maximum_over_its_trials(paths, reports,
+                                                          robot, capsys):
+    """Robot with the default seed and 5 trials: the maxima and worst k of
+    the five trials drawn through `verification_trajectory`, whose x and u
+    maxima lie in different trials."""
+    rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--trials", "5")
+    assert rc == 0
+    rep, rng = reports["robot"], random.Random(2023)
+    trials = [verify_parameterization(
+        rep.model, robot.candidate, rep.parameterization,
+        verification_trajectory(rep.model, rep.indices, 30, rng,
+                                robot.options.input_boxes), range(30))
+              for _ in range(5)]
+    xs = [t.max_residual_x for t in trials]
+    us = [t.max_residual_u for t in trials]
+    assert xs.index(max(xs)) != us.index(max(us))
+    worst = max(trials, key=lambda t: max(t.max_residual_x, t.max_residual_u))
+    j = json.loads(out)
+    assert (j["max_residual_x"], j["max_residual_u"]) == (max(xs), max(us))
+    assert j["worst_k"] == worst.worst_k
+
+
+def _poles(monkeypatch, count):
+    """Make the first `count` trajectories `difflat verify` checks hit a
+    pole; return the list of the input sequences of every trajectory."""
+    seen, real = [], cli.verify_parameterization
+
+    def verify(sys, cand, param, traj, *args, **kwargs):
+        seen.append(traj.u)
+        if len(seen) <= count:
+            raise EvalError("division by zero")
+        return real(sys, cand, param, traj, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_parameterization", verify)
+    return seen
+
+
+def test_verify_redraws_a_pole_from_the_next_seed(paths, reports, robot,
+                                                  capsys, monkeypatch):
+    """A first attempt that hits a pole is redrawn from seed + 1; the next
+    trial's first attempt still continues the draws of the seed."""
+    seen = _poles(monkeypatch, 1)
+    rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--trials", "2",
+                     "--steps", "8", "--seed", "7")
+    assert rc == 0 and json.loads(out)["trials"] == 2
+    rep, first = reports["robot"], random.Random(7)
+
+    def drawn(rng):
+        return verification_trajectory(rep.model, rep.indices, 8, rng,
+                                       robot.options.input_boxes).u
+
+    assert seen == [drawn(first), drawn(random.Random(8)), drawn(first)]
+
+
+def test_a_persisting_pole_exits_4_after_ten_resamples(paths, capsys,
+                                                        monkeypatch):
+    seen = _poles(monkeypatch, 100)
+    rc, out, err = run(capsys, "verify", paths["robot"], "--trials", "3")
+    assert (rc, out) == (4, "")
+    assert "trial 0: pole persisted after 10 resamples" in err
+    assert len(seen) == 11
 
 
 def test_verify_trials_zero_constant_trajectory_vtol(paths, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from difflat.analysis import verification_trajectory
 from difflat.expr import EvalError, Par, Var, add, evaluate, mul, pow_, var
 from difflat.numeric import (
     PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
@@ -345,11 +346,8 @@ def test_one_step_vtol_windows_build_no_var_after_the_first(reports, vtol,
     and the plan, no later window constructs a Var."""
     rep = reports["vtol"]
     sysm, idx = rep.model, rep.indices
-    pt0 = sysm.analysis_point()
-    H, K = max(idx.r1) + 1, 6 + max(idx.r2) + 1
-    us = random_inputs(random.Random(5), [pt0[v] for v in sysm.input_vars],
-                       vtol.options.input_boxes, H + K)
-    traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
+    traj = verification_trajectory(sysm, idx, 6, random.Random(5),
+                                   vtol.options.input_boxes)
 
     def window(k):
         return verify_parameterization(sysm, vtol.candidate,

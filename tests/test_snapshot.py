@@ -1,13 +1,12 @@
 """Golden snapshots of `analyze --json`, `extend --json` and `verify --json`.
 
 The goldens under tests/golden/ freeze every verdict the CLI reports: indices,
-class, ranks, tower rows, diagnostics, parameterization source, certificates
-and the extended system file. Two parts of the output legitimately depend on
-the interpreter's hash seed (set iteration changes the solver's pivot order):
-the text of a symbolic F and the trailing digits of the residuals. So F is
-compared by value at fixed y-points, and residuals by their verdict only.
-The goldens are compared in this process, under whatever hash seed it has,
-and again in a subprocess under PYTHONHASHSEED=3.
+class, ranks, tower rows, diagnostics, parameterization source, certificates,
+the extended system file and the text of a symbolic F, which is compared
+exactly. Only the trailing digits of the residuals can depend on the
+platform's libm, so residuals are compared by their verdict. The goldens are
+compared in this process, under whatever hash seed it has, and again in a
+subprocess under PYTHONHASHSEED=3.
 
 Regenerate the goldens (only when a verdict is meant to change) with
 
@@ -15,9 +14,7 @@ Regenerate the goldens (only when a verdict is meant to change) with
 """
 
 import json
-import math
 import os
-import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,9 +26,6 @@ import pytest
 import difflat
 from difflat import systems
 from difflat.cli import main
-from difflat.expr import Var, evaluate
-from difflat.parsing import DimTable, parse_expression
-from difflat.sysfile import loads_system
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,41 +95,6 @@ def snapshot(name, workdir):
     return out
 
 
-def _y_points(count=3):
-    """Fixed generic output jets, the same under every hash seed."""
-    pts = []
-    for i in range(count):
-        rng = random.Random(f"snapshot/y/{i}")
-        pts.append({(j, s): rng.uniform(0.2, 1.2)
-                    for j in (1, 2) for s in range(-8, 9)})
-    return pts
-
-
-def _values(texts, sf):
-    """The F entries given as text, evaluated at the fixed output jets."""
-    if texts is None:
-        return None
-    table = DimTable(sf.model.n, sf.model.m, frozenset(sf.model.params))
-    exprs = [parse_expression(t, table) for t in texts]
-    bindings = sf.model.param_bindings()
-    out = []
-    for pt in _y_points():
-        b = dict(bindings)
-        b.update({Var("y", j, s): v for (j, s), v in pt.items()})
-        out.append([evaluate(e, b) for e in exprs])
-    return out
-
-
-def _assert_same_values(mine, gold, what):
-    assert (mine is None) == (gold is None), what
-    if gold is None:
-        return
-    for a_row, b_row in zip(mine, gold, strict=True):
-        for a, b in zip(a_row, b_row, strict=True):
-            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), \
-                f"{what}: {a!r} != {b!r}"
-
-
 def _assert_residuals(mine, gold, what):
     assert mine["pass"] == gold["pass"], what
     assert mine["tolerance"] == gold["tolerance"], what
@@ -146,14 +105,10 @@ def _assert_residuals(mine, gold, what):
 
 def _assert_matches_golden(name, mine):
     gold = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    sf = loads_system(CASES[name])
 
     a, ga = mine["analyze"], gold["analyze"]
     assert (a["exit"], a["stderr"]) == (ga["exit"], ga["stderr"])
     aj, gaj = dict(a["json"]), dict(ga["json"])
-    for key in ("F_x", "F_u"):
-        _assert_same_values(_values(aj.pop(key), sf), _values(gaj.pop(key), sf),
-                            f"{name} analyze {key}")
     _assert_residuals(aj.pop("residuals"), gaj.pop("residuals"),
                       f"{name} analyze residuals")
     assert aj == gaj
