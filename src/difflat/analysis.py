@@ -514,14 +514,22 @@ def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
     return zeta_inverse, (gbar1, gbar2)
 
 
-def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar):
+def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar,
+                  zeta_inverse):
     """The system in the tower's coordinates. An input transform makes the
     inputs (ubar1, ubar2); without one the original inputs stay, per the
-    prelongation construction. A history transform makes g = gbar."""
-    f_bar = sys.f
+    prelongation construction. A history transform makes g = gbar, and psi
+    the base psi composed with the transforms (checked, not solved): back[v]
+    is psi's row for v at zeta[-1] = `zeta_inverse`, and psi_bar is back[x]
+    and back[u], or (definition, untouched input) at back."""
+    f_bar, g_bar, psi_x, psi_u = sys.f, gbar, None, None
     inputs = sys.input_vars
     point = dict(sys.point)
-    g_bar = gbar
+    if gbar is not None:
+        back = {v: substitute(e, zeta_inverse) for v, e in
+                [*zip(sys.state_vars, sys.psi_x), *zip(sys.input_vars, sys.psi_u)]}
+        psi_x = tuple(back[v] for v in sys.state_vars)
+        psi_u = tuple(back[v] for v in sys.input_vars)
     if u_inverse is not None:
         f_bar = tuple(substitute(fi, u_inverse) for fi in sys.f)
         inputs = (Var("ubar", 1, 0), Var("ubar", 2, 0))
@@ -533,9 +541,10 @@ def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar):
             point.pop(v, None)
         if gbar is not None:
             g_bar = tuple(substitute(gj, u_inverse) for gj in gbar)
+            psi_u = (substitute(definition, back), back[other])
     bar = SystemModel(
         n=sys.n, m=sys.m, f=f_bar, state_vars=sys.state_vars,
-        input_vars=inputs, g=g_bar,
+        input_vars=inputs, g=g_bar, psi_x=psi_x, psi_u=psi_u,
         gvalue_family="zetabar" if g_bar is not None else sys.gvalue_family,
         params=sys.params, point=point, name=sys.name + "~bar")
     return bar if g_bar is None else invert_extension(bar)
@@ -634,7 +643,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
             u_inverse, tdef = _input_transform(sys, cand, sigma_y, rho, opts)
         if backward:
             zeta_inverse, gbar = _zeta_transform(sys, cand, sigma_y, gamma, opts)
-        sys_bar = _make_sys_bar(sys, u_inverse, tdef, gbar)
+        sys_bar = _make_sys_bar(sys, u_inverse, tdef, gbar, zeta_inverse)
     except (AnalysisError, ModelError, SolveError, EvalError) as ex:
         diags.append(f"{tag}: {ex}")
         return None

@@ -170,13 +170,23 @@ def cmd_print(args) -> int:
     return EXIT_OK
 
 
+def _count(low):
+    """An argparse int type that rejects a count below `low` (a usage error)."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"    # argparse names the type in its error
+    return parse
+
+
 _FLAGS = {
     "--json": dict(action="store_true", help="emit machine-readable JSON"),
     "--out": dict(help="output path of the extended system"),
     "--tol-rank": dict(type=float, default=1e-8),
     "--tol-verify": dict(type=float, default=1e-8),
-    "--steps": dict(type=int, default=30),
-    "--trials": dict(type=int, default=5),
+    "--steps": dict(type=_count(1), default=30),
+    "--trials": dict(type=_count(0), default=5),
     "--seed": dict(type=int, default=2023),
 }
 

@@ -5,16 +5,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, _key, evaluate, jacobian, sub as esub,
-    substitute, to_text, vars_of, params_of,
+    EvalError, Expr, Par, Var, _key, compile_exprs, evaluate, jacobian,
+    sub as esub, substitute, to_text, vars_of, params_of,
 )
-from .numeric import eval_matrix, numeric_rank, probe_points
+from .numeric import _max_abs, eval_matrix, numeric_rank, probe_points
 from .solve import SolveError, solve_equations
 
 __all__ = [
@@ -28,6 +28,7 @@ PI = Par("pi")
 # analysis adds fewer than ten, so only a long-lived model that analyzes many
 # candidates reaches it.
 SHIFT_CACHE_SIZE = 1024
+PSI_TOL = 1e-9    # the largest psi residual accepted; errors quote "1e-9"
 
 
 class ModelError(Exception):
@@ -172,56 +173,39 @@ class SystemModel:
     def psi_residual(self) -> float:
         """Two-sided composition residual of psi against (f, g) at the
         analysis point and its seeded perturbations, computed once per model
-        (psi is fixed at construction): `invert_extension` checks it and
-        `validate` reports the same value."""
-        worst = 0.0
-        for trial, pt in enumerate(probe_points(
-                self.analysis_point(), 11,
-                perturb=list(self.state_vars) + list(self.input_vars))):
-            xplus = [evaluate(fi, pt) for fi in self.f]
-            zeta = [evaluate(gj, pt) for gj in self.g]
-            back = dict(self.param_bindings())
-            for v, val in zip(self.state_vars, xplus):
-                back[v] = val
-            for j, val in enumerate(zeta):
-                back[Var(self.gvalue_family, j + 1, -1)] = val
-            try:
-                xs = [evaluate(e, back) for e in self.psi_x]
-                us = [evaluate(e, back) for e in self.psi_u]
+        (psi is fixed at construction) on two compiled kernels, (f, g) over
+        (x, u, params) and psi over (x, g-value histories, params), NaN if
+        any entry is: `invert_extension` checks it, `validate` reports it."""
+        params = [Par(k) for k in self.params]
+        xu = list(self.state_vars) + list(self.input_vars)
+        hist = [Var(self.gvalue_family, j + 1, -1) for j in range(self.m)]
+        fg = compile_exprs(list(self.f) + list(self.g), xu + params)
+        psi, worst = None, 0.0
+        for trial, pt in enumerate(probe_points(self.analysis_point(), 11,
+                                                perturb=xu)):
+            p = [pt[k] for k in params]
+            at = [pt[v] for v in xu]
+            slots = fg(at + p)
+            try:    # compiled at the first probe: a leaf psi may not read fails it
+                psi = psi or compile_exprs(list(self.psi_x) + list(self.psi_u),
+                                           list(self.state_vars) + hist + params)
+                back = psi(slots + p)
             except EvalError as ex:
                 if trial == 0:
                     raise ModelError("psi does not evaluate at the analysis "
                                      f"point: {ex}") from ex
                 continue
-            worst = max(worst, max(abs(a - pt[v])
-                                   for a, v in zip(xs, self.state_vars)))
-            worst = max(worst, max(abs(a - pt[v])
-                                   for a, v in zip(us, self.input_vars)))
-            # forward direction: (f,g) applied to psi reproduces the slot values
-            fwd = dict(self.param_bindings())
-            for v, val in zip(self.state_vars, xs):
-                fwd[v] = val
-            for v, val in zip(self.input_vars, us):
-                fwd[v] = val
-            worst = max(worst, max(abs(evaluate(fi, fwd) - a)
-                                   for fi, a in zip(self.f, xplus)))
-            worst = max(worst, max(abs(evaluate(gj, fwd) - a)
-                                   for gj, a in zip(self.g, zeta)))
+            # psi(f, g) = (x, u) and (f, g)(psi) = the slot values
+            worst = _max_abs([worst] + [a - b for a, b in zip(
+                back + fg(back + p), at + slots)])
         return worst
 
     def with_psi(self, psi_x, psi_u) -> "SystemModel":
-        return SystemModel(
-            n=self.n, m=self.m, f=self.f, state_vars=self.state_vars,
-            input_vars=self.input_vars, g=self.g, psi_x=tuple(psi_x),
-            psi_u=tuple(psi_u), gvalue_family=self.gvalue_family,
-            params=self.params, point=self.point, name=self.name)
+        return replace(self, psi_x=tuple(psi_x), psi_u=tuple(psi_u))
 
     def with_g(self, g) -> "SystemModel":
-        return SystemModel(
-            n=self.n, m=self.m, f=self.f, state_vars=self.state_vars,
-            input_vars=self.input_vars, g=None if g is None else tuple(g),
-            psi_x=None, psi_u=None, gvalue_family=self.gvalue_family,
-            params=self.params, point=self.point, name=self.name)
+        return replace(self, g=None if g is None else tuple(g),
+                       psi_x=None, psi_u=None)
 
 
 def forward_shift(e: Expr, sys: SystemModel, k: int = 1) -> Expr:
@@ -253,12 +237,9 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.input_rank == self.m and self.submersivity_rank == self.n
-        if self.extension_rank is not None:
-            ok = ok and self.extension_rank == self.n + self.m
-        if self.psi_residual is not None:
-            ok = ok and self.psi_residual <= 1e-9
-        return ok
+        return (self.input_rank == self.m and self.submersivity_rank == self.n
+                and self.extension_rank in (None, self.n + self.m)
+                and (self.psi_residual is None or self.psi_residual <= PSI_TOL))
 
     def to_json(self):
         return {
@@ -364,22 +345,20 @@ def invert_extension(sys: SystemModel) -> SystemModel:
 
     Returns a copy of the model carrying psi. Raises ModelError when the
     restricted solver fails (the caller may supply psi in the DSL instead) or
-    when the verification residual exceeds 1e-9.
+    when the verification residual exceeds `PSI_TOL`.
     """
     if sys.g is None:
         raise ModelError("no extension map g to invert")
-    if sys.psi_x is not None:
-        out = sys
-    else:
+    out = sys
+    if sys.psi_x is None:
         try:
-            psi_x, psi_u = _solve_psi(sys, sys.g)
+            out = sys.with_psi(*_solve_psi(sys, sys.g))
         except SolveError as ex:
             raise ModelError(
                 f"restricted solver cannot invert (f, g): {ex}; "
                 "supply psi in the [inverse] section") from ex
-        out = sys.with_psi(psi_x, psi_u)
     resid = out.psi_residual
-    if resid > 1e-9:
+    if not resid <= PSI_TOL:    # a NaN residual fails too
         raise ModelError(f"psi verification residual {resid:.3g} exceeds 1e-9")
     return out
 

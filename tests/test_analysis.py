@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import difflat
-from difflat import analysis, numeric, systems
+from difflat import analysis, model, numeric, systems
 from difflat.analysis import (
     VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate, _rank_drop,
     _try_tower, analyze, backward_depths, build_tower, classify, invert_tower,
@@ -643,6 +643,61 @@ def test_an_auto_selected_psi_is_checked_as_a_declared_one(robot, monkeypatch):
     with pytest.raises(ModelError, match=r"^psi verification residual .* "
                                          r"exceeds 1e-9$"):
         analyze(sf.model, sf.candidate, sf.options)
+
+
+@pytest.mark.parametrize("name,mode", [("academic", "backward"),
+                                       ("academic", "combined"),
+                                       ("robot", "combined")])
+def test_a_transformed_psi_is_the_composed_base_psi(name, mode,
+                                                    models_with_psi, corpus):
+    """The psi `_make_sys_bar` composes from the base psi and the transforms
+    is, structurally, the psi the restricted solver finds for the
+    transformed system."""
+    sysm, cand = models_with_psi[name], corpus[name].candidate
+    opts, sigma_y = corpus[name].options, (0, 1)
+    rho = relative_degrees(sysm, cand, opts)
+    gamma = backward_depths(sysm, cand, opts)
+    u_inverse = tdef = None
+    if mode == "combined":
+        u_inverse, tdef = analysis._input_transform(sysm, cand, sigma_y, rho, opts)
+    zeta_inverse, gbar = analysis._zeta_transform(sysm, cand, sigma_y, gamma, opts)
+    bar = analysis._make_sys_bar(sysm, u_inverse, tdef, gbar, zeta_inverse)
+    assert (bar.psi_x, bar.psi_u) == model._solve_psi(bar, bar.g)
+    assert bar.psi_residual <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["academic", "robot"])
+def test_analyze_solves_psi_once_per_model(name, monkeypatch):
+    """Only the base model's psi is solved; each transformed system's psi
+    is composed from it."""
+    calls = []
+    real = model._solve_psi
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "_solve_psi", counting)
+    sf = systems.load(name)
+    analyze(sf.model, sf.candidate, sf.options)
+    assert len(calls) == 1
+
+
+def test_a_wrong_history_transform_fails_the_psi_check(monkeypatch):
+    """The composed psi is still checked: a `zeta_inverse` off by 1e-6
+    makes every backward tower of academic fail the 1e-9 psi check."""
+    real = analysis._zeta_transform
+
+    def wrong(*args):
+        zeta_inverse, gbar = real(*args)
+        return {v: add(e, num(1e-6)) for v, e in zeta_inverse.items()}, gbar
+
+    monkeypatch.setattr(analysis, "_zeta_transform", wrong)
+    sf = systems.load("academic")
+    with pytest.raises(AnalysisError) as ei:
+        build_tower(invert_extension(sf.model), sf.candidate, sf.options)
+    assert re.search(r"backward sigma_y=\(0, 1\): psi verification residual "
+                     r"\S+ exceeds 1e-9", str(ei.value))
 
 
 # ---------------------------------------------------------------------------

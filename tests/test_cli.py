@@ -64,6 +64,21 @@ def test_analyze_input_error_exit_code(paths, tmp_path, capsys):
     assert "dynamics" in err
 
 
+def test_a_psi_row_over_an_input_is_an_input_error(tmp_path, capsys):
+    """A declared psi may read only the states and the g-value histories:
+    robot's psi with the row x1 = u1 fails as an input error that names
+    the leaf, not as a traceback."""
+    bad = tmp_path / "robot_psi.sys"
+    bad.write_text(systems.source("robot").replace(
+        "[extension]\ng1 = x3\ng2 = x1\n",
+        "[extension]\ng1 = x3\ng2 = x1\n\n[inverse]\nx1 = u1\nx2 = x2\n"
+        "x3 = zeta1[-1]\nu1 = x1\nu2 = x3 - zeta1[-1]\n"), encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(bad))
+    assert (rc, out) == (1, "")
+    assert err == ("input error: psi does not evaluate at the analysis point: "
+                   "unbound leaf u1\n")
+
+
 # vtol with its states relabeled x1..x6 -> x6, x1, x5, x4, x3, x2 and its
 # outputs swapped: the verification trajectory starts on the singular locus
 # of the first admissible tower's input transform (cos(x3) = 0), where
@@ -373,6 +388,15 @@ def test_usage_errors_exit_1_and_help_exits_0(paths, capsys):
         assert "usage: difflat" in err, argv
     rc, out, _ = run(capsys, "verify", "--help")
     assert rc == 0 and out.startswith("usage: difflat verify")
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "-1"), ("--steps", "0")])
+def test_verify_rejects_a_count_that_checks_nothing(paths, capsys, flag, value):
+    """A negative trial count or a run of no step is a usage error, not a
+    vacuous pass; `--trials 0` (the constant trajectory) stays valid."""
+    rc, out, err = run(capsys, "verify", paths["robot"], flag, value)
+    assert (rc, out) == (1, "")
+    assert f"argument {flag}: must be at least" in err
 
 
 def test_verify_tolerance_flag_is_honored(paths, capsys):
