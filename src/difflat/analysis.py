@@ -1077,12 +1077,10 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
         if isinstance(fi, Var) and fi in sys.input_vars and len(chosen) < sys.m:
             if all(sys.f[c] != fi for c in chosen):
                 chosen.append(i)
-    J = jacobian(sys.f, sys.input_vars)
 
     def rank_of(rows):
-        if not rows:
-            return 0
-        return numeric_rank(eval_matrix([J[i] for i in rows], pt), opts.tol_rank)
+        return probe_rank([sys.f[i] for i in rows], sys.input_vars, [pt],
+                          opts.tol_rank)
 
     for i in range(sys.n):
         if len(chosen) == sys.m:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .expr import Var, evaluate, substitute, to_text, vars_of
+from .expr import Var, substitute, to_text, vars_of
 from .model import SystemModel
 from .analysis import AnalysisError, AnalyzeOptions, FlatCandidate, Tower
 
@@ -98,9 +98,7 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
         raise ExtensionError("extensions are defined for two-input systems (m = 2)")
     ctx = tower.context
     if ctx.zeta_inverse is not None:
-        pt = sys.analysis_point()
-        resid = max(abs(evaluate(fi, pt) - pt[v])
-                    for fi, v in zip(sys.f, sys.state_vars))
+        resid = sys.fixed_point_residual()
         if resid > 1e-10:
             raise ExtensionError(
                 "prelongation chains need a constant history: the analysis "

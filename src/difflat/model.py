@@ -14,7 +14,7 @@ from .expr import (
     EvalError, Expr, Par, Var, _key, compile_exprs, evaluate, jacobian,
     sub as esub, substitute, to_text, vars_of, params_of,
 )
-from .numeric import _max_abs, eval_matrix, numeric_rank, probe_points
+from .numeric import _max_abs, eval_matrix, numeric_rank, probe_points, probe_rank
 from .solve import SolveError, solve_equations
 
 __all__ = [
@@ -74,6 +74,8 @@ class SystemModel:
             for j, v in enumerate(self.input_vars)
         }
         self._state_index = {v: i for i, v in enumerate(self.state_vars)}
+        self._fg_leaves = [*self.state_vars, *self.input_vars,
+                           *map(Par, self.params)]
         self._shift_cache = {}
 
     # -- points ------------------------------------------------------------
@@ -170,22 +172,33 @@ class SystemModel:
         return out
 
     @cached_property
+    def fg(self):
+        """f, then g when declared, compiled once per model over (x, u,
+        params) (`expr.compile_exprs`, bit-identical to `evaluate`)."""
+        return compile_exprs([*self.f, *(self.g or ())], self._fg_leaves)
+
+    def fixed_point_residual(self) -> float:
+        """max |f(x0, u0) - x0| at the analysis point."""
+        pt = self.analysis_point()
+        fx = self.fg([pt[v] for v in self._fg_leaves])
+        return max(abs(a - pt[v]) for a, v in zip(fx, self.state_vars))
+
+    @cached_property
     def psi_residual(self) -> float:
         """Two-sided composition residual of psi against (f, g) at the
         analysis point and its seeded perturbations, computed once per model
-        (psi is fixed at construction) on two compiled kernels, (f, g) over
-        (x, u, params) and psi over (x, g-value histories, params), NaN if
-        any entry is: `invert_extension` checks it, `validate` reports it."""
+        (psi is fixed at construction) with `fg` and psi compiled over (x,
+        g-value histories, params), NaN if any entry is: `invert_extension`
+        checks it, `validate` reports it."""
         params = [Par(k) for k in self.params]
         xu = list(self.state_vars) + list(self.input_vars)
         hist = [Var(self.gvalue_family, j + 1, -1) for j in range(self.m)]
-        fg = compile_exprs(list(self.f) + list(self.g), xu + params)
         psi, worst = None, 0.0
         for trial, pt in enumerate(probe_points(self.analysis_point(), 11,
                                                 perturb=xu)):
             p = [pt[k] for k in params]
             at = [pt[v] for v in xu]
-            slots = fg(at + p)
+            slots = self.fg(at + p)
             try:    # compiled at the first probe: a leaf psi may not read fails it
                 psi = psi or compile_exprs(list(self.psi_x) + list(self.psi_u),
                                            list(self.state_vars) + hist + params)
@@ -197,7 +210,7 @@ class SystemModel:
                 continue
             # psi(f, g) = (x, u) and (f, g)(psi) = the slot values
             worst = _max_abs([worst] + [a - b for a, b in zip(
-                back + fg(back + p), at + slots)])
+                back + self.fg(back + p), at + slots)])
         return worst
 
     def with_psi(self, psi_x, psi_u) -> "SystemModel":
@@ -281,18 +294,14 @@ def validate(sys: SystemModel, tol_rank: float = 1e-8) -> ValidationReport:
         if v not in pt:
             raise ModelError(f"analysis point does not bind {to_text(v)}")
 
-    input_rank = numeric_rank(eval_matrix(jacobian(sys.f, sys.input_vars), pt),
-                              tol_rank)
     cols_xu = list(sys.state_vars) + list(sys.input_vars)
-    sub_rank = numeric_rank(eval_matrix(jacobian(sys.f, cols_xu), pt), tol_rank)
+    input_rank = probe_rank(sys.f, sys.input_vars, [pt], tol_rank)
+    sub_rank = probe_rank(sys.f, cols_xu, [pt], tol_rank)
     ext_rank = None
     if sys.g is not None:
-        stacked = list(sys.f) + list(sys.g)
-        ext_rank = numeric_rank(eval_matrix(jacobian(stacked, cols_xu), pt),
-                                tol_rank)
+        ext_rank = probe_rank(list(sys.f) + list(sys.g), cols_xu, [pt], tol_rank)
 
-    fx = [evaluate(fi, pt) for fi in sys.f]
-    resid = max(abs(a - pt[v]) for a, v in zip(fx, sys.state_vars))
+    resid = sys.fixed_point_residual()
     fixed = resid <= 1e-10
     if not fixed:
         messages.append(

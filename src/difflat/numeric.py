@@ -188,30 +188,23 @@ def random_inputs(rng: random.Random, u0, boxes: dict, count: int) -> list:
 
 
 def simulate(sys, x_start, u_sequence, H: int, K: int) -> Trajectory:
-    """Iterate x+ = f(x,u) from k = -H; record zeta = g(x,u) along the way."""
+    """Iterate x+ = f(x,u) from k = -H; record zeta = g(x,u) along the way,
+    both from the model's compiled (f, g) (`SystemModel.fg`)."""
     if len(u_sequence) < H + K:
         raise SimulationError(f"need {H + K} input samples, got {len(u_sequence)}")
     params = sys.param_bindings()
     xs = [list(map(float, x_start))]
-    zetas = []
+    us = [list(map(float, u)) for u in u_sequence]
+    p, zetas = list(params.values()), []
     for step in range(H + K):
-        pt = dict(params)
-        for i, v in enumerate(sys.state_vars):
-            pt[v] = xs[-1][i]
-        for j, v in enumerate(sys.input_vars):
-            pt[v] = float(u_sequence[step][j])
         try:
-            nxt = [evaluate(fi, pt) for fi in sys.f]
-            if sys.g is not None:
-                zetas.append([evaluate(gj, pt) for gj in sys.g])
-            else:
-                zetas.append(None)
+            out = sys.fg(xs[-1] + us[step] + p)
         except EvalError as ex:
             raise SimulationError(
                 f"evaluation failed at step k={step - H}: {ex}") from ex
-        xs.append(nxt)
-    return Trajectory(H=H, K=K, x=xs, u=[list(map(float, u)) for u in u_sequence],
-                      zeta=zetas, params=params)
+        xs.append(out[:sys.n])
+        zetas.append(out[sys.n:] if sys.g is not None else None)
+    return Trajectory(H=H, K=K, x=xs, u=us, zeta=zetas, params=params)
 
 
 @dataclass
@@ -366,61 +359,66 @@ def block_triangular_solver(nonzeros, n: int):
     structural nonzeros are `nonzeros`, (row, column) pairs whose values
     `values` lists in the same order; every other entry is zero.
 
-    Rows are matched to columns by augmenting paths, and Tarjan's strongly
-    connected components of the row dependencies (row i needs the unknown
-    matched to row i' when J[i, matched column of i'] is a nonzero) give the
-    diagonal blocks in the order they can be solved (the block triangular
-    form of Duff and Reid). The code is straight-line: a 1 x 1 block
-    subtracts its row's known terms and divides by its pivot, a larger
-    block is one `numpy.linalg.solve`. A zero pivot, a singular block or a
-    pattern without a perfect matching raises
+    The unknowns are peeled off both ends of J's block triangular form
+    (`_peel`): first each row with one unsolved column solves for it, then
+    each column left in one remaining row is solved last, from that row;
+    the square remainder, if any, is one block solved in between. The code
+    is straight-line: a peeled unknown is its row's residual less the row's
+    other terms, divided by its pivot, and the remainder is one
+    `numpy.linalg.solve`. A row or column left empty while peeling (raised
+    here), a zero pivot or a singular remainder raises
     `EvalError("singular Jacobian in Newton solve")`."""
     at = {ij: p for p, ij in enumerate(nonzeros)}
     cols_of = [[] for _ in range(n)]
     for i, j in nonzeros:
         cols_of[i].append(j)
-    row_of = [None] * n    # column -> its matched row
+    rows, cols = set(range(n)), set(range(n))    # unsolved
+    front = _peel(rows, cols, set(at))
+    back = _peel(cols, rows, {(j, i) for i, j in at})
 
-    def augment(i, seen):
-        for j in cols_of[i]:
-            if j not in seen:
-                seen.add(j)
-                if row_of[j] is None or augment(row_of[j], seen):
-                    row_of[j] = i
-                    return True
-        return False
+    def known(i, skip):    # row i's residual less its terms outside `skip`
+        return "".join([f"r[{i}]"] + [f" - v[{at[i, j]}] * x{j}"
+                                      for j in cols_of[i] if j not in skip])
 
-    for i in range(n):
-        if not augment(i, set()):
-            raise EvalError(_SINGULAR)
-    col_of = [None] * n
-    for j, i in enumerate(row_of):
-        col_of[i] = j
-    lines = []
-    for block in _tarjan([[row_of[j] for j in cols_of[i] if j != col_of[i]]
-                          for i in range(n)]):
-        cols = [col_of[i] for i in block]
+    def pivot(i, j):
+        return [f"p = v[{at[i, j]}]", "if p == 0.0: _singular()",
+                f"x{j} = ({known(i, (j,))}) / p"]
 
-        def known(i):    # row i's residual less its terms outside the block
-            return "".join([f"r[{i}]"] + [f" - v[{at[i, j]}] * x{j}"
-                                          for j in cols_of[i] if j not in cols])
-
-        if len(block) == 1:
-            i, j = block[0], cols[0]
-            lines += [f"p = v[{at[i, j]}]", "if p == 0.0: _singular()",
-                      f"x{j} = ({known(i)}) / p"]
-        else:
-            matrix = ", ".join("[" + ", ".join(
-                f"v[{at[i, j]}]" if (i, j) in at else "0.0" for j in cols) + "]"
-                for i in block)
-            rhs = ", ".join(known(i) for i in block)
-            lines.append(f"{''.join(f'x{j}, ' for j in cols)}= "
-                         f"_solve([{matrix}], [{rhs}])")
+    lines = [line for i, j in front for line in pivot(i, j)]
+    if rows:
+        rows, cols = sorted(rows), sorted(cols)
+        matrix = ", ".join("[" + ", ".join(
+            f"v[{at[i, j]}]" if (i, j) in at else "0.0" for j in cols) + "]"
+            for i in rows)
+        rhs = ", ".join(known(i, cols) for i in rows)
+        lines.append(f"{''.join(f'x{j}, ' for j in cols)}= "
+                     f"_solve([{matrix}], [{rhs}])")
+    lines += [line for j, i in reversed(back) for line in pivot(i, j)]
     body = "\n    ".join(lines + [f"return [{', '.join(f'x{j}' for j in range(n))}]"])
     namespace = {"_singular": _singular, "_solve": _solve_block}
     exec(compile(f"def solve(v, r):\n    {body}\n",
                  "<difflat.block_triangular_solver>", "exec"), namespace)
     return namespace["solve"]
+
+
+def _peel(outer, inner, links) -> list:
+    """Pair off, in order, each member a of the set `outer` linked to exactly
+    one member b of the set `inner` ((a, b) in `links`), removing both from
+    their sets, until no such a is left; an a linked to none makes J
+    singular. Returns the pairs (a, b) in the order they were taken."""
+    pairs, peeled = [], True
+    while peeled:
+        peeled = False
+        for a in sorted(outer):
+            left = [b for b in inner if (a, b) in links]
+            if not left:
+                raise EvalError(_SINGULAR)
+            if len(left) == 1:
+                pairs.append((a, left[0]))
+                outer.remove(a)
+                inner.remove(left[0])
+                peeled = True
+    return pairs
 
 
 _SINGULAR = "singular Jacobian in Newton solve"
@@ -435,31 +433,3 @@ def _solve_block(A, b) -> list:
         return np.linalg.solve(A, b).tolist()
     except np.linalg.LinAlgError as ex:
         raise EvalError(_SINGULAR) from ex
-
-
-def _tarjan(needs) -> list:
-    """Tarjan's strongly connected components of the graph i -> needs[i],
-    each a list of nodes, every component after the ones it needs."""
-    index, low, stack, on_stack, out = {}, {}, [], set(), []
-
-    def visit(i):
-        index[i] = low[i] = len(index)
-        stack.append(i)
-        on_stack.add(i)
-        for k in needs[i]:
-            if k not in index:
-                visit(k)
-                low[i] = min(low[i], low[k])
-            elif k in on_stack:
-                low[i] = min(low[i], index[k])
-        if low[i] == index[i]:
-            block = []
-            while not block or block[-1] != i:
-                block.append(stack.pop())
-                on_stack.discard(block[-1])
-            out.append(sorted(block))
-
-    for i in range(len(needs)):
-        if i not in index:
-            visit(i)
-    return out

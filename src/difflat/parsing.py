@@ -106,10 +106,6 @@ class _Parser:
                              t.line, t.col)
         return t
 
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
-
     # expr := term (("+"|"-") term)*
     def expr(self) -> Expr:
         e = self.term()

@@ -2,8 +2,9 @@
 
 Sections appear in a fixed order; later optional sections may be omitted:
 
-    [params]            name = value           (numeric, pi allowed)
-    [dims]              n = ..., m = ...
+    [params]            name = value           (numeric, may use pi; a
+                        parameter may not be named pi)
+    [dims]              n = ..., m = ...       (both at least 1)
     [dynamics]          <state>+ = expr        (n rows; states on the LHS)
     [extension]         g<j> = expr            (optional, m rows)
     [inverse]           <state> = expr / <input> = expr   (optional; applied
@@ -127,14 +128,19 @@ def loads_system(text: str, path: str = "") -> SystemFile:
 
     params = {}
     for lhs, rhs, ln in sections.get("params", []):
+        if lhs == "pi":
+            raise SystemFileError("pi names the constant, not a parameter", ln)
         params[lhs] = _eval_const(rhs, params, ln)
 
-    dims = {lhs: rhs for lhs, rhs, _ in sections["dims"]}
+    dims = {lhs: (rhs, ln) for lhs, rhs, ln in sections["dims"]}
     try:
-        n, m = int(dims["n"]), int(dims["m"])
+        n, m = int(dims["n"][0]), int(dims["m"][0])
     except (KeyError, ValueError) as ex:
         raise SystemFileError(f"[dims] must declare integer n and m: {ex}",
                               headers["dims"])
+    for name, size in (("n", n), ("m", m)):
+        if size < 1:
+            raise SystemFileError(f"[dims] {name} = {size} must be positive", dims[name][1])
 
     table = DimTable(n, m, frozenset(params))
 
@@ -189,6 +195,15 @@ def loads_system(text: str, path: str = "") -> SystemFile:
             raise SystemFileError(f"[extension] must define g1..g{m}: missing {ex}",
                                   headers["extension"])
 
+    def coordinate_rows(name, rows):    # (state rows, input rows)
+        by_var = {parse_lhs_var(lhs, ln): e for lhs, e, ln in rows}
+        try:
+            return (tuple(by_var[v] for v in state_vars),
+                    tuple(by_var[v] for v in input_vars))
+        except KeyError as ex:
+            raise SystemFileError(f"[{name}] misses a coordinate: {ex}",
+                                  headers[name])
+
     psi_x = psi_u = None
     inv_rows = parse_rows("inverse")
     if inv_rows:
@@ -196,15 +211,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
             raise SystemFileError(
                 f"[inverse] needs {n + m} rows (all states and inputs), "
                 f"got {len(inv_rows)}", inv_rows[0][2])
-        by_var = {}
-        for lhs, e, ln in inv_rows:
-            by_var[parse_lhs_var(lhs, ln)] = e
-        try:
-            psi_x = tuple(by_var[v] for v in state_vars)
-            psi_u = tuple(by_var[v] for v in input_vars)
-        except KeyError as ex:
-            raise SystemFileError(f"[inverse] misses a coordinate: {ex}",
-                                  headers["inverse"])
+        psi_x, psi_u = coordinate_rows("inverse", inv_rows)
 
     out_rows = parse_rows("output", expect=m)
     by_name = {lhs: e for lhs, e, _ in out_rows}
@@ -217,16 +224,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     user_F = None
     par_rows = parse_rows("parameterization")
     if par_rows:
-        by_var = {}
-        for lhs, e, ln in par_rows:
-            by_var[parse_lhs_var(lhs, ln)] = e
-        try:
-            user_F = (tuple(by_var[v] for v in state_vars),
-                      tuple(by_var[v] for v in input_vars))
-        except KeyError as ex:
-            raise SystemFileError(
-                f"[parameterization] misses a coordinate: {ex}",
-                headers["parameterization"])
+        user_F = coordinate_rows("parameterization", par_rows)
 
     point = {v: 0.0 for v in state_vars}
     point.update({v: 0.0 for v in input_vars})

@@ -350,6 +350,25 @@ def test_newton_recovers_the_windows_through_a_two_by_two_block(name, reports,
     assert blocks and set(blocks) == {2}
 
 
+def test_newton_recovers_every_vtol_window_without_a_block_solve(reports,
+                                                                  monkeypatch):
+    """Every unknown of the vtol tower's Newton step is peeled off as a
+    1 x 1 step, so the windows recover with `_solve_block` out of reach."""
+    tower = reports["vtol"].tower
+
+    def unreachable(A, b):
+        raise AssertionError("vtol's step solve reached _solve_block")
+
+    monkeypatch.setattr(numeric, "_solve_block", unreachable)
+    monkeypatch.delitem(tower.__dict__, "step_solver", raising=False)
+    assert tower.windows
+    for win in tower.windows:
+        w = win.w
+        xs, us, _ = tower.recover(win.y, w + tower.seed_offset * (1.0 + np.abs(w)))
+        assert max(abs(a - b) for a, b in zip(xs, win.x)) <= 1e-9, win.k
+        assert max(abs(a - b) for a, b in zip(us, win.u)) <= 1e-9, win.k
+
+
 @pytest.mark.parametrize("text, towers", [(systems.source("robot"), 1),
                                           (VTOL_RELABELED_SWAPPED, 2)])
 def test_each_candidate_tower_compiles_the_outputs_once(text, towers, monkeypatch):

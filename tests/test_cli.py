@@ -447,6 +447,21 @@ def test_print_round_trip(paths, capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("dims, dynamics, outputs, line", [
+    ("n = 0\nm = 2", "", "y1 = u1\ny2 = u2", 2),
+    ("n = 2\nm = 0", "x1+ = x2\nx2+ = x1", "", 3),
+])
+def test_a_dimension_below_one_is_an_input_error(tmp_path, capsys, dims,
+                                                 dynamics, outputs, line):
+    path = tmp_path / "empty.sys"
+    path.write_text(f"[dims]\n{dims}\n\n[dynamics]\n{dynamics}\n\n"
+                    f"[output]\n{outputs}\n\n[equilibrium]\n", encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert rc == 1 and out == ""
+    assert f"line {line}:" in err and "must be positive" in err
+    assert "Traceback" not in err
+
+
 # replacement tokens and inserted lines of the mutation test: exact zero
 # divisions, poles at the equilibrium, unknown leaves, broken syntax and
 # malformed sections

@@ -216,6 +216,35 @@ def test_psi_residual_is_computed_once_per_model(academic, monkeypatch):
     assert rep.psi_residual == sysm.psi_residual <= 1e-9
 
 
+def test_one_model_compiles_f_and_g_once(academic, monkeypatch):
+    """invert_extension's psi check, validate's fixed-point residual and two
+    simulations all evaluate the one compiled (f, g) of the model."""
+    import difflat.model as model
+    from difflat.numeric import simulate
+    compiled = []
+    real = model.compile_exprs
+
+    def counting(exprs, leaves):
+        compiled.append(list(exprs))
+        return real(exprs, leaves)
+
+    monkeypatch.setattr(model, "compile_exprs", counting)
+    sysm = invert_extension(academic.model)    # its psi check compiles fg
+    kernel, calls = sysm.fg, []
+    sysm.fg = lambda values: calls.append(values) or kernel(values)
+    rep = validate(sysm)
+    x0 = [sysm.point[v] for v in sysm.state_vars]
+    for _ in range(2):
+        traj = simulate(sysm, x0, [[0.1, -0.2]] * 4, 1, 3)
+    assert compiled.count([*sysm.f, *sysm.g]) == 1
+    assert len(calls) == 1 + 2 * 4    # the fixed point, then each step
+    assert rep.passed and rep.is_fixed_point
+    at = dict(sysm.param_bindings())
+    at.update(zip([*sysm.state_vars, *sysm.input_vars], [*traj.x[2], 0.1, -0.2]))
+    assert traj.x[3] == [evaluate(e, at) for e in sysm.f]
+    assert traj.zeta[2] == [evaluate(e, at) for e in sysm.g]
+
+
 # ---------------------------------------------------------------------------
 # shift operators
 

@@ -472,6 +472,35 @@ def test_a_pattern_without_a_perfect_matching_is_singular():
     assert str(ei.value) == "singular Jacobian in Newton solve"
 
 
+def test_only_the_cyclic_remainder_reaches_the_block_solve(monkeypatch):
+    # rows {0}, {0, 1, 2}, {1, 2}, {1, 2, 3}: x0 comes first, x3 last from
+    # row 3, and rows 1 and 2 couple x1 and x2 in one 2 x 2 block
+    import difflat.numeric as numeric
+    J = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, 3.0, 1.0, 0.0],
+                  [0.0, 1.0, 4.0, 0.0], [0.0, 2.0, -1.0, 5.0]])
+    nonzeros = [(i, j) for i in range(4) for j in range(4) if J[i, j] != 0.0]
+    blocks, real = [], numeric._solve_block
+
+    def recorded(A, b):
+        blocks.append(A)
+        return real(A, b)
+
+    monkeypatch.setattr(numeric, "_solve_block", recorded)
+    r = [1.0, -2.0, 0.5, 3.0]
+    got = block_triangular_solver(nonzeros, 4)([J[i, j] for i, j in nonzeros], r)
+    assert len(blocks) == 1
+    # the columns of the block, in whichever order the solver takes them
+    assert sorted(zip(*blocks[0])) == sorted(zip(*J[1:3, 1:3].tolist()))
+    assert np.allclose(got, np.linalg.solve(J, r), rtol=1e-14, atol=0.0)
+
+
+def test_an_empty_column_is_singular_when_the_solver_is_built():
+    # three rows over columns 0 and 1 only: column 2 has no nonzero
+    with pytest.raises(EvalError) as ei:
+        block_triangular_solver([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)], 3)
+    assert str(ei.value) == "singular Jacobian in Newton solve"
+
+
 def test_a_nan_jacobian_entry_ends_in_stagnation():
     solve = block_triangular_solver([(0, 0), (1, 0), (1, 1)], 2)
     with pytest.raises(EvalError, match="stagnated"):

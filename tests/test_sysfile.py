@@ -31,6 +31,15 @@ def test_bundled_files_parse(corpus):
     assert dims == {"vtol": (6, 2), "academic": (5, 2), "robot": (3, 2)}
 
 
+def test_a_parameter_named_pi_is_rejected_at_its_line():
+    # the dynamics would read pi = 3 while [equilibrium] and the printed
+    # file read the constant 3.14159...
+    text = "[params]\nc = 2\npi = 3\n" + MINIMAL.replace("x1+ = u1", "x1+ = pi*u1")
+    with pytest.raises(SystemFileError) as ei:
+        loads_system(text)
+    assert ei.value.line == 3 and "pi names the constant" in str(ei.value)
+
+
 def test_vtol_file_details(vtol):
     m = vtol.model
     assert m.params["T_s"] == pytest.approx(0.1)
