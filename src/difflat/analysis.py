@@ -270,9 +270,6 @@ class Tower:
         """The parameter values, in `leaves` order."""
         return list(self.context.sys_bar.param_bindings().values())
 
-    def _values(self, w) -> list:
-        return np.asarray(w).tolist() + self._param_values
-
     @cached_property
     def output_kernel(self):
         """The outputs compiled once over the base model's states, inputs and
@@ -302,44 +299,47 @@ class Tower:
         return [data.index(self.sources[v]) for v in self.variables]
 
     @cached_property
-    def seed_offset(self) -> np.ndarray:
+    def seed_offset(self) -> list:
         """1e-3 cos(i) for tower variable i: Newton starts off the exact point
-        w, at w + seed_offset (1 + |w|), to show local invertibility."""
-        return 1e-3 * np.cos(np.arange(len(self.variables)))
+        w, at w + seed_offset (1 + |w|), to show local invertibility. A list
+        taken from numpy's cos, not `math.cos`: the two may differ in the
+        last bit on some platforms, and Newton's path with them."""
+        return (1e-3 * np.cos(np.arange(len(self.variables)))).tolist()
 
     def trajectory_seed(self, y, x_values, u_values):
         """Newton seed from measured data: each tower variable's source, a
         state of `x_values`, an input of `u_values` or a measured target of
-        `y` (`targets` order), read by position (`_seed_plan`)."""
+        `y` (`targets` order), read by position (`_seed_plan`), as a list."""
         data = [*x_values, *u_values, *y]
-        return np.array([data[i] for i in self._seed_plan], dtype=float)
+        return [data[i] for i in self._seed_plan]
 
     def recover(self, y, seed):
         """Solve tower(w) = y for w by Newton from `seed`, where `y` holds
         the measured targets in `targets` order; return (x values, u values,
-        w). Each Newton step evaluates the Jacobian's nonzeros and solves by
-        substitution in block triangular order (`step_solver`)."""
+        w), each a list. Newton runs on Python floats (`newton_solve`): each
+        step evaluates the Jacobian's nonzeros and solves by substitution in
+        block triangular order (`step_solver`)."""
         rows, nonzeros = self.row_kernel, self.jacobian_kernel.values
-        targets = np.array(y, dtype=float)
+        params = self._param_values
 
         def residual(w):
-            return np.array(rows(self._values(w))) - targets
+            return [a - b for a, b in zip(rows(w + params), y)]
 
         def step(w):
-            return partial(self.step_solver, nonzeros(self._values(w)))
+            return partial(self.step_solver, nonzeros(w + params))
 
         w = newton_solve(residual, step, seed)
         return (*self.states_inputs(w), w)
 
     def states_inputs(self, w):
         """(x values, u values) at the tower-variable point w."""
-        values = self._values(w)
+        values = [*w, *self._param_values]
         return [values[i] for i in self._state_rows], self.u_kernel(values)
 
     def jacobian_blocks(self, w):
         """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
         the inverse of the tower Jacobian at the variable point w."""
-        values = self._values(w)
+        values = [*w, *self._param_values]
         M = np.linalg.inv(self.jacobian_kernel(values))  # vars x targets
         dFx = M[self._state_rows, :]
         # chain rule for u = Phi_u(vars)

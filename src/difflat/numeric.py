@@ -258,7 +258,7 @@ def tower_windows(tower, traj: Trajectory, k_window) -> list:
             ys += outputs[t]
         x, u, y = traj.state(k), traj.inputs(k), [ys[p] for p in at]
         w = tower.trajectory_seed(y, x, u)
-        out.append(Window(k, x, u, y, w, (keys, values + ys + w.tolist())))
+        out.append(Window(k, x, u, y, w, (keys, values + ys + w)))
     return out
 
 
@@ -281,8 +281,8 @@ def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
                 fx = [evaluate(e, win.pt) for e in param.F_x]
                 fu = [evaluate(e, win.pt) for e in param.F_u]
             else:
-                w = win.w
-                fx, fu, _ = tower.recover(win.y, w + tower.seed_offset * (1.0 + np.abs(w)))
+                fx, fu, _ = tower.recover(win.y, [
+                    a + o * (1.0 + abs(a)) for a, o in zip(win.w, tower.seed_offset)])
         except EvalError as ex:
             raise type(ex)(f"at window k = {win.k}: {ex}") from ex
         return (win.k, _max_abs([a - b for a, b in zip(fx, win.x)]),
@@ -316,33 +316,36 @@ def _max_abs(r: list) -> float:
     return max(a) if total == total else total
 
 
-def newton_solve(residual_fn, jacobian_fn, seed: np.ndarray, tol: float = 1e-12,
-                 max_iter: int = 60) -> np.ndarray:
-    """Damped Newton iteration for square systems; raises on stagnation.
+def newton_solve(residual_fn, jacobian_fn, seed, tol: float = 1e-12,
+                 max_iter: int = 60) -> list:
+    """Damped Newton iteration for square systems on Python floats; raises
+    on stagnation.
 
-    `residual_fn(w)` returns the residual as a 1-D float array. It runs once
-    at the seed and once per trial step; an accepted step's residual is
-    carried into the next iteration. `jacobian_fn(w)` returns the step solve
-    at w, which maps the residual, as a list of floats, to the step
-    `J(w)^-1 r` (a `block_triangular_solver` bound to the Jacobian's values)
-    and raises `EvalError` where `J(w)` is singular; it runs once per
-    iteration. The infinity norm of each residual is taken once, on Python
-    floats (`_max_abs`): a trial step is accepted when its norm is below the
+    The iterate is a list of floats, starting from a copy of `seed`; a trial
+    point is w - lam * step, entry by entry, so each entry takes the same
+    IEEE operations an array would. `residual_fn(w)` returns the residual as
+    a list of floats. It runs once at the seed and once per trial step; an
+    accepted step's residual is carried into the next iteration.
+    `jacobian_fn(w)` returns the step solve at w, which maps the residual to
+    the step `J(w)^-1 r` (a `block_triangular_solver` bound to the
+    Jacobian's values) and raises `EvalError` where `J(w)` is singular; it
+    runs once per iteration. The infinity norm of each residual is taken
+    once (`_max_abs`): a trial step is accepted when its norm is below the
     current one, which a NaN norm never is, and the iteration stops when the
     norm is at most `tol`."""
-    w = np.array(seed, dtype=float)
+    w = list(map(float, seed))
     r = residual_fn(w)
-    norm = _max_abs(r.tolist())
+    norm = _max_abs(r)
     for _ in range(max_iter):
         if norm <= tol:
             return w
-        step = np.array(jacobian_fn(w)(r.tolist()))
+        step = jacobian_fn(w)(r)
         # damped step for robustness far from the seed
         lam = 1.0
         for _ in range(25):
-            cand = w - lam * step
+            cand = [a - lam * b for a, b in zip(w, step)]
             rc = residual_fn(cand)
-            norm_c = _max_abs(rc.tolist())
+            norm_c = _max_abs(rc)
             if norm_c < norm:
                 w, r, norm = cand, rc, norm_c
                 break
@@ -365,9 +368,13 @@ def block_triangular_solver(nonzeros, n: int):
     the square remainder, if any, is one block solved in between. The code
     is straight-line: a peeled unknown is its row's residual less the row's
     other terms, divided by its pivot, and the remainder is one
-    `numpy.linalg.solve`. A row or column left empty while peeling (raised
+    `numpy.linalg.solve`. A row or column left empty while peeling, or a
+    remainder that is singular for every value of its nonzeros (raised
     here), a zero pivot or a singular remainder raises
-    `EvalError("singular Jacobian in Newton solve")`."""
+    `EvalError("singular Jacobian in Newton solve")`. The remainder is
+    checked at its nonzeros' values drawn from `random.Random(0)`: its
+    rank there is its structural rank with probability 1, and is full
+    exactly when the pattern has a perfect matching."""
     at = {ij: p for p, ij in enumerate(nonzeros)}
     cols_of = [[] for _ in range(n)]
     for i, j in nonzeros:
@@ -387,6 +394,11 @@ def block_triangular_solver(nonzeros, n: int):
     lines = [line for i, j in front for line in pivot(i, j)]
     if rows:
         rows, cols = sorted(rows), sorted(cols)
+        rng = random.Random(0)
+        generic = [[rng.uniform(-1.0, 1.0) if (i, j) in at else 0.0 for j in cols]
+                   for i in rows]
+        if np.linalg.matrix_rank(generic) < len(rows):
+            raise EvalError(_SINGULAR)
         matrix = ", ".join("[" + ", ".join(
             f"v[{at[i, j]}]" if (i, j) in at else "0.0" for j in cols) + "]"
             for i in rows)

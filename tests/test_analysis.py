@@ -262,7 +262,8 @@ def _tree_walked_newton(imp):
     def recover(y, seed):
         targets = np.array([y[t] for t in imp.targets])
         w = newton_solve(
-            lambda w: np.array([evaluate(r, point(w)) for r in rows]) - targets,
+            lambda w: (np.array([evaluate(r, point(w)) for r in rows])
+                       - targets).tolist(),
             step, seed)
         pt = point(w)
         us = [evaluate(e, pt) for e in u_exprs]
@@ -285,7 +286,8 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
         traj = verification_trajectory(sysm, idx, 6, random.Random(seed),
                                        vtol.options.input_boxes)
         for win in tower_windows(imp, traj, range(6)):
-            w0 = win.w + 1e-3 * np.cos(np.arange(win.w.size)) * (1.0 + np.abs(win.w))
+            offset = 1e-3 * np.cos(np.arange(len(win.w)))
+            w0 = [a + o * (1.0 + abs(a)) for a, o in zip(win.w, offset)]
             got, want = imp.recover(win.y, seed=w0), ref_recover(win.pt, w0)
             for a, b in zip(got, want):
                 assert np.array(a).tobytes() == np.array(b).tobytes()

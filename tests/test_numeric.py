@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from difflat import analysis, numeric
 from difflat.analysis import verification_trajectory
 from difflat.expr import EvalError, Par, Var, add, evaluate, mul, pow_, var
 from difflat.numeric import (
@@ -316,7 +317,7 @@ def test_window_bindings_match_trajectory_points(reports, corpus):
             pt.update(zip(tower.variables, w))
             assert list(win.pt.items()) == list(pt.items())
             assert win.y == [pt[t] for t in tower.targets]
-            assert win.w.tolist() == w
+            assert win.w == w
             assert (win.x, win.u) == (traj.state(win.k), traj.inputs(win.k))
 
 
@@ -369,6 +370,31 @@ def test_one_step_vtol_windows_build_no_var_after_the_first(reports, vtol,
     outs = [window(k) for k in range(1, 6)]
     assert all(out.passed and out.checked == 1 for out in outs)
     assert built == []
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} read on a verification window")
+
+
+def test_one_step_vtol_windows_run_without_numpy(reports, vtol, monkeypatch):
+    """Once the tower's kernels are built, a one-step vtol verification,
+    its Newton inversion included, runs on Python floats: it passes on 25
+    seeded windows with numpy out of reach of `numeric` and `analysis`."""
+    rep = reports["vtol"]
+    sysm, idx, param = rep.model, rep.indices, rep.parameterization
+    traj = verification_trajectory(sysm, idx, 25, random.Random(9),
+                                   vtol.options.input_boxes)
+    assert verify_parameterization(sysm, vtol.candidate, param, traj,
+                                   range(0, 1)).passed
+    monkeypatch.setattr(numeric, "np", _NoNumpy())
+    monkeypatch.setattr(analysis, "np", _NoNumpy())
+    traj = verification_trajectory(sysm, idx, 25, random.Random(10),
+                                   vtol.options.input_boxes)
+    for k in range(25):
+        out = verify_parameterization(sysm, vtol.candidate, param, traj,
+                                      range(k, k + 1))
+        assert out.passed and out.checked == 1, k
 
 
 def test_shift_operator_soundness_along_trajectories(reports, corpus):
@@ -448,10 +474,14 @@ def test_newton_nan_residual_is_never_progress():
         newton_solve(residual, lambda w: identity, np.ones(2))
 
 
+def _minus_one(w):
+    return [a - 1.0 for a in w]
+
+
 def test_a_singular_newton_step_is_a_plain_eval_error():
     zeros = partial(block_triangular_solver(DENSE_2X2, 2), [0.0] * 4)
     with pytest.raises(EvalError) as ei:
-        newton_solve(lambda w: w - 1.0, lambda w: zeros, np.zeros(2))
+        newton_solve(_minus_one, lambda w: zeros, [0.0, 0.0])
     assert str(ei.value) == "singular Jacobian in Newton solve"
 
 
@@ -460,8 +490,8 @@ def test_a_zero_pivot_is_a_singular_newton_step():
     solve = block_triangular_solver([(0, 0), (1, 0), (1, 1)], 2)
     assert solve([2.0, 1.0, 4.0], [2.0, 9.0]) == [1.0, 2.0]
     with pytest.raises(EvalError) as ei:
-        newton_solve(lambda w: w - 1.0, lambda w: partial(solve, [2.0, 1.0, 0.0]),
-                     np.zeros(2))
+        newton_solve(_minus_one, lambda w: partial(solve, [2.0, 1.0, 0.0]),
+                     [0.0, 0.0])
     assert str(ei.value) == "singular Jacobian in Newton solve"
 
 
@@ -501,11 +531,63 @@ def test_an_empty_column_is_singular_when_the_solver_is_built():
     assert str(ei.value) == "singular Jacobian in Newton solve"
 
 
+def test_a_remainder_without_a_perfect_matching_is_singular_when_built():
+    # rows 0 and 1 are full, rows 2-4 reach columns 0 and 1 only: nothing
+    # peels, and the 5 x 5 remainder has rank at most 4 whatever its values
+    nonzeros = ([(i, j) for i in (0, 1) for j in range(5)]
+                + [(i, j) for i in (2, 3, 4) for j in (0, 1)])
+    with pytest.raises(EvalError) as ei:
+        block_triangular_solver(nonzeros, 5)
+    assert str(ei.value) == "singular Jacobian in Newton solve"
+
+
+@pytest.mark.parametrize("name", ["robot", "academic"])
+def test_a_two_by_two_remainder_builds_and_solves(name, reports):
+    """The robot and academic tower Jacobians each leave a 2 x 2 remainder,
+    which passes the generic rank check; the step solve agrees with a
+    dense solve at every verification window."""
+    tower = reports[name].tower
+    kernel = tower.jacobian_kernel
+    solve = block_triangular_solver(kernel.nonzeros, len(tower.variables))
+    params = list(reports[name].model.param_bindings().values())
+    r = [1.0 + 0.5 * i for i in range(len(tower.variables))]
+    for win in tower.windows:
+        values = win.w + params
+        want = np.linalg.solve(kernel(values), r)
+        assert np.allclose(solve(kernel.values(values), r), want,
+                           rtol=1e-10, atol=1e-10 * np.abs(want).max()), win.k
+
+
+def test_a_solver_is_refused_exactly_without_a_perfect_matching():
+    """Building the step solve raises the singular error exactly when scipy
+    finds no perfect matching in the pattern."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def check(pattern):
+        n = len(pattern)
+        nonzeros = [(i, j) for i in range(n) for j in range(n) if pattern[i][j]]
+        match = csgraph.maximum_bipartite_matching(
+            sparse.csr_matrix(np.array(pattern, dtype=float)), perm_type="column")
+        try:
+            block_triangular_solver(nonzeros, n)
+        except EvalError as ex:
+            assert str(ex) == "singular Jacobian in Newton solve"
+            assert (match < 0).any(), pattern
+        else:
+            assert (match >= 0).all(), pattern
+
+    check()
+
+
 def test_a_nan_jacobian_entry_ends_in_stagnation():
     solve = block_triangular_solver([(0, 0), (1, 0), (1, 1)], 2)
     with pytest.raises(EvalError, match="stagnated"):
-        newton_solve(lambda w: w - 1.0,
-                     lambda w: partial(solve, [1.0, math.nan, 1.0]), np.zeros(2))
+        newton_solve(_minus_one,
+                     lambda w: partial(solve, [1.0, math.nan, 1.0]), [0.0, 0.0])
 
 
 @st.composite
