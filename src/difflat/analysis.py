@@ -37,9 +37,10 @@ from .expr import (
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    RankProbe, SimulationError, block_triangular_solver, check_windows,
-    depends_on, eval_matrix, newton_solve, numeric_rank, probe_points,
-    probe_rank, random_inputs, simulate, tower_windows,
+    NONZERO_TOL, RANK_TOL, RESIDUAL_TOL, RankProbe, SimulationError, _magnitudes,
+    block_triangular_solver, check_windows, depends_on, eval_matrix,
+    newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
+    simulate, tower_windows,
 )
 from .solve import SolveError, solve_equations
 
@@ -83,8 +84,8 @@ class FlatCandidate:
 class AnalyzeOptions:
     input_boxes: dict = field(default_factory=dict)  # 1-based input index -> (lo, hi)
     seed: int = 2023
-    tol_rank: float = 1e-8
-    tol_verify: float = 1e-8
+    tol_rank: float = RANK_TOL
+    tol_verify: float = RESIDUAL_TOL
     skip_verification: bool = False
 
 
@@ -123,10 +124,8 @@ class TowerContext:
     mode: str                      # "forward" | "backward" | "combined"
     sys_bar: SystemModel           # transformed system the rows live in
     base_model: SystemModel        # the analyzed model (psi resolved if used)
-    sigma_y: tuple
     u_inverse: dict | None         # {original u leaf: expr over (x, ubar)}
     zeta_inverse: dict | None      # {zeta_j[-1]: expr over (x, zetabar[-1])}
-    gbar: tuple | None             # transformed g (over sys_bar coordinates)
     diagnostics: list = field(default_factory=list)
 
 
@@ -704,8 +703,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
                        r2=_unpermute(sigma_y, r21, r22),
                        d1=d1, d2=d2, sigma_y=sigma_y)
     ctx = TowerContext(mode=mode, sys_bar=sys_bar, base_model=sys,
-                       sigma_y=sigma_y, u_inverse=u_inverse,
-                       zeta_inverse=zeta_inverse, gbar=gbar,
+                       u_inverse=u_inverse, zeta_inverse=zeta_inverse,
                        diagnostics=list(diags))
     tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx,
                   sources=sources, outputs=cand.phi)
@@ -737,9 +735,8 @@ def _independent_of(sys_bar, e, fam_comp_list, opts) -> bool:
 
 
 def _depends(sys_bar, e, target_vars, opts) -> bool:
-    leaves = vars_of(e) | set(target_vars)
-    probes = _jet_probes(sys_bar, leaves, opts)
-    return depends_on(e, list(target_vars), probes)
+    return depends_on(e, list(target_vars), _jet_probes(
+        sys_bar, vars_of(e) | set(target_vars), opts))
 
 
 def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
@@ -793,7 +790,7 @@ def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
         if not _independent_of(sys_bar, e, [("ubar", 1), ("ubar", 2)], opts):
             return f"phi1_[{s}] already depends on an input"
     e = sys_bar.shift(phi_bar[0], rho1)
-    if e != ub1 and _numeric_differs(sys_bar, e, ub1, opts):
+    if _differs(sys_bar, e, ub1, opts):
         return f"phi1_[{rho1}] != ubar1 (got {to_text(e)})"
     for s in range(rho2, r22):
         e = sys_bar.shift(phi_bar[1], s)
@@ -807,14 +804,11 @@ def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
     return None
 
 
-def _numeric_differs(sys_bar, a, b, opts, tol=1e-9) -> bool:
-    for pt in _jet_probes(sys_bar, vars_of(a) | vars_of(b), opts):
-        try:
-            if abs(evaluate(a, pt) - evaluate(b, pt)) > tol:
-                return True
-        except EvalError:
-            continue
-    return False
+def _differs(sys_bar, e, lead, opts) -> bool:
+    """The chain row e is not its lead variable: |e - lead| exceeds
+    `NONZERO_TOL` at a jet probe (the first that does ends the scan)."""
+    return e != lead and any(a > NONZERO_TOL for a in _magnitudes(
+        [esub(e, lead)], _jet_probes(sys_bar, vars_of(e) | {lead}, opts)))
 
 
 def _unpermute(sigma_y, first_val, second_val):
@@ -832,7 +826,7 @@ def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
         if not _independent_of(sys_bar, e, [("zetabar", 1), ("zetabar", 2)], opts):
             return f"phi1_[-{s}] depends on a history before gamma1"
     e = sys_bar.shift(phi_bar[0], -gamma1)
-    if e != zb1 and _numeric_differs(sys_bar, e, zb1, opts):
+    if _differs(sys_bar, e, zb1, opts):
         return f"phi1_[-{gamma1}] != zetabar1[-1] (got {to_text(e)})"
     for s in range(gamma2, r12 + 1):
         e = sys_bar.shift(phi_bar[1], -s)
@@ -921,7 +915,7 @@ def _check_shapes(idx: ShiftIndices, F_x, F_u, whose=""):
                         f"[-{idx.r1[j - 1]}, {idx.r2[j - 1] + hi_off}]")
 
 
-def _cross_check_user_F(cand, param, diags, tol=1e-8):
+def _cross_check_user_F(cand, param, diags):
     """The user-supplied F in the inverted F's leaf windows and equal to it
     at every verification window where both evaluate, of which there must be
     one."""
@@ -938,7 +932,7 @@ def _cross_check_user_F(cand, param, diags, tol=1e-8):
         raise AnalysisError("user-supplied parameterization does not evaluate "
                             "at any verification window")
     worst = max(deviations)
-    if worst > tol:
+    if worst > RESIDUAL_TOL:
         raise AnalysisError(
             f"user-supplied parameterization disagrees with the inverted tower "
             f"(max deviation {worst:.3g}); the parameterization is unique")
@@ -1078,16 +1072,12 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
             if all(sys.f[c] != fi for c in chosen):
                 chosen.append(i)
 
-    def rank_of(rows):
-        return probe_rank([sys.f[i] for i in rows], sys.input_vars, [pt],
-                          opts.tol_rank)
+    def rank_of(rows):    # of d_u f at the analysis point
+        return sys.point_rank(rows, range(sys.n, sys.n + sys.m), opts.tol_rank)
 
     for i in range(sys.n):
-        if len(chosen) == sys.m:
-            break
-        if i in chosen:
-            continue
-        if rank_of(chosen + [i]) > rank_of(chosen):
+        if len(chosen) < sys.m and i not in chosen and (
+                rank_of(chosen + [i]) > rank_of(chosen)):
             chosen.append(i)
     if len(chosen) < sys.m or rank_of(chosen) < sys.m:
         raise AnalysisError(
@@ -1134,18 +1124,10 @@ def zero_block_check(norm: NormalizedInputs, param: Parameterization):
     cols = [Var("y", j + 1, -idx.r1[j]) for j in range(2) if idx.r1[j] > 0]
     if not cols or norm.F_v is None:
         return True, 0.0
-    structural = all(
-        v not in vars_of(e) for e in norm.F_v for v in cols)
-    worst = 0.0
-    for e in norm.F_v:
-        for c in cols:
-            d = differentiate(e, c)
-            for win in param.tower.windows:
-                try:
-                    worst = max(worst, abs(evaluate(d, win.pt)))
-                except EvalError:
-                    continue
-    return structural, worst
+    structural = all(v not in vars_of(e) for e in norm.F_v for v in cols)
+    partials = [differentiate(e, c) for e in norm.F_v for c in cols]
+    return structural, max(_magnitudes(
+        partials, [win.pt for win in param.tower.windows]), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from .analysis import (
 from .expr import EvalError
 from .extension import build_combined, certify_linearizing
 from .model import ModelError
-from .numeric import SimulationError, fold_residuals, verify_parameterization
+from .numeric import (
+    RANK_TOL, RESIDUAL_TOL, SimulationError, fold_residuals, verify_parameterization,
+)
 from .parsing import ParseError
 from .sysfile import (
     SystemFile, SystemFileError, load_system, loads_system, print_system,
@@ -183,8 +185,8 @@ def _count(low):
 _FLAGS = {
     "--json": dict(action="store_true", help="emit machine-readable JSON"),
     "--out": dict(help="output path of the extended system"),
-    "--tol-rank": dict(type=float, default=1e-8),
-    "--tol-verify": dict(type=float, default=1e-8),
+    "--tol-rank": dict(type=float, default=RANK_TOL),
+    "--tol-verify": dict(type=float, default=RESIDUAL_TOL),
     "--steps": dict(type=_count(1), default=30),
     "--trials": dict(type=_count(0), default=5),
     "--seed": dict(type=int, default=2023),

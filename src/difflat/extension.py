@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .expr import Var, substitute, to_text, vars_of
 from .model import SystemModel
+from .numeric import FIXED_POINT_TOL
 from .analysis import AnalysisError, AnalyzeOptions, FlatCandidate, Tower
 
 __all__ = [
@@ -99,7 +100,7 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
     ctx = tower.context
     if ctx.zeta_inverse is not None:
         resid = sys.fixed_point_residual()
-        if resid > 1e-10:
+        if resid > FIXED_POINT_TOL:
             raise ExtensionError(
                 "prelongation chains need a constant history: the analysis "
                 f"point is not a fixed point (residual {resid:.3g})")

@@ -8,13 +8,13 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import numpy as np
-
 from .expr import (
     EvalError, Expr, Par, Var, _key, compile_exprs, evaluate, jacobian,
     sub as esub, substitute, to_text, vars_of, params_of,
 )
-from .numeric import _max_abs, eval_matrix, numeric_rank, probe_points, probe_rank
+from .numeric import (
+    FIXED_POINT_TOL, PSI_TOL, RANK_TOL, _max_abs, numeric_rank, probe_points,
+)
 from .solve import SolveError, solve_equations
 
 __all__ = [
@@ -28,7 +28,6 @@ PI = Par("pi")
 # analysis adds fewer than ten, so only a long-lived model that analyzes many
 # candidates reaches it.
 SHIFT_CACHE_SIZE = 1024
-PSI_TOL = 1e-9    # the largest psi residual accepted; errors quote "1e-9"
 
 
 class ModelError(Exception):
@@ -74,8 +73,8 @@ class SystemModel:
             for j, v in enumerate(self.input_vars)
         }
         self._state_index = {v: i for i, v in enumerate(self.state_vars)}
-        self._fg_leaves = [*self.state_vars, *self.input_vars,
-                           *map(Par, self.params)]
+        self._xu = [*self.state_vars, *self.input_vars]
+        self._fg_leaves = [*self._xu, *map(Par, self.params)]
         self._shift_cache = {}
 
     # -- points ------------------------------------------------------------
@@ -177,6 +176,24 @@ class SystemModel:
         params) (`expr.compile_exprs`, bit-identical to `evaluate`)."""
         return compile_exprs([*self.f, *(self.g or ())], self._fg_leaves)
 
+    @cached_property
+    def point_jacobian(self) -> list:
+        """The Jacobian of f, then g when declared, in (states, inputs) at the
+        analysis point, once per model: rows of floats, bit-identical to
+        `eval_matrix`. An entry that hits a pole raises `EvalError`."""
+        pt, memo = self.analysis_point(), {}
+        return [[evaluate(e, pt, memo) for e in row]
+                for row in jacobian([*self.f, *(self.g or ())], self._xu)]
+
+    def point_rank(self, rows, cols, tol_rel: float) -> int:
+        """`numeric_rank` of the `rows` x `cols` block (indices) of
+        `point_jacobian`, 0 where that hits a pole or a non-finite entry."""
+        try:
+            J = self.point_jacobian
+            return numeric_rank([[J[i][j] for j in cols] for i in rows], tol_rel)
+        except (EvalError, ValueError):
+            return 0
+
     def fixed_point_residual(self) -> float:
         """max |f(x0, u0) - x0| at the analysis point."""
         pt = self.analysis_point()
@@ -191,13 +208,12 @@ class SystemModel:
         g-value histories, params), NaN if any entry is: `invert_extension`
         checks it, `validate` reports it."""
         params = [Par(k) for k in self.params]
-        xu = list(self.state_vars) + list(self.input_vars)
         hist = [Var(self.gvalue_family, j + 1, -1) for j in range(self.m)]
         psi, worst = None, 0.0
         for trial, pt in enumerate(probe_points(self.analysis_point(), 11,
-                                                perturb=xu)):
+                                                perturb=self._xu)):
             p = [pt[k] for k in params]
-            at = [pt[v] for v in xu]
+            at = [pt[v] for v in self._xu]
             slots = self.fg(at + p)
             try:    # compiled at the first probe: a leaf psi may not read fails it
                 psi = psi or compile_exprs(list(self.psi_x) + list(self.psi_u),
@@ -282,39 +298,31 @@ def _check_leaves(sys: SystemModel, exprs, where: str):
                 raise ModelError(f"{where}: undeclared parameter {p.name}")
 
 
-def validate(sys: SystemModel, tol_rank: float = 1e-8) -> ValidationReport:
+def validate(sys: SystemModel, tol_rank: float = RANK_TOL) -> ValidationReport:
     """Check independent inputs, submersivity, the (f,g) diffeomorphism rank,
     the fixed-point property of the declared point, and psi consistency."""
     _check_leaves(sys, sys.f, "dynamics")
     if sys.g is not None:
         _check_leaves(sys, sys.g, "extension")
-    messages = []
     pt = sys.analysis_point()
-    for v in list(sys.state_vars) + list(sys.input_vars):
+    for v in sys._xu:
         if v not in pt:
             raise ModelError(f"analysis point does not bind {to_text(v)}")
 
-    cols_xu = list(sys.state_vars) + list(sys.input_vars)
-    input_rank = probe_rank(sys.f, sys.input_vars, [pt], tol_rank)
-    sub_rank = probe_rank(sys.f, cols_xu, [pt], tol_rank)
-    ext_rank = None
-    if sys.g is not None:
-        ext_rank = probe_rank(list(sys.f) + list(sys.g), cols_xu, [pt], tol_rank)
+    f_rows, xu = range(sys.n), range(sys.n + sys.m)
+    input_rank = sys.point_rank(f_rows, range(sys.n, sys.n + sys.m), tol_rank)
+    sub_rank = sys.point_rank(f_rows, xu, tol_rank)
+    ext_rank = None if sys.g is None else sys.point_rank(xu, xu, tol_rank)
 
     resid = sys.fixed_point_residual()
-    fixed = resid <= 1e-10
-    if not fixed:
-        messages.append(
-            f"declared point is not a fixed point (|f(x0,u0)-x0| = {resid:.3g}); "
-            "it is used as the analysis chart center")
-
-    psi_resid = None
-    if sys.psi_x is not None:
-        psi_resid = sys.psi_residual
+    fixed = resid <= FIXED_POINT_TOL
+    messages = [] if fixed else [
+        f"declared point is not a fixed point (|f(x0,u0)-x0| = {resid:.3g}); "
+        "it is used as the analysis chart center"]
     return ValidationReport(
         input_rank=input_rank, submersivity_rank=sub_rank,
-        extension_rank=ext_rank, n=sys.n, m=sys.m,
-        equilibrium_residual=resid, psi_residual=psi_resid,
+        extension_rank=ext_rank, n=sys.n, m=sys.m, equilibrium_residual=resid,
+        psi_residual=None if sys.psi_x is None else sys.psi_residual,
         is_fixed_point=fixed, messages=messages)
 
 
@@ -372,21 +380,22 @@ def invert_extension(sys: SystemModel) -> SystemModel:
     return out
 
 
-def choose_extension(sys: SystemModel, tol_rank: float = 1e-8) -> ExtensionChoice:
+def choose_extension(sys: SystemModel, tol_rank: float = RANK_TOL) -> ExtensionChoice:
     """Pick m coordinate functions g from (x, u) making (f,g) a local
     diffeomorphism with a rationally solvable inverse.
 
     Scans the m-subsets of the coordinate pool (states first, then inputs)
     in `itertools.combinations` order; the first subset completing (f,g) to
     rank n+m at the analysis point whose psi the restricted solver can
-    produce wins. Deterministic.
+    produce wins. The rank is that of the f rows of `point_jacobian` with a
+    unit row for each coordinate of g. Deterministic.
     """
-    pool = list(sys.state_vars) + list(sys.input_vars)
-    base_rows = eval_matrix(jacobian(sys.f, pool), sys.analysis_point())
+    pool = sys._xu
+    f_rows = sys.point_jacobian[:sys.n]
     rank_valid = None
     for g in itertools.combinations(pool, sys.m):
-        sel = np.eye(len(pool))[[pool.index(v) for v in g]]
-        if numeric_rank(np.vstack([base_rows, sel]), tol_rank) != sys.n + sys.m:
+        units = [[float(v == w) for w in pool] for v in g]
+        if numeric_rank(f_rows + units, tol_rank) != sys.n + sys.m:
             continue
         rank_valid = rank_valid or g
         try:

@@ -21,8 +21,14 @@ __all__ = [
     "tower_windows", "check_windows", "fold_residuals",
 ]
 
-RANK_TOL = 1e-8
-DEPEND_TOL = 1e-9
+# The threshold of each numeric decision (README, "Numerical conventions").
+RANK_TOL = 1e-8          # singular values above RANK_TOL * sigma_max count
+RESIDUAL_TOL = 1e-8      # the largest trajectory (and user F) residual accepted
+NONZERO_TOL = 1e-9       # dependence, chain-lead identity and solver pivots
+PSI_TOL = 1e-9           # the largest psi residual accepted; errors quote "1e-9"
+FIXED_POINT_TOL = 1e-10  # the largest |f(x0, u0) - x0| of a fixed point
+NEWTON_TOL = 1e-12       # Newton stops at this residual infinity norm
+NEWTON_MAX_ITER = 60
 PROBE_RADIUS = 1e-2
 PROBE_COUNT = 10
 
@@ -84,25 +90,25 @@ def probe_points(center, seed, count=PROBE_COUNT, perturb=None, bind=()):
         yield pt
 
 
-def depends_on(exprs, variables, probes, tol: float = DEPEND_TOL) -> bool:
-    """Generic dependence: some partial is structurally nonzero and evaluates
-    to a value above tol at the center or a perturbed probe."""
-    partials = []
-    for e in exprs if isinstance(exprs, (list, tuple)) else [exprs]:
-        for v in variables:
-            d = differentiate(e, v)
-            if d != ZERO:
-                partials.append(d)
-    if not partials:
-        return False
-    for pt in probes:
-        for d in partials:
+def depends_on(e, variables, probes) -> bool:
+    """Generic dependence: some partial of e is structurally nonzero and
+    exceeds `NONZERO_TOL` at the center or a perturbed probe; the scan stops
+    at the first that does."""
+    partials = [d for d in (differentiate(e, v) for v in variables) if d != ZERO]
+    return bool(partials) and any(
+        a > NONZERO_TOL for a in _magnitudes(partials, probes))
+
+
+def _magnitudes(exprs, points):
+    """|e| at each point, for each expression in turn; a (point, expression)
+    pair whose evaluation hits a pole is skipped, and a NaN counts as 0.0."""
+    for pt in points:
+        for e in exprs:
             try:
-                if abs(evaluate(d, pt)) > tol:
-                    return True
+                a = abs(evaluate(e, pt))
             except EvalError:
                 continue
-    return False
+            yield a if a == a else 0.0
 
 
 @dataclass
@@ -262,15 +268,15 @@ def tower_windows(tower, traj: Trajectory, k_window) -> list:
     return out
 
 
-def verify_parameterization(sys, cand, param, traj: Trajectory,
-                            k_window, tol: float = 1e-8) -> ResidualReport:
+def verify_parameterization(sys, cand, param, traj: Trajectory, k_window,
+                            tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Check |x(k) - F_x(y-shifts)| and |u(k) - F_u(y-shifts)| along the
     trajectory for each k in the window, read by `param.tower`, which was
     built from `sys` and `cand`."""
     return check_windows(param, tower_windows(param.tower, traj, k_window), tol)
 
 
-def check_windows(param, windows, tol: float = 1e-8) -> ResidualReport:
+def check_windows(param, windows, tol: float = RESIDUAL_TOL) -> ResidualReport:
     """The residuals of `verify_parameterization` at `windows`, folded by
     `fold_residuals`; an EvalError is raised again, same type, naming its k."""
     tower = param.tower
@@ -316,8 +322,7 @@ def _max_abs(r: list) -> float:
     return max(a) if total == total else total
 
 
-def newton_solve(residual_fn, jacobian_fn, seed, tol: float = 1e-12,
-                 max_iter: int = 60) -> list:
+def newton_solve(residual_fn, jacobian_fn, seed) -> list:
     """Damped Newton iteration for square systems on Python floats; raises
     on stagnation.
 
@@ -332,12 +337,12 @@ def newton_solve(residual_fn, jacobian_fn, seed, tol: float = 1e-12,
     runs once per iteration. The infinity norm of each residual is taken
     once (`_max_abs`): a trial step is accepted when its norm is below the
     current one, which a NaN norm never is, and the iteration stops when the
-    norm is at most `tol`."""
+    norm is at most `NEWTON_TOL`, or fails after `NEWTON_MAX_ITER` steps."""
     w = list(map(float, seed))
     r = residual_fn(w)
     norm = _max_abs(r)
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL:
             return w
         step = jacobian_fn(w)(r)
         # damped step for robustness far from the seed
@@ -352,7 +357,7 @@ def newton_solve(residual_fn, jacobian_fn, seed, tol: float = 1e-12,
             lam *= 0.5
         else:
             raise EvalError("Newton iteration stagnated")
-    if norm <= tol:
+    if norm <= NEWTON_TOL:
         return w
     raise EvalError("Newton iteration did not converge")
 

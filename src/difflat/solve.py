@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
-    EvalError, Expr, Var, _key, differentiate, evaluate, mul, num, pow_, sub,
-    substitute, vars_of,
+    Expr, Var, _key, differentiate, mul, num, pow_, sub, substitute, vars_of,
 )
+from .numeric import NONZERO_TOL, _magnitudes
 
 __all__ = ["SolveError", "solve_equations"]
 
-_PIVOT_TOL = 1e-9
+MAX_ROUNDS = 40    # elimination rounds before `solve_equations` gives up
 
 
 class SolveError(Exception):
@@ -49,17 +49,7 @@ def _is_affine(e: Expr, unknowns: set) -> dict | None:
     return coeffs
 
 
-def _pivot_magnitude(e: Expr, probe_points) -> float:
-    best = 0.0
-    for pt in probe_points:
-        try:
-            best = max(best, abs(evaluate(e, pt)))
-        except EvalError:
-            continue
-    return best
-
-
-def solve_equations(equations, unknowns, probe_points, max_rounds: int = 40):
+def solve_equations(equations, unknowns, probe_points):
     """Solve residual equations (== 0) for the unknowns.
 
     Returns {Var: Expr} with right-hand sides free of unknowns. Raises
@@ -78,7 +68,7 @@ def solve_equations(equations, unknowns, probe_points, max_rounds: int = 40):
     rows = [_Row(e, i) for i, e in enumerate(equations)]
     solution: dict[Var, Expr] = {}
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not pending:
             break
         rows = [r for r in rows if any(v in pending for v in vars_of(r.expr))]
@@ -131,8 +121,8 @@ def _eliminate(affine, pending, probe_points):
             for v, c in coeffs.items():
                 if v not in active:
                     continue
-                mag = _pivot_magnitude(c, probe_points)
-                score = (mag > _PIVOT_TOL, mag, -order)
+                mag = max(_magnitudes([c], probe_points), default=0.0)
+                score = (mag > NONZERO_TOL, mag, -order)
                 if best is None or score > best[0]:
                     best = (score, order, e, coeffs, v)
         if best is None or not best[0][0]:

@@ -60,7 +60,8 @@ class SystemFile:
 
 
 def _split_sections(text: str):
-    """Rows {name: [(lhs, rhs, line)]} and header lines {name: line}."""
+    """Rows {name: [(lhs, rhs, line)]} and header lines {name: line}; a row
+    whose left-hand side its section already has is an error at its line."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -88,8 +89,10 @@ def _split_sections(text: str):
             raise SystemFileError("content before the first section", lineno)
         if "=" not in line:
             raise SystemFileError("expected 'name = expression'", lineno)
-        lhs, rhs = line.split("=", 1)
-        current[1].append((lhs.strip(), rhs.strip(), lineno))
+        lhs, rhs = (part.strip() for part in line.split("=", 1))
+        if any(lhs == seen for seen, _, _ in current[1]):
+            raise SystemFileError(f"[{current[0]}] defines {lhs} twice", lineno)
+        current[1].append((lhs, rhs, lineno))
     return ({name: rows for name, rows, _ in sections},
             {name: line for name, _, line in sections})
 
@@ -143,11 +146,15 @@ def loads_system(text: str, path: str = "") -> SystemFile:
             raise SystemFileError(f"[dims] {name} = {size} must be positive", dims[name][1])
 
     table = DimTable(n, m, frozenset(params))
+    defined = set()    # (section, coordinate): x1 and x1[0] are one coordinate
 
-    def parse_lhs_var(text_, ln):
+    def parse_lhs_var(section, text_, ln):
         e = _parse(text_, table, ln)
         if not isinstance(e, Var):
             raise SystemFileError(f"{text_!r} is not a coordinate", ln)
+        if (section, e) in defined:
+            raise SystemFileError(f"[{section}] defines {to_text(e)} twice", ln)
+        defined.add((section, e))
         return e
 
     # dynamics: LHS "<state>+"
@@ -160,7 +167,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     for lhs, rhs, ln in dyn:
         if not lhs.endswith("+"):
             raise SystemFileError("dynamics rows are written '<state>+ = expr'", ln)
-        state_vars.append(parse_lhs_var(lhs[:-1].strip(), ln))
+        state_vars.append(parse_lhs_var("dynamics", lhs[:-1].strip(), ln))
         f.append(_parse(rhs, table, ln))
 
     seen = set(state_vars)
@@ -196,7 +203,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
                                   headers["extension"])
 
     def coordinate_rows(name, rows):    # (state rows, input rows)
-        by_var = {parse_lhs_var(lhs, ln): e for lhs, e, ln in rows}
+        by_var = {parse_lhs_var(name, lhs, ln): e for lhs, e, ln in rows}
         try:
             return (tuple(by_var[v] for v in state_vars),
                     tuple(by_var[v] for v in input_vars))
@@ -229,7 +236,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     point = {v: 0.0 for v in state_vars}
     point.update({v: 0.0 for v in input_vars})
     for lhs, rhs, ln in sections.get("equilibrium", []):
-        v = parse_lhs_var(lhs, ln)
+        v = parse_lhs_var("equilibrium", lhs, ln)
         if v not in point:
             raise SystemFileError(
                 f"equilibrium binds {lhs}, which is not a coordinate", ln)
@@ -237,7 +244,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
 
     boxes = {}
     for lhs, rhs, ln in sections.get("simulation", []):
-        v = parse_lhs_var(lhs, ln)
+        v = parse_lhs_var("simulation", lhs, ln)
         try:
             j = list(input_vars).index(v) + 1
         except ValueError:

@@ -76,7 +76,7 @@ def test_criterion_2_academic(paths, capsys, tmp_path, reports):
     assert j["R1"] == [4, 3] and j["R2"] == [0, 0]
     assert j["d"] == 2
     # gbar1 = x1: the prelongation feeds the chain with x1
-    assert reports["academic"].tower.context.gbar[0] == var("x", 1)
+    assert reports["academic"].tower.context.sys_bar.g[0] == var("x", 1)
     out = tmp_path / "academic_ext.sys"
     rc, j = run_cli(capsys, "extend", paths["academic"], "--json",
                     "--out", str(out))

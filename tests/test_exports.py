@@ -1,7 +1,10 @@
-"""Every name a difflat module lists in `__all__` exists, so deleting a
-function cannot leave a stale export behind."""
+"""Every name a difflat module lists in `__all__` exists, and every name it
+imports is used, so deleting a function cannot leave a stale export or a
+stale import behind."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
 
 import pytest
@@ -21,3 +24,36 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module's imports bind but its code never reads: a read is
+    a bare name, the root of an attribute chain included (`np` in
+    `np.linalg.svd`)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_the_unused_import_check_finds_an_unused_name():
+    assert _unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == [
+        "os (line 1)"]
+    assert _unused_imports("from .expr import a, b as c\nprint(c)\n") == [
+        "a (line 1)"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    """The package `__init__` re-exports what it imports and is exempt."""
+    path = importlib.util.find_spec(name).origin
+    with open(path, encoding="utf-8") as fh:
+        unused = _unused_imports(fh.read())
+    assert not unused, f"{name} imports names it never uses: {unused}"

@@ -21,7 +21,7 @@ def test_swapped_robot_outputs_use_the_second_ordering(robot):
     sysm = robot.model
     cand = FlatCandidate(phi=(robot.candidate.phi[1], robot.candidate.phi[0]))
     rep = analyze(sysm, cand)
-    assert rep.tower.context.sigma_y == (1, 0)
+    assert rep.indices.sigma_y == (1, 0)
     assert rep.classification.kind == "general"
     assert rep.indices.rho == (0, 1)
     assert rep.indices.gamma == (1, 1)

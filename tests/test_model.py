@@ -1,9 +1,16 @@
+import ast
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_corpus_expressions
-from difflat.expr import Par, Var, add, evaluate, mul, to_text, var, vars_of
+from difflat import model
+from difflat.analysis import normalize_inputs
+from difflat.expr import (
+    Par, PoleError, Var, add, evaluate, jacobian, mul, to_text, var, vars_of,
+)
 from difflat.model import (
     ModelError, SystemModel, backward_shift, choose_extension, forward_shift,
     invert_extension, validate,
@@ -124,6 +131,99 @@ def test_rank_stability_under_small_perturbations(corpus):
                        numeric_rank(eval_matrix(J_xu, pt)),
                        numeric_rank(eval_matrix(stacked, pt))))
         assert ranks == {(sysm.m, sysm.n, sysm.n + sysm.m)}
+
+
+# ---------------------------------------------------------------------------
+# the point Jacobian: every rank at the analysis point reads one evaluation
+# of d(f, g)/d(x, u); each is checked against the rank of the matrix built
+# from its own tree-walked Jacobian, as each was before
+
+BUNDLED_MODELS = [(name, with_g) for name in ("robot", "academic", "vtol")
+                  for with_g in (True, False)]
+
+
+def _bundled(corpus, name, with_g):
+    sysm = corpus[name].model
+    return sysm if with_g else sysm.with_g(None)
+
+
+def _rank_at_point(sysm, rows, cols):
+    return numeric_rank(eval_matrix(jacobian(rows, cols), sysm.analysis_point()))
+
+
+@pytest.mark.parametrize("name, with_g", BUNDLED_MODELS)
+def test_validate_reads_its_ranks_off_the_point_jacobian(corpus, name, with_g):
+    sysm = _bundled(corpus, name, with_g)
+    xu = [*sysm.state_vars, *sysm.input_vars]
+    rep = validate(sysm)
+    assert rep.input_rank == _rank_at_point(sysm, sysm.f, sysm.input_vars)
+    assert rep.submersivity_rank == _rank_at_point(sysm, sysm.f, xu)
+    assert rep.extension_rank == (
+        None if sysm.g is None else _rank_at_point(sysm, [*sysm.f, *sysm.g], xu))
+
+
+@pytest.mark.parametrize("name, with_g", BUNDLED_MODELS)
+def test_normalize_inputs_scans_the_point_jacobian(corpus, name, with_g):
+    """The greedy scan, replayed on d_u f of the chosen rows alone."""
+    sysm = _bundled(corpus, name, with_g)
+
+    def rank_of(rows):
+        return _rank_at_point(sysm, [sysm.f[i] for i in rows], sysm.input_vars)
+
+    chosen = []    # a row that is literally an input is claimed first
+    for i, fi in enumerate(sysm.f):
+        if (fi in sysm.input_vars and fi not in [sysm.f[c] for c in chosen]
+                and len(chosen) < sysm.m):
+            chosen.append(i)
+    for i in range(sysm.n):
+        if len(chosen) < sysm.m and i not in chosen and (
+                rank_of(chosen + [i]) > rank_of(chosen)):
+            chosen.append(i)
+    assert normalize_inputs(sysm).rows == tuple(i + 1 for i in sorted(chosen))
+
+
+@pytest.mark.parametrize("name, with_g", BUNDLED_MODELS)
+def test_choose_extension_ranks_the_stacked_point_jacobian(corpus, name, with_g,
+                                                            monkeypatch):
+    """Each candidate g is ranked on the f rows with a unit row per
+    coordinate of g: the matrix `np.vstack` of d_xu f and rows of `np.eye`."""
+    sysm = _bundled(corpus, name, with_g)
+    ranked = []
+
+    def recording(M, tol):
+        ranked.append((np.array(M, dtype=float), numeric_rank(M, tol)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(model, "numeric_rank", recording)
+    choice = choose_extension(sysm)
+    pool = [*sysm.state_vars, *sysm.input_vars]
+    base = eval_matrix(jacobian(sysm.f, pool), sysm.analysis_point())
+    candidates = list(itertools.combinations(pool, sysm.m))
+    assert ranked and candidates[len(ranked) - 1] == choice.g
+    for (M, rank), g in zip(ranked, candidates):
+        want = np.vstack([base, np.eye(len(pool))[[pool.index(v) for v in g]]])
+        assert np.array_equal(M, want) and rank == numeric_rank(want), g
+
+
+def test_a_pole_of_the_point_jacobian_reads_rank_0_and_stops_choose_extension():
+    x1, x2, u1, u2 = var("x", 1), var("x", 2), var("u", 1), var("u", 2)
+    sysm = SystemModel(n=2, m=2, f=(P("1/x1 + u1", 2), P("x2 + u2", 2)),
+                       state_vars=(x1, x2), input_vars=(u1, u2),
+                       point={x1: 0.0, x2: 0.0, u1: 0.0, u2: 0.0})
+    assert sysm.point_rank(range(2), range(2, 4), 1e-8) == 0
+    with pytest.raises(PoleError):
+        choose_extension(sysm)
+
+
+def test_the_model_module_holds_no_numpy():
+    with open(model.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in modules if name.split(".")[0] == "numpy"]
+    assert "np" not in vars(model) and "numpy" not in vars(model)
 
 
 # ---------------------------------------------------------------------------

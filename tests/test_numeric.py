@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from difflat import analysis, numeric
 from difflat.analysis import verification_trajectory
-from difflat.expr import EvalError, Par, Var, add, evaluate, mul, pow_, var
+from difflat.expr import EvalError, Par, Var, add, evaluate, mul, num, pow_, var
 from difflat.numeric import (
-    PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
+    NONZERO_TOL, PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
     block_triangular_solver, check_windows, newton_solve, numeric_rank,
     probe_points, random_inputs, simulate, tower_windows,
     verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
+from difflat.solve import SolveError, solve_equations
 
 
 def P(s, n, m, params=()):
@@ -107,6 +108,54 @@ def test_probe_points_bind_after_the_perturbation():
 def test_probe_points_repeat_for_the_same_seed():
     assert list(probe_points(CENTER, seed=7)) == list(probe_points(CENTER, seed=7))
     assert list(probe_points(CENTER, seed=7)) != list(probe_points(CENTER, seed=8))
+
+
+# ---------------------------------------------------------------------------
+# the nonzero scan: dependence, chain-lead identity, pivots and zero block
+
+class RecordingPoint(dict):
+    """A point that records each leaf `evaluate` reads from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, leaf):
+        self.reads.append(leaf)
+        return super().__getitem__(leaf)
+
+
+def test_a_pole_skips_only_its_own_pair_of_the_scan():
+    a = var("x", 1)
+    # 1/a has a pole at a = 0: (a = 0, a) and both pairs at a = 2 remain
+    scan = numeric._magnitudes([pow_(a, -1), a], [{a: 0.0}, {a: 2.0}])
+    assert list(scan) == [0.0, 0.5, 2.0]
+
+
+def test_a_nan_is_never_nonzero_and_never_the_maximum():
+    a, b, u = var("x", 1), var("x", 2), var("u", 1)
+    pt = {a: math.nan, b: 1e-12}
+    assert list(numeric._magnitudes([a, b], [pt])) == [0.0, 1e-12]
+    assert max(numeric._magnitudes([a, b], [pt])) == 1e-12
+    assert not numeric.depends_on(mul(a, b), [b], [pt])    # d/db = a, a NaN
+    # a NaN pivot scores as a vanishing one, so elimination stalls
+    with pytest.raises(SolveError, match="stalled"):
+        solve_equations([add(mul(a, u), num(-1))], [u], [pt])
+
+
+def test_dependence_stops_at_the_first_nonzero_value():
+    a, b, u1, u2 = var("x", 1), var("x", 2), var("u", 1), var("u", 2)
+    e = add(mul(a, u1), mul(b, u2))    # partials a, then b
+    first = RecordingPoint({a: 1.0, b: 5.0})
+    second = RecordingPoint(first)
+    probes = iter([first, second])
+    assert numeric.depends_on(e, [u1, u2], probes)
+    assert first.reads == [a]    # b is never evaluated
+    assert next(probes) is second and second.reads == []
+    # a value at the threshold is not above it: every pair is scanned
+    tiny = RecordingPoint({a: NONZERO_TOL, b: -NONZERO_TOL})
+    assert not numeric.depends_on(e, [u1, u2], [tiny])
+    assert tiny.reads == [a, b]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from difflat import systems
 from difflat.analysis import AnalyzeOptions, FlatCandidate
 from difflat.expr import Var, var
 from difflat.model import SystemModel
@@ -206,3 +207,42 @@ def test_row_and_section_errors_name_their_line(row, broken, at, message):
         loads_system(bad)
     assert ei.value.line == line
     assert str(ei.value).startswith(f"line {line}: {message}")
+
+
+INVERSE = "[inverse]\nx1 = x1\nx2 = x2\nx3 = x3\nu1 = u1\n{row}\n[output]"
+PARAMETERIZATION = ("[parameterization]\nx1 = y1\nx2 = y2\nx3 = y1\nu1 = y2\n{row}\n"
+                    "[equilibrium]")
+
+
+@pytest.mark.parametrize("row, edited, repeat, message", [
+    ("[dims]", "[params]\na = 1\na = 2\n[dims]", "a = 2", "[params] defines a"),
+    ("n = 3", "n = 3\nn = 3", "n = 3", "[dims] defines n"),
+    ("x3+ = x3 + u2", "x1+ = x3 + u2", "x1+ = x3 + u2", "[dynamics] defines x1+"),
+    ("g2 = x1", "g1 = x1", "g1 = x1", "[extension] defines g1"),
+    ("[output]", INVERSE.format(row="u1 = u2"), "u1 = u2", "[inverse] defines u1"),
+    ("[output]", INVERSE.format(row="u1[0] = u2"), "u1[0] = u2",
+     "[inverse] defines u1"),
+    ("y2 = x1*sin(u2) - x2*cos(u2)", "y1 = x1*sin(u2) - x2*cos(u2)",
+     "y1 = x1*sin(u2) - x2*cos(u2)", "[output] defines y1"),
+    ("[equilibrium]", PARAMETERIZATION.format(row="x3 = y2"), "x3 = y2",
+     "[parameterization] defines x3"),
+    ("# all coordinates at the origin", "x1 = 1\nx1 = 2", "x1 = 2",
+     "[equilibrium] defines x1"),
+    ("# all coordinates at the origin", "x1 = 1\nx1[0] = 2", "x1[0] = 2",
+     "[equilibrium] defines x1"),
+    ("u2 = -1 .. 1", "u2 = -1 .. 1\nu2 = -2 .. 2", "u2 = -2 .. 2",
+     "[simulation] defines u2"),
+], ids=["params", "dims", "dynamics", "extension", "inverse", "inverse-alias",
+        "output", "parameterization", "equilibrium", "equilibrium-alias",
+        "simulation"])
+def test_a_row_repeating_a_name_of_its_section_is_an_error_at_its_line(
+        row, edited, repeat, message):
+    """The last row of a repeated name neither wins silently nor is
+    misreported at its section's header; a coordinate repeats under another
+    spelling too (x1[0] is x1)."""
+    bad = systems.source("robot").replace(row, edited)
+    line = max(i for i, text in enumerate(bad.splitlines()) if text == repeat) + 1
+    with pytest.raises(SystemFileError) as ei:
+        loads_system(bad)
+    assert ei.value.line == line
+    assert str(ei.value) == f"line {line}: {message} twice"
