@@ -5,17 +5,18 @@ input components and their forward shifts, and backward histories of the
 extension map's g-values. Expressions are canonical by construction: sums and
 products are flattened, expanded and sorted under a fixed total order on
 leaves, rational constants are folded exactly, tan/cot are rewritten as
-sin/cos ratios, and sin^2 + cos^2 pairs collapse. Structural equality of
-canonical trees is the semantic equality the rest of the library relies on.
+sin/cos ratios, and sin^2 + cos^2 pairs collapse. Nodes are hash-consed:
+equal trees are one object, so identity of canonical trees is the semantic
+equality the rest of the library relies on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 __all__ = [
     "Expr", "Num", "Par", "Var", "Add", "Mul", "Pow", "Fun",
@@ -51,15 +52,24 @@ class PoleError(EvalError):
 
 
 class Expr:
-    """Base class; all nodes are immutable and hashable.
+    """Base class of the nodes. Nodes are hash-consed and immutable.
 
-    Nodes cache their structural hash at construction: canonical trees share
-    subexpressions heavily, and the default recursive dataclass hash (which
-    also pays for exact-rational hashing) dominates profiles otherwise.
+    A constructor returns the live node of equal structure from one table,
+    so equal trees are one object and `==` is identity. A node stores the
+    hash of its table key, e.g. `(4, terms)`: children are hashed by their
+    stored hashes, never by a walk of their subtrees.
     """
+
+    __slots__ = ("_h", "_k", "__weakref__")
 
     def __hash__(self):
         return self._h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: expression nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: expression nodes are immutable")
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -95,124 +105,85 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+# key -> the live node of that structure. Keys are a kind tag and the node's
+# fields; children compare by identity, as they are interned first. Values
+# are weak, so a tree nobody holds leaves the table.
+_NODES = weakref.WeakValueDictionary()
+
+
+def _node(cls, key, *fields):
+    """The live node of class `cls` for `key`, else a new one whose slots
+    are `fields` in the order of `cls.__slots__`."""
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_h", hash(key))
+        _NODES[key] = node
+    return node
+
+
 class Num(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __new__(cls, value):
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
         # fractions are normalized, so the integer pair is a faithful and
-        # much cheaper hash than Fraction.__hash__
-        object.__setattr__(self, "_h", hash(
-            (1, self.value.numerator, self.value.denominator)))
-
-    def __eq__(self, other):
-        return (self is other) or (type(other) is Num and self.value == other.value)
-
-    __hash__ = Expr.__hash__
+        # much cheaper key than the Fraction
+        return _node(cls, (1, value.numerator, value.denominator), value)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Par(Expr):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((2, self.name)))
-
-    def __eq__(self, other):
-        return (self is other) or (type(other) is Par and self.name == other.name)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, name):
+        return _node(cls, (2, name), name)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Var(Expr):
     """A shifted variable: family, 1-based component, signed shift order."""
 
-    family: str
-    component: int
-    shift: int = 0
+    __slots__ = ("family", "component", "shift")
 
-    def __post_init__(self):
-        if self.family not in _FAMILY_RANK:
-            raise ExprError(f"unknown variable family {self.family!r}")
-        if self.component < 1:
-            raise ExprError(f"component index must be >= 1, got {self.component}")
-        object.__setattr__(
-            self, "_h", hash((3, self.family, self.component, self.shift)))
-
-    def __eq__(self, other):
-        return (self is other) or (
-            type(other) is Var and self.family == other.family
-            and self.component == other.component and self.shift == other.shift)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, family, component, shift=0):
+        if family not in _FAMILY_RANK:
+            raise ExprError(f"unknown variable family {family!r}")
+        if component < 1:
+            raise ExprError(f"component index must be >= 1, got {component}")
+        return _node(cls, (3, family, component, shift), family, component, shift)
 
     def shifted(self, k: int) -> "Var":
         return Var(self.family, self.component, self.shift + k)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Add(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((4, self.terms)))
-
-    def __eq__(self, other):
-        return (self is other) or (
-            type(other) is Add and self._h == other._h
-            and self.terms == other.terms)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, terms):
+        return _node(cls, (4, terms), terms)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Mul(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((5, self.factors)))
-
-    def __eq__(self, other):
-        return (self is other) or (
-            type(other) is Mul and self._h == other._h
-            and self.factors == other.factors)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, factors):
+        return _node(cls, (5, factors), factors)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Pow(Expr):
-    base: Expr
-    exp: int
+    __slots__ = ("base", "exp")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((6, self.base, self.exp)))
-
-    def __eq__(self, other):
-        return (self is other) or (
-            type(other) is Pow and self._h == other._h
-            and self.exp == other.exp and self.base == other.base)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, base, exp):
+        return _node(cls, (6, base, exp), base, exp)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Fun(Expr):
-    name: str  # "sin" | "cos" in canonical trees
-    arg: Expr
+    __slots__ = ("name", "arg")  # name is "sin" | "cos" in canonical trees
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((7, self.name, self.arg)))
-
-    def __eq__(self, other):
-        return (self is other) or (
-            type(other) is Fun and self._h == other._h
-            and self.name == other.name and self.arg == other.arg)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, name, arg):
+        return _node(cls, (7, name, arg), name, arg)
 
 
 ZERO = Num(Fraction(0))
@@ -246,9 +217,7 @@ def var(family: str, component: int, shift: int = 0) -> Var:
 # tuples comparable across the whole tree.
 
 def _key(e: Expr):
-    # Cached on the node: a process-wide cache keyed by the node would, on
-    # every hit with an equal but distinct object, compare the two subtrees
-    # in full.
+    # Cached on the node, so a key lives exactly as long as its node.
     try:
         return e._k
     except AttributeError:
@@ -696,8 +665,8 @@ def _float_error(ex: Exception) -> EvalError:
 
 
 def _eval(e: Expr, point, memo: dict) -> float:
-    # Leaves are memoized too: a repeated leaf object then costs one lookup
-    # by identity instead of a structural lookup in `point`.
+    # Leaves are memoized too: a repeated leaf then costs one lookup by
+    # identity instead of a hashed lookup in `point`.
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
@@ -735,13 +704,12 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
 
     The result maps a sequence of numbers, one per entry of `leaves` in that
     order, to the list of the expressions' values. The DAG is walked once
-    and each structurally distinct node becomes one local (common
-    subexpression elimination by value numbering), since canonicalizing
-    constructors such as `differentiate` rebuild equal subtrees as new
-    objects. Locals are computed in the order `evaluate` with a shared memo
-    first meets their nodes, and a node's value depends on its structure
-    alone, so values are bit-identical to `evaluate`: constants are
-    `float(value)`, sums `math.fsum`, products left to right (the leading
+    and each node becomes one local; as equal subtrees are one interned
+    node, each distinct subexpression is computed once. Locals are computed
+    in the order `evaluate` with a shared memo first meets their nodes, and
+    a node's value depends on its structure alone, so values are
+    bit-identical to `evaluate`: constants are `float(value)`, sums
+    `math.fsum`, products left to right (the leading
     `1.0 *` of `_eval` is exact and dropped), and a zero base under a
     negative exponent raises the same first `PoleError`, and a float overflow
     or domain error the same `EvalError`. A leaf not in `leaves` raises
@@ -749,9 +717,7 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
     """
     slots = [f"a{i}" for i in range(len(leaves))]
     args = dict(zip(leaves, slots))
-    # node -> its local, keyed by the node (cached hash, exact structural
-    # equality): each structurally distinct node becomes one local
-    names = {}
+    names = {}    # node -> its local
     lines = []
     poles = []    # nodes of negative powers, for the error message
 
@@ -838,10 +804,9 @@ def _collect(e, kind) -> set:
     return out
 
 
-def shift_vars(e: Expr, k: int, families: Iterable[str] = ("y",)) -> Expr:
-    """Shift every leaf of the given families by k time steps (jet-space shift)."""
-    fams = set(families)
-    mapping = {v: v.shifted(k) for v in vars_of(e) if v.family in fams}
+def shift_vars(e: Expr, k: int) -> Expr:
+    """Shift every output leaf (family "y") by k time steps (jet-space shift)."""
+    mapping = {v: v.shifted(k) for v in vars_of(e) if v.family == "y"}
     return substitute(e, mapping)
 
 
@@ -859,7 +824,7 @@ def _print_var(v: Var) -> str:
     return s
 
 
-def _print_atom(e: Expr, parenthesize_add=True) -> str:
+def _print_atom(e: Expr) -> str:
     if isinstance(e, Num):
         s = _fmt_frac(e.value)
         return f"({s})" if e.value < 0 or e.value.denominator != 1 else s
@@ -869,13 +834,10 @@ def _print_atom(e: Expr, parenthesize_add=True) -> str:
         return e.name
     if isinstance(e, Fun):
         return f"{e.name}({to_text(e.arg)})"
-    if isinstance(e, Add):
-        s = to_text(e)
-        return f"({s})" if parenthesize_add else s
+    if isinstance(e, (Add, Mul)):
+        return f"({to_text(e)})"
     if isinstance(e, Pow):
         return f"{_print_atom(e.base)}^{e.exp}"
-    if isinstance(e, Mul):
-        return f"({to_text(e)})"
     raise ExprError(f"unknown node {e!r}")
 
 

@@ -331,9 +331,8 @@ def validate(sys: SystemModel, tol_rank: float = RANK_TOL) -> ValidationReport:
 
 @dataclass
 class ExtensionChoice:
-    source: str                  # "user_supplied" | "auto_selected"
     g: tuple
-    selected_coordinates: tuple | None
+    selected_coordinates: tuple
     psi_x: tuple
     psi_u: tuple
 
@@ -402,8 +401,7 @@ def choose_extension(sys: SystemModel, tol_rank: float = RANK_TOL) -> ExtensionC
             psi_x, psi_u = _solve_psi(sys, g)
         except SolveError:
             continue
-        return ExtensionChoice(source="auto_selected", g=g,
-                               selected_coordinates=tuple(to_text(v) for v in g),
+        return ExtensionChoice(g=g, selected_coordinates=tuple(to_text(v) for v in g),
                                psi_x=psi_x, psi_u=psi_u)
     if rank_valid is not None:
         raise ModelError(

@@ -1,17 +1,20 @@
+import gc
 import math
 import random
 import signal
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from difflat import expr
 from difflat.expr import (
-    Add, EvalError, Fun, Mul, Par, PoleError, Pow, UnboundLeafError, Var, add,
-    canonical, compile_exprs, cos, cot, differentiate, div, evaluate,
-    jacobian, mul, neg, num, par, params_of, pow_, sin, sub, substitute, tan,
-    to_text, var, vars_of,
+    ONE, Add, EvalError, Expr, Fun, Mul, Num, Par, PoleError, Pow,
+    UnboundLeafError, Var, add, canonical, compile_exprs, cos, cot,
+    differentiate, div, evaluate, jacobian, mul, neg, num, par, params_of,
+    pow_, sin, sub, substitute, tan, to_text, var, vars_of,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -324,8 +327,8 @@ def test_compiled_towers_and_jacobians_match_evaluate(reports):
 
 
 def _fresh(e):
-    """A structurally equal copy of e in which every interior node is a new
-    object, as canonicalizing constructors rebuild equal subtrees."""
+    """e rebuilt apart through the node classes, as canonicalizing
+    constructors rebuild equal subtrees: interning gives back e itself."""
     if isinstance(e, Add):
         return Add(tuple(_fresh(t) for t in e.terms))
     if isinstance(e, Mul):
@@ -345,7 +348,7 @@ _VALUE = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3, 3)
 def _shared_dags(draw):
     """Expressions built by a short program over a growing pool of nodes, so
     later nodes reuse earlier node objects (shared subtrees), and some are
-    fresh copies of earlier nodes (equal subtrees in distinct objects)."""
+    earlier nodes rebuilt apart (equal subtrees built twice)."""
     pool = list(_LEAVES)
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.sampled_from(pool))
@@ -500,13 +503,13 @@ def test_compiled_pole_matches_evaluate():
 
 
 def test_compiled_repeated_pole_raises_the_first_pole_met():
-    """Two zero-base negative powers, each built twice as distinct objects:
-    the compiled code raises for the one `evaluate` meets first, with its
-    message, although the other sorts and nests before it."""
+    """Two zero-base negative powers, each built twice and interned as one
+    object: the compiled code raises for the one `evaluate` meets first,
+    with its message, although the other sorts and nests before it."""
     x1, x2, x3, x4 = (var("x", i) for i in range(1, 5))
     exprs = [div(x3, sub(x2, 1)), div(x3, x1), div(x4, sub(x2, 1)),
              div(x4, x1)]
-    assert exprs[0].factors[1] is not exprs[2].factors[1]
+    assert exprs[0].factors[1] is exprs[2].factors[1]
     leaves, values = [x1, x2, x3, x4], [0.0, 1.0, 2.0, 3.0]
     pt = dict(zip(leaves, values))
     with pytest.raises(PoleError) as want:
@@ -545,3 +548,85 @@ def test_leaf_total_order():
     # (family, component, shift) lexicographic
     e = add(var("u", 1), var("x", 2), var("x", 1, 1), var("x", 1))
     assert to_text(e) == "x1 + x1[1] + x2 + u1"
+
+
+# ---------------------------------------------------------------------------
+# interning: equal trees are one object
+
+_RECIPE_LEAF = st.one_of(
+    st.tuples(st.just("num"), st.fractions(-4, 4, max_denominator=3)),
+    st.tuples(st.just("var"), st.sampled_from(["x", "u"]), st.integers(1, 2),
+              st.integers(-1, 1)),
+    st.just(("par", "T_s")))
+_RECIPES = st.recursive(_RECIPE_LEAF, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+    st.tuples(st.sampled_from(["sin", "cos"]), kids),
+    st.tuples(st.just("pow"), kids, st.integers(-2, 2))), max_leaves=10)
+_OPS = {"num": num, "var": var, "par": par, "add": add, "sub": sub,
+        "mul": mul, "div": div, "sin": sin, "cos": cos}
+
+
+def _build(recipe):
+    """A tree built from scratch, leaves included, by the constructors."""
+    op, *args = recipe
+    if op == "pow":
+        return pow_(_build(args[0]), args[1])
+    if op in ("num", "var", "par"):
+        return _OPS[op](*args)
+    return _OPS[op](*map(_build, args))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_RECIPES)
+def test_a_tree_built_twice_is_one_object(recipe):
+    try:
+        e = _build(recipe)
+    except PoleError:  # division by an exact zero
+        assume(False)
+    assert _build(recipe) is e
+    assert _fresh(e) is e
+    assert parse_expression(to_text(e), T) is e
+    assert substitute(e, {var("x", 6): var("u", 1), par("eps"): num(2)}) is e
+
+
+def test_every_node_class_interns_and_defines_no_eq():
+    x1 = Var("x", 1)
+    assert Var("x", 1) is x1 and Var("x", 1, 0) is x1
+    assert Num(Fraction(2, 4)) is Num(Fraction(1, 2)) is num(Fraction(1, 2))
+    assert Par("eps") is Par("eps")
+    assert Add((ONE, x1)) is Add((ONE, x1))
+    assert Mul((Num(2), x1)) is Mul((Num(2), x1))
+    assert Pow(x1, 2) is Pow(x1, 2)
+    assert Fun("sin", x1) is Fun("sin", x1)
+    assert Num(-1) is not Num(-2)    # unequal nodes, equal hashes
+    assert Add((ONE, x1)) is not Mul((ONE, x1))
+    for cls in (Expr, Num, Par, Var, Add, Mul, Pow, Fun):
+        assert "__eq__" not in vars(cls)
+
+
+def test_an_unreferenced_tree_leaves_the_node_table():
+    gc.collect()
+    before = len(expr._NODES)
+    e = P("x1[97]*sin(u2[97] + 9973/9967) - cos(x3[97])/(x1[97] + T_s)^3")
+    assert len(expr._NODES) > before
+    gone = weakref.ref(e)
+    del e
+    gc.collect()
+    assert gone() is None
+    assert len(expr._NODES) == before
+
+
+@pytest.mark.parametrize("node", [
+    num(3), par("eps"), var("x", 1), add(var("x", 1), var("x", 2)),
+    mul(var("x", 1), var("x", 2)), pow_(var("x", 1), 2), sin(var("x", 1)),
+], ids=lambda node: type(node).__name__)
+def test_nodes_are_immutable(node):
+    field = type(node).__slots__[0]
+    old = getattr(node, field)
+    with pytest.raises(AttributeError):
+        setattr(node, field, old)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.note = 1
+    assert getattr(node, field) is old

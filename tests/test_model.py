@@ -242,7 +242,6 @@ def test_auto_selection_academic(academic):
                        point=bare.point)
     ch = choose_extension(bare)
     assert ch.selected_coordinates == ("x1", "x5")
-    assert ch.source == "auto_selected"
 
 
 def test_auto_selection_robot(robot):

@@ -406,13 +406,13 @@ def test_one_step_vtol_windows_build_no_var_after_the_first(reports, vtol,
 
     assert window(0).passed
     built = []
-    init = Var.__post_init__
+    new = Var.__new__
 
-    def counted(self):
-        built.append(self)
-        init(self)
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Var, "__post_init__", counted)
+    monkeypatch.setattr(Var, "__new__", counted)
     var("x", 1)
     assert len(built) == 1    # the count sees every construction
     built.clear()
