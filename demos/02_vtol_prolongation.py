@@ -21,7 +21,7 @@ print(f"  rho = {idx.rho}   R1 = {idx.r1}   R2 = {idx.r2}   d = {idx.d}")
 print(f"  rank d_y[0] F_x = {report.classification.rank_Fx_at_minusR1} (= m)")
 
 print("\n== tower of forward shifts ==")
-for (j, s), e in report.tower.ordered_rows():
+for (j, s), e in report.tower.rows.items():
     text = to_text(e)
     if len(text) > 90:
         text = text[:87] + "..."

@@ -23,7 +23,7 @@ print(f"  gamma = {idx.gamma}   R1 = {idx.r1}   R2 = {idx.r2}   d = {idx.d}")
 print(f"  rank d_y[0] F_u = {report.classification.rank_Fu_at_R2} (= m)")
 
 print("\n== tower of backward shifts ==")
-for (j, s), e in report.tower.ordered_rows():
+for (j, s), e in report.tower.rows.items():
     print(f"  y{j}[{s:>2}] = {to_text(e)}")
 
 print("\n== symbolic parameterizing map ==")

@@ -30,7 +30,7 @@ print(f"  rank d_y[R2] F_u = {report.classification.rank_Fu_at_R2} < 2, "
 print("  (both submatrices are singular: no single-direction parameterization)")
 
 print("\n== tower ==")
-for (j, s), e in report.tower.ordered_rows():
+for (j, s), e in report.tower.rows.items():
     text = to_text(e)
     if len(text) > 88:
         text = text[:85] + "..."

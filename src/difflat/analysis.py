@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Par, Var, ZERO, compile_exprs, differentiate, evaluate,
+    EvalError, Expr, Var, ZERO, compile_exprs, differentiate, evaluate,
     jacobian, shift_vars, sub as esub, substitute, to_text, vars_of,
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
@@ -76,8 +76,7 @@ class FlatCandidate:
         self.phi = tuple(self.phi)
 
     def is_xu_flat(self, sys: SystemModel) -> bool:
-        allowed = set(sys.state_vars) | set(sys.input_vars)
-        return all(vars_of(p) <= allowed for p in self.phi)
+        return all(vars_of(p).issubset(sys.coordinates) for p in self.phi)
 
 
 @dataclass
@@ -163,7 +162,7 @@ class Tower:
     `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), each its
     own `*_kernel`; the rest is read from `context`."""
 
-    rows: dict                     # (orig component 1-based j, shift s) -> Expr
+    rows: dict                     # (component j, shift s) -> Expr, in that order
     variables: tuple
     indices: ShiftIndices
     context: TowerContext
@@ -172,23 +171,19 @@ class Tower:
     windows: list = field(default_factory=list)   # set by the tower search
     rank_probe: RankProbe | None = None   # `point`, then each window
 
-    def ordered_rows(self):
-        return [((j, s), self.rows[(j, s)])
-                for j in (1, 2) for s in sorted(k[1] for k in self.rows if k[0] == j)]
-
     def row_exprs(self):
-        return [e for _, e in self.ordered_rows()]
+        return list(self.rows.values())
 
     @cached_property
     def targets(self) -> list:
-        """The y leaves the rows equal, in `row_exprs` order."""
-        return [Var("y", j, s) for (j, s), _ in self.ordered_rows()]
+        """The y leaves the rows equal, in `rows` order."""
+        return [Var("y", j, s) for j, s in self.rows]
 
     @cached_property
     def leaves(self) -> list:
         """The tower variables followed by the parameters: the argument
         order of every compiled function of the tower."""
-        return list(self.variables) + [Par(k) for k in self.context.sys_bar.params]
+        return [*self.variables, *self.context.base_model.param_leaves]
 
     @cached_property
     def point(self) -> dict:
@@ -265,36 +260,29 @@ class Tower:
         return [self.variables.index(v) for v in self.context.base_model.state_vars]
 
     @cached_property
-    def _param_values(self) -> list:
-        """The parameter values, in `leaves` order."""
-        return list(self.context.sys_bar.param_bindings().values())
-
-    @cached_property
     def output_kernel(self):
-        """The outputs compiled once over the base model's states, inputs and
-        parameters (`window_plan`), as towers are (x, u)-flat."""
+        """The outputs compiled once over the base model's coordinates and
+        parameters, as towers are (x, u)-flat."""
         base = self.context.base_model
-        return compile_exprs(self.outputs, [*base.state_vars, *base.input_vars,
-                                            *self.window_plan[2]])
+        return compile_exprs(self.outputs, [*base.coordinates, *base.param_leaves])
 
     @cached_property
     def window_plan(self) -> tuple:
         """How `numeric.tower_windows` reads a trajectory by position: the
-        output times k + lo .. k + hi around a step k, the parameter leaves,
-        the keys of `Window.pt` (parameters, y<j>[s] for s = lo .. hi, tower
-        variables) and the position of each target among its y values."""
+        output times k + lo .. k + hi around a step k, the keys of
+        `Window.pt` (parameters, y<j>[s] for s = lo .. hi, tower variables)
+        and the position of each target among its y values."""
         m, lo, hi = len(self.outputs), -max(self.indices.r1), max(self.indices.r2)
-        params = list(self.context.base_model.param_bindings())
         ys = [Var("y", j + 1, s) for s in range(lo, hi + 1) for j in range(m)]
-        at = [(s - lo) * m + j - 1 for (j, s), _ in self.ordered_rows()]
-        return lo, hi, params, params + ys + list(self.variables), at
+        at = [(s - lo) * m + j - 1 for j, s in self.rows]
+        return lo, hi, [*self.context.base_model.param_leaves, *ys,
+                        *self.variables], at
 
     @cached_property
     def _seed_plan(self) -> list:
         """Where `trajectory_seed` reads each tower variable's source: its
-        position among the states, then the inputs, then the targets."""
-        base = self.context.base_model
-        data = [*base.state_vars, *base.input_vars, *self.targets]
+        position among the coordinates, then the targets."""
+        data = [*self.context.base_model.coordinates, *self.targets]
         return [data.index(self.sources[v]) for v in self.variables]
 
     @cached_property
@@ -319,7 +307,7 @@ class Tower:
         step evaluates the Jacobian's nonzeros and solves by substitution in
         block triangular order (`step_solver`)."""
         rows, nonzeros = self.row_kernel, self.jacobian_kernel.values
-        params = self._param_values
+        params = self.context.base_model.param_values
 
         def residual(w):
             return [a - b for a, b in zip(rows(w + params), y)]
@@ -332,13 +320,13 @@ class Tower:
 
     def states_inputs(self, w):
         """(x values, u values) at the tower-variable point w."""
-        values = [*w, *self._param_values]
+        values = [*w, *self.context.base_model.param_values]
         return [values[i] for i in self._state_rows], self.u_kernel(values)
 
     def jacobian_blocks(self, w):
         """(dF_x, dF_u, w-rows) as arrays over all tower targets, computed from
         the inverse of the tower Jacobian at the variable point w."""
-        values = [*w, *self._param_values]
+        values = [*w, *self.context.base_model.param_values]
         M = np.linalg.inv(self.jacobian_kernel(values))  # vars x targets
         dFx = M[self._state_rows, :]
         # chain rule for u = Phi_u(vars)
@@ -420,10 +408,9 @@ def backward_depths(sys: SystemModel, cand: FlatCandidate,
     if sys.psi_x is None:
         raise ModelError("backward depths need the inverse map psi")
     cap = sys.n + sys.m
-    hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
     out = []
     for j, phi in enumerate(cand.phi):
-        gamma = _first_dependent_shift(sys, phi, lambda e: hist,
+        gamma = _first_dependent_shift(sys, phi, lambda e: sys.histories,
                                        1, cap, -1, opts)
         if gamma is None:
             raise AnalysisError(
@@ -499,17 +486,16 @@ def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
     gbar), gbar1 being over (x, u)."""
     first = cand.phi[sigma_y[0]]
     gamma1 = gamma[sigma_y[0]]
-    hist = [Var(sys.gvalue_family, j + 1, -1) for j in range(sys.m)]
     zeta_inverse, other = _solve_transform(
         sys, sys.shift(first, -gamma1),
-        (Var("zetabar", 1, -1), Var("zetabar", 2, -1)), hist, opts)
+        (Var("zetabar", 1, -1), Var("zetabar", 2, -1)), sys.histories, opts)
     gbar1 = sys.shift(first, -(gamma1 - 1))  # = phi_first shifted by -(gamma1-1): over (x,u)
     bad = [v for v in vars_of(gbar1) if v.family == sys.gvalue_family]
     if bad:
         raise AnalysisError(
             "gbar1 still contains history leaves "
             f"{[to_text(v) for v in bad]}; inconsistent backward depth")
-    gbar2 = sys.g[hist.index(other)]
+    gbar2 = sys.g[sys.histories.index(other)]
     return zeta_inverse, (gbar1, gbar2)
 
 
@@ -525,8 +511,8 @@ def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar,
     inputs = sys.input_vars
     point = dict(sys.point)
     if gbar is not None:
-        back = {v: substitute(e, zeta_inverse) for v, e in
-                [*zip(sys.state_vars, sys.psi_x), *zip(sys.input_vars, sys.psi_u)]}
+        back = {v: substitute(e, zeta_inverse)
+                for v, e in zip(sys.coordinates, (*sys.psi_x, *sys.psi_u))}
         psi_x = tuple(back[v] for v in sys.state_vars)
         psi_u = tuple(back[v] for v in sys.input_vars)
     if u_inverse is not None:
@@ -542,7 +528,7 @@ def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar,
             g_bar = tuple(substitute(gj, u_inverse) for gj in gbar)
             psi_u = (substitute(definition, back), back[other])
     bar = SystemModel(
-        n=sys.n, m=sys.m, f=f_bar, state_vars=sys.state_vars,
+        f=f_bar, state_vars=sys.state_vars,
         input_vars=inputs, g=g_bar, psi_x=psi_x, psi_u=psi_u,
         gvalue_family="zetabar" if g_bar is not None else sys.gvalue_family,
         params=sys.params, point=point, name=sys.name + "~bar")
@@ -740,17 +726,12 @@ def _depends(sys_bar, e, target_vars, opts) -> bool:
 
 
 def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
-    """Tower rows keyed by (original component, shift) plus the variable
-    list: the zetabar1 chain, the states, the input chain ubar1[0..d2] (the
-    first input when d2 = 0) and the second input."""
-    rows = {}
-    j_first, j_second = sigma_y[0] + 1, sigma_y[1] + 1
-    lo1, hi1 = r_first
-    for s in range(-lo1, hi1 + 1):
-        rows[(j_first, s)] = sys_bar.shift(phi_bar[0], s)
-    lo2, hi2 = r_second
-    for s in range(-lo2, hi2 + 1):
-        rows[(j_second, s)] = sys_bar.shift(phi_bar[1], s)
+    """Tower rows keyed by (original component, shift), in that order, plus
+    the variable list: the zetabar1 chain, the states, the input chain
+    ubar1[0..d2] (the first input when d2 = 0) and the second input."""
+    roles = sorted(zip(sigma_y, phi_bar, (r_first, r_second)), key=lambda r: r[0])
+    rows = {(j + 1, s): sys_bar.shift(phi, s)
+            for j, phi, (lo, hi) in roles for s in range(-lo, hi + 1)}
     u1, u2 = sys_bar.input_vars
     variables = [Var("zetabar", 1, -k) for k in range(d1, 0, -1)]
     variables += list(sys_bar.state_vars)
@@ -861,7 +842,7 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate,
 
     top_shift = {j: idx.r2[j - 1] for j in (1, 2)}
     eq_low, eq_top = [], []
-    for (j, s), e in sorted(tower.rows.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (j, s), e in tower.rows.items():
         resid = esub(e, Var("y", j, s))
         (eq_top if s == top_shift[j] else eq_low).append(resid)
 
@@ -1021,7 +1002,7 @@ def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
     col_idx_R2 = [tower.targets.index(c) for c in cols_R2]
     col_idx_mR1 = [tower.targets.index(c) for c in cols_mR1]
     if sys.g is not None:
-        Dg = jacobian(sys.g, list(sys.state_vars) + list(sys.input_vars))
+        Dg = jacobian(sys.g, sys.coordinates)
     per_point = []
     for win in tower.windows:
         try:
@@ -1030,9 +1011,8 @@ def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
                      numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank)]
             if sys.g is not None:
                 xs, us = tower.states_inputs(win.w)
-                gpt = tower.context.sys_bar.param_bindings()
-                gpt.update(zip(sys.state_vars, xs))
-                gpt.update(zip(sys.input_vars, us))
+                gpt = sys.param_bindings()
+                gpt.update(zip(sys.coordinates, xs + us))
                 dG = eval_matrix(Dg, gpt) @ np.vstack([dFx, dFu])
                 ranks.append(numeric_rank(dG[:, col_idx_mR1], opts.tol_rank))
             per_point.append(ranks)
@@ -1089,7 +1069,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
     eqs = [esub(sys.f[i], v) for i, v in zip(chosen, v_vars)]
     probes = list(probe_points(
         pt, opts.seed + 3, 5,
-        perturb=list(sys.state_vars) + list(sys.input_vars),
+        perturb=sys.coordinates,
         bind=[(v, sys.f[i]) for i, v in zip(chosen, v_vars)]))
     try:
         sol = solve_equations(eqs, list(sys.input_vars), probes)
@@ -1104,7 +1084,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
     for i, v in zip(chosen, v_vars):
         point[v] = evaluate(sys.f[i], pt)
     sys_v = SystemModel(
-        n=sys.n, m=sys.m, f=f_v, state_vars=sys.state_vars,
+        f=f_v, state_vars=sys.state_vars,
         input_vars=tuple(v_vars), g=None, gvalue_family=sys.gvalue_family,
         params=sys.params, point=point, name=sys.name + "~norm")
 
@@ -1146,7 +1126,7 @@ class AnalysisReport:
 
     def to_json(self):
         tower_txt = {f"y{j}[{s}]": to_text(e)
-                     for (j, s), e in self.tower.ordered_rows()}
+                     for (j, s), e in self.tower.rows.items()}
         return {
             "schema": "1",
             "system": self.system,

@@ -560,9 +560,9 @@ def canonical(e: Expr) -> Expr:
 # Calculus, substitution, evaluation.
 
 # One corpus-sweep round of the benchmark (52 analyses, each extended and
-# certified) fills 6,749 entries and an academic analyze + extend about 750,
-# so no such run evicts; the bound keeps a long-lived process from growing
-# without limit.
+# certified) fills 6,488 entries and an academic analyze + extend 490, so no
+# such run evicts; the bound keeps a long-lived process from growing without
+# limit.
 @lru_cache(maxsize=1 << 15)
 def differentiate(e: Expr, v: Var) -> Expr:
     """Exact partial derivative, canonicalized. Canonical trees share

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .expr import Var, substitute, to_text, vars_of
+from .expr import substitute, to_text, vars_of
 from .model import SystemModel
 from .numeric import FIXED_POINT_TOL
 from .analysis import AnalysisError, AnalyzeOptions, FlatCandidate, Tower
@@ -109,10 +109,9 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
     if ctx.u_inverse is not None:
         output = tuple(substitute(p, ctx.u_inverse) for p in cand.phi)
     model = SystemModel(
-        n=len(state), m=2, f=tuple(ctx.sys_bar.shift(v, 1) for v in state),
-        state_vars=tuple(state), input_vars=(u1, u2), params=sys.params,
-        point={v: tower.point[v] for v in tower.variables},
-        name=sys.name + "_ext")
+        f=tuple(ctx.sys_bar.shift(v, 1) for v in state), state_vars=tuple(state),
+        input_vars=(u1, u2), params=sys.params,
+        point={v: tower.point[v] for v in tower.variables}, name=sys.name + "_ext")
     return ExtendedSystem(base=sys, model=model, tower=tower, output=output)
 
 
@@ -131,7 +130,7 @@ def certify_linearizing(ext: ExtendedSystem,
     opts = opts or AnalyzeOptions()
     tower = ext.tower
     model = ext.model
-    coords = list(model.state_vars) + list(model.input_vars)
+    coords = model.coordinates
     rows = tower.row_exprs()
     required = len(coords)
     if len(rows) != required:
@@ -151,22 +150,24 @@ def certify_linearizing(ext: ExtendedSystem,
 
 def truncated(ext: ExtendedSystem, which: str) -> ExtendedSystem:
     """Drop one chain state (for the minimality probe): the tower is no
-    longer square over the truncated coordinates."""
+    longer square over the truncated coordinates. The dropped state is the
+    chain's end among the tower variables: ubar1[d2 - 1], which becomes the
+    first input, or zetabar1[-d1]."""
     model = ext.model
     if which == "d2":
         if ext.d2 == 0:
             raise ExtensionError("no prolongation chain to truncate")
-        drop = Var("ubar", 1, ext.d2 - 1)
+        drop = ext.tower.variables[-3]
         inputs = (drop, model.input_vars[1])
     else:
         if ext.d1 == 0:
             raise ExtensionError("no prelongation chain to truncate")
-        drop = Var("zetabar", 1, -ext.d1)
+        drop = ext.tower.variables[0]
         inputs = model.input_vars
     state = tuple(v for v in model.state_vars if v != drop)
     f_ext = tuple(fi for v, fi in zip(model.state_vars, model.f) if v != drop)
     point = {k: v for k, v in model.point.items() if k != drop}
-    trunc = SystemModel(n=len(state), m=2, f=f_ext, state_vars=state,
-                        input_vars=inputs, params=model.params, point=point,
+    trunc = SystemModel(f=f_ext, state_vars=state, input_vars=inputs,
+                        params=model.params, point=point,
                         name=model.name + "_trunc")
     return replace(ext, model=trunc)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -23,12 +24,6 @@ __all__ = [
     "forward_shift", "backward_shift",
 ]
 
-PI = Par("pi")
-# Entries a model's shift cache keeps; the oldest goes first beyond it. One
-# analysis adds fewer than ten, so only a long-lived model that analyzes many
-# candidates reaches it.
-SHIFT_CACHE_SIZE = 1024
-
 
 class ModelError(Exception):
     pass
@@ -44,10 +39,14 @@ class SystemModel:
     psi_x/psi_u are stored in applied form: backward-shifted states/inputs as
     expressions over the current state and the g-value history leaves
     <gvalue_family>j[-1]. Treat instances as immutable after construction.
+
+    The dimensions are those of `state_vars` and `input_vars`. Every
+    compiled function of the model reads `coordinates` (states, then
+    inputs) and then `param_leaves`, whose values are `param_values`;
+    `histories` are the g-value history leaves <gvalue_family>j[-1]. Each
+    shift image is kept while its expression lives (`_shift_once`).
     """
 
-    n: int
-    m: int
     f: tuple
     state_vars: tuple
     input_vars: tuple
@@ -60,10 +59,8 @@ class SystemModel:
     name: str = ""
 
     def __post_init__(self):
-        if len(self.f) != self.n or len(self.state_vars) != self.n:
+        if len(self.f) != self.n:
             raise ModelError("state dimension mismatch")
-        if len(self.input_vars) != self.m:
-            raise ModelError("input dimension mismatch")
         if self.g is not None and len(self.g) != self.m:
             raise ModelError(f"extension map must have {self.m} components")
         self.params = dict(self.params)
@@ -73,14 +70,26 @@ class SystemModel:
             for j, v in enumerate(self.input_vars)
         }
         self._state_index = {v: i for i, v in enumerate(self.state_vars)}
-        self._xu = [*self.state_vars, *self.input_vars]
-        self._fg_leaves = [*self._xu, *map(Par, self.params)]
-        self._shift_cache = {}
+        self.coordinates = (*self.state_vars, *self.input_vars)
+        self.param_leaves = tuple(map(Par, self.params))
+        self.param_values = [float(v) for v in self.params.values()]
+        self.histories = tuple(Var(self.gvalue_family, j + 1, -1)
+                               for j in range(self.m))
+        self._shifts = {1: weakref.WeakKeyDictionary(),
+                        -1: weakref.WeakKeyDictionary()}
+
+    @property
+    def n(self) -> int:
+        return len(self.state_vars)
+
+    @property
+    def m(self) -> int:
+        return len(self.input_vars)
 
     # -- points ------------------------------------------------------------
 
     def param_bindings(self) -> dict:
-        return {Par(k): float(v) for k, v in self.params.items()}
+        return dict(zip(self.param_leaves, self.param_values))
 
     def analysis_point(self) -> dict:
         pt = self.param_bindings()
@@ -158,23 +167,23 @@ class SystemModel:
         return e
 
     def _shift_once(self, e: Expr, step: int) -> Expr:
-        key = (e, step)
-        hit = self._shift_cache.get(key)
-        if hit is not None:
-            return hit
-        image = self._delta_image if step > 0 else self._delta_inv_image
-        mapping = {v: image(v) for v in vars_of(e)}
-        out = substitute(e, mapping)
-        if len(self._shift_cache) >= SHIFT_CACHE_SIZE:
-            del self._shift_cache[next(iter(self._shift_cache))]
-        self._shift_cache[key] = out
+        """One shift of e, memoized while e lives: the memo is keyed weakly
+        by the node, as equal trees are one node, and an image keeps the
+        next shift's key alive, so a chain of shifts lives as long as its
+        first expression."""
+        memo = self._shifts[step]
+        out = memo.get(e)
+        if out is None:
+            image = self._delta_image if step > 0 else self._delta_inv_image
+            out = memo[e] = substitute(e, {v: image(v) for v in vars_of(e)})
         return out
 
     @cached_property
     def fg(self):
         """f, then g when declared, compiled once per model over (x, u,
         params) (`expr.compile_exprs`, bit-identical to `evaluate`)."""
-        return compile_exprs([*self.f, *(self.g or ())], self._fg_leaves)
+        return compile_exprs([*self.f, *(self.g or ())],
+                             [*self.coordinates, *self.param_leaves])
 
     @cached_property
     def point_jacobian(self) -> list:
@@ -183,7 +192,7 @@ class SystemModel:
         `eval_matrix`. An entry that hits a pole raises `EvalError`."""
         pt, memo = self.analysis_point(), {}
         return [[evaluate(e, pt, memo) for e in row]
-                for row in jacobian([*self.f, *(self.g or ())], self._xu)]
+                for row in jacobian([*self.f, *(self.g or ())], self.coordinates)]
 
     def point_rank(self, rows, cols, tol_rel: float) -> int:
         """`numeric_rank` of the `rows` x `cols` block (indices) of
@@ -197,7 +206,7 @@ class SystemModel:
     def fixed_point_residual(self) -> float:
         """max |f(x0, u0) - x0| at the analysis point."""
         pt = self.analysis_point()
-        fx = self.fg([pt[v] for v in self._fg_leaves])
+        fx = self.fg([pt[v] for v in self.coordinates] + self.param_values)
         return max(abs(a - pt[v]) for a, v in zip(fx, self.state_vars))
 
     @cached_property
@@ -207,17 +216,15 @@ class SystemModel:
         (psi is fixed at construction) with `fg` and psi compiled over (x,
         g-value histories, params), NaN if any entry is: `invert_extension`
         checks it, `validate` reports it."""
-        params = [Par(k) for k in self.params]
-        hist = [Var(self.gvalue_family, j + 1, -1) for j in range(self.m)]
-        psi, worst = None, 0.0
+        p, psi, worst = self.param_values, None, 0.0
         for trial, pt in enumerate(probe_points(self.analysis_point(), 11,
-                                                perturb=self._xu)):
-            p = [pt[k] for k in params]
-            at = [pt[v] for v in self._xu]
+                                                perturb=self.coordinates)):
+            at = [pt[v] for v in self.coordinates]
             slots = self.fg(at + p)
             try:    # compiled at the first probe: a leaf psi may not read fails it
-                psi = psi or compile_exprs(list(self.psi_x) + list(self.psi_u),
-                                           list(self.state_vars) + hist + params)
+                psi = psi or compile_exprs(
+                    [*self.psi_x, *self.psi_u],
+                    [*self.state_vars, *self.histories, *self.param_leaves])
                 back = psi(slots + p)
             except EvalError as ex:
                 if trial == 0:
@@ -287,7 +294,7 @@ class ValidationReport:
 
 
 def _check_leaves(sys: SystemModel, exprs, where: str):
-    allowed = set(sys.state_vars) | set(sys.input_vars)
+    allowed = set(sys.coordinates)
     for e in exprs:
         for v in vars_of(e):
             if v not in allowed:
@@ -305,7 +312,7 @@ def validate(sys: SystemModel, tol_rank: float = RANK_TOL) -> ValidationReport:
     if sys.g is not None:
         _check_leaves(sys, sys.g, "extension")
     pt = sys.analysis_point()
-    for v in sys._xu:
+    for v in sys.coordinates:
         if v not in pt:
             raise ModelError(f"analysis point does not bind {to_text(v)}")
 
@@ -343,14 +350,11 @@ def _solve_psi(sys: SystemModel, g):
     slots_z = [Var("gsl", j + 1, 0) for j in range(sys.m)]
     eqs = [esub(fi, s) for fi, s in zip(sys.f, slots_x)]
     eqs += [esub(gj, s) for gj, s in zip(g, slots_z)]
-    unknowns = list(sys.state_vars) + list(sys.input_vars)
     bind = list(zip(slots_x, sys.f)) + list(zip(slots_z, g))
-    probes = list(probe_points(sys.analysis_point(), 5, 5, perturb=unknowns,
-                               bind=bind))
-    sol = solve_equations(eqs, unknowns, probes)
-    applied = {s: v for s, v in zip(slots_x, sys.state_vars)}
-    applied.update({s: Var(sys.gvalue_family, j + 1, -1)
-                    for j, s in enumerate(slots_z)})
+    probes = list(probe_points(sys.analysis_point(), 5, 5,
+                               perturb=sys.coordinates, bind=bind))
+    sol = solve_equations(eqs, list(sys.coordinates), probes)
+    applied = dict(zip(slots_x + slots_z, [*sys.state_vars, *sys.histories]))
     psi_x = tuple(substitute(sol[v], applied) for v in sys.state_vars)
     psi_u = tuple(substitute(sol[v], applied) for v in sys.input_vars)
     return psi_x, psi_u
@@ -389,7 +393,7 @@ def choose_extension(sys: SystemModel, tol_rank: float = RANK_TOL) -> ExtensionC
     produce wins. The rank is that of the f rows of `point_jacobian` with a
     unit row for each coordinate of g. Deterministic.
     """
-    pool = sys._xu
+    pool = sys.coordinates
     f_rows = sys.point_jacobian[:sys.n]
     rank_valid = None
     for g in itertools.combinations(pool, sys.m):

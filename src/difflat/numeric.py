@@ -198,19 +198,19 @@ def simulate(sys, x_start, u_sequence, H: int, K: int) -> Trajectory:
     both from the model's compiled (f, g) (`SystemModel.fg`)."""
     if len(u_sequence) < H + K:
         raise SimulationError(f"need {H + K} input samples, got {len(u_sequence)}")
-    params = sys.param_bindings()
     xs = [list(map(float, x_start))]
     us = [list(map(float, u)) for u in u_sequence]
-    p, zetas = list(params.values()), []
+    zetas = []
     for step in range(H + K):
         try:
-            out = sys.fg(xs[-1] + us[step] + p)
+            out = sys.fg(xs[-1] + us[step] + sys.param_values)
         except EvalError as ex:
             raise SimulationError(
                 f"evaluation failed at step k={step - H}: {ex}") from ex
         xs.append(out[:sys.n])
         zetas.append(out[sys.n:] if sys.g is not None else None)
-    return Trajectory(H=H, K=K, x=xs, u=us, zeta=zetas, params=params)
+    return Trajectory(H=H, K=K, x=xs, u=us, zeta=zetas,
+                      params=sys.param_bindings())
 
 
 @dataclass
@@ -251,8 +251,8 @@ def tower_windows(tower, traj: Trajectory, k_window) -> list:
     """The `Window` of each step of `k_window` along `traj`, for `tower`,
     read by position (`Tower.window_plan`): the tower's compiled outputs run
     once per trajectory time, on the states, inputs and parameters there."""
-    lo, hi, params, keys, at = tower.window_plan
-    values = [traj.params[p] for p in params]
+    lo, hi, keys, at = tower.window_plan
+    values = [traj.params[p] for p in tower.context.base_model.param_leaves]
     outputs = {}    # trajectory time -> output values
     out = []
     for k in k_window:
@@ -402,7 +402,7 @@ def block_triangular_solver(nonzeros, n: int):
         rng = random.Random(0)
         generic = [[rng.uniform(-1.0, 1.0) if (i, j) in at else 0.0 for j in cols]
                    for i in rows]
-        if np.linalg.matrix_rank(generic) < len(rows):
+        if numeric_rank(generic) < len(rows):
             raise EvalError(_SINGULAR)
         matrix = ", ".join("[" + ", ".join(
             f"v[{at[i, j]}]" if (i, j) in at else "0.0" for j in cols) + "]"

@@ -233,8 +233,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     if par_rows:
         user_F = coordinate_rows("parameterization", par_rows)
 
-    point = {v: 0.0 for v in state_vars}
-    point.update({v: 0.0 for v in input_vars})
+    point = dict.fromkeys([*state_vars, *input_vars], 0.0)
     for lhs, rhs, ln in sections.get("equilibrium", []):
         v = parse_lhs_var("equilibrium", lhs, ln)
         if v not in point:
@@ -257,7 +256,7 @@ def loads_system(text: str, path: str = "") -> SystemFile:
                     _eval_const(hi.strip(), params, ln))
 
     name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0] if path else "system"
-    model = SystemModel(n=n, m=m, f=tuple(f), state_vars=tuple(state_vars),
+    model = SystemModel(f=tuple(f), state_vars=tuple(state_vars),
                         input_vars=tuple(input_vars), g=g, psi_x=psi_x,
                         psi_u=psi_u, params=params, point=point, name=name)
     # every analysis starts at the equilibrium: f and g must evaluate there
@@ -310,9 +309,7 @@ def print_system(sf: SystemFile, header: str = "") -> str:
         lines.append("")
     if model.psi_x is not None:
         lines.append("[inverse]")
-        for v, e in zip(model.state_vars, model.psi_x):
-            lines.append(f"{to_text(v)} = {to_text(e)}")
-        for v, e in zip(model.input_vars, model.psi_u):
+        for v, e in zip(model.coordinates, (*model.psi_x, *model.psi_u)):
             lines.append(f"{to_text(v)} = {to_text(e)}")
         lines.append("")
     lines.append("[output]")
@@ -321,18 +318,13 @@ def print_system(sf: SystemFile, header: str = "") -> str:
     lines.append("")
     if cand.user_F is not None:
         lines.append("[parameterization]")
-        for v, e in zip(model.state_vars, cand.user_F[0]):
-            lines.append(f"{to_text(v)} = {to_text(e)}")
-        for v, e in zip(model.input_vars, cand.user_F[1]):
+        for v, e in zip(model.coordinates, (*cand.user_F[0], *cand.user_F[1])):
             lines.append(f"{to_text(v)} = {to_text(e)}")
         lines.append("")
     lines.append("[equilibrium]")
-    for v in list(model.state_vars) + list(model.input_vars):
-        val = model.point.get(v, 0.0)
-        if val != 0.0:
-            lines.append(f"{to_text(v)} = {_fmt_value(val)}")
-    if all(model.point.get(v, 0.0) == 0.0
-           for v in list(model.state_vars) + list(model.input_vars)):
+    bound = [v for v in model.coordinates if model.point.get(v, 0.0) != 0.0]
+    lines += [f"{to_text(v)} = {_fmt_value(model.point[v])}" for v in bound]
+    if not bound:
         lines.append("# all coordinates at the origin")
     if sf.options.input_boxes:
         lines.append("")

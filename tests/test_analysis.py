@@ -48,7 +48,7 @@ def test_relative_degrees(vtol, academic, robot):
 
 
 def test_relative_degree_single_integrator():
-    sysm = SystemModel(n=2, m=2, f=(var("u", 1), var("u", 2)),
+    sysm = SystemModel(f=(var("u", 1), var("u", 2)),
                        state_vars=(var("x", 1), var("x", 2)),
                        input_vars=(var("u", 1), var("u", 2)),
                        point={var("x", 1): 0.0, var("x", 2): 0.0,
@@ -59,7 +59,7 @@ def test_relative_degree_single_integrator():
 
 def test_relative_degree_cap_diagnoses_defective_candidate(academic):
     # an output that never sees the inputs
-    sysm = SystemModel(n=2, m=1, f=(var("x", 1), var("u", 1)),
+    sysm = SystemModel(f=(var("x", 1), var("u", 1)),
                        state_vars=(var("x", 1), var("x", 2)),
                        input_vars=(var("u", 1),),
                        point={var("x", 1): 0.0, var("x", 2): 0.0,
@@ -79,7 +79,7 @@ def test_backward_depths(models_with_psi, corpus):
 
 
 def test_backward_depth_trivial_swap_system():
-    sysm = SystemModel(n=2, m=2, f=(var("u", 1), var("u", 2)),
+    sysm = SystemModel(f=(var("u", 1), var("u", 2)),
                        state_vars=(var("x", 1), var("x", 2)),
                        input_vars=(var("u", 1), var("u", 2)),
                        g=(var("x", 1), var("x", 2)),
@@ -171,7 +171,7 @@ def test_robot_tower_rows_match_displays(reports):
 
 
 def test_tower_requires_two_inputs():
-    sysm = SystemModel(n=2, m=1, f=(var("x", 2), var("u", 1)),
+    sysm = SystemModel(f=(var("x", 2), var("u", 1)),
                        state_vars=(var("x", 1), var("x", 2)),
                        input_vars=(var("u", 1),),
                        point={var("x", 1): 0.0, var("x", 2): 0.0,
@@ -510,7 +510,7 @@ def symbolic(reports, corpus):
     """(report, options) of the analyses with a symbolic F: robot, academic
     and a double integrator chain."""
     sysm = SystemModel(
-        n=3, m=2, f=(var("x", 2), var("u", 1), var("u", 2)),
+        f=(var("x", 2), var("u", 1), var("u", 2)),
         state_vars=(var("x", 1), var("x", 2), var("x", 3)),
         input_vars=(var("u", 1), var("u", 2)),
         g=(var("x", 1), var("x", 3)),
@@ -578,7 +578,7 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
 
 
 def test_trivial_system_is_linearizing():
-    sysm = SystemModel(n=2, m=2, f=(var("u", 1), var("u", 2)),
+    sysm = SystemModel(f=(var("u", 1), var("u", 2)),
                        state_vars=(var("x", 1), var("x", 2)),
                        input_vars=(var("u", 1), var("u", 2)),
                        g=(var("x", 1), var("x", 2)),
@@ -778,7 +778,7 @@ def test_brute_force_window_search_on_one_state_analogue():
     backward shift trades the unknown for one more history value."""
     import numpy as np
     from difflat.numeric import numeric_rank as nrank
-    sysm = SystemModel(n=1, m=1, f=(var("u", 1),),
+    sysm = SystemModel(f=(var("u", 1),),
                        state_vars=(var("x", 1),), input_vars=(var("u", 1),),
                        g=(var("x", 1),),
                        point={var("x", 1): 0.0, var("u", 1): 0.0})

@@ -326,20 +326,6 @@ def test_compiled_towers_and_jacobians_match_evaluate(reports):
             _assert_compiled_matches(exprs, leaves, [pt[k] for k in leaves])
 
 
-def _fresh(e):
-    """e rebuilt apart through the node classes, as canonicalizing
-    constructors rebuild equal subtrees: interning gives back e itself."""
-    if isinstance(e, Add):
-        return Add(tuple(_fresh(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_fresh(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_fresh(e.base), e.exp)
-    if isinstance(e, Fun):
-        return Fun(e.name, _fresh(e.arg))
-    return e
-
-
 _LEAVES = [var("x", 1), var("x", 2), var("u", 1, 1), par("T_s")]
 _VALUE = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3, 3)
 
@@ -347,18 +333,15 @@ _VALUE = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3, 3)
 @st.composite
 def _shared_dags(draw):
     """Expressions built by a short program over a growing pool of nodes, so
-    later nodes reuse earlier node objects (shared subtrees), and some are
-    earlier nodes rebuilt apart (equal subtrees built twice)."""
+    later nodes reuse earlier node objects (shared subtrees)."""
     pool = list(_LEAVES)
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.sampled_from(pool))
         b = draw(st.sampled_from(pool))
         op = draw(st.sampled_from(
-            ["add", "mul", "div", "pow", "sin", "cos", "num", "fresh"]))
+            ["add", "mul", "div", "pow", "sin", "cos", "num"]))
         try:
-            if op == "fresh":
-                e = _fresh(a)
-            elif op == "add":
+            if op == "add":
                 e = add(a, b)
             elif op == "mul":
                 e = mul(a, b)
@@ -389,11 +372,21 @@ def test_compiled_shared_dags_match_evaluate(exprs, values):
     _assert_compiled_matches(exprs, _LEAVES, values)
 
 
-def test_compiled_equal_subtrees_share_one_local():
+def test_a_subtree_of_two_expressions_compiles_to_one_local():
+    """Two different expressions, each built with its own copy of a subtree,
+    compile together to the temporaries of each less one set for the
+    subtree: it is one node, so one local computes it."""
     x1, x2 = var("x", 1), var("x", 2)
-    e = mul(sin(x1), pow_(cos(add(x1, x2)), -2))
-    one = compile_exprs([e], [x1, x2]).__code__.co_nlocals
-    assert compile_exprs([e, _fresh(e)], [x1, x2]).__code__.co_nlocals == one
+    a = mul(sin(x1), pow_(cos(add(x1, x2)), -2))
+    b = add(x2, pow_(cos(add(x2, x1)), -2))
+
+    def temporaries(exprs):
+        return (compile_exprs(exprs, [x1, x2]).__code__.co_nlocals
+                - compile_exprs([], [x1, x2]).__code__.co_nlocals)
+
+    shared = pow_(cos(add(x1, x2)), -2)
+    assert temporaries([shared]) == 3
+    assert temporaries([a, b]) == temporaries([a]) + temporaries([b]) - 3
 
 
 def test_compiled_kernel_size_floor(reports):
@@ -564,6 +557,20 @@ _RECIPES = st.recursive(_RECIPE_LEAF, lambda kids: st.one_of(
     st.tuples(st.just("pow"), kids, st.integers(-2, 2))), max_leaves=10)
 _OPS = {"num": num, "var": var, "par": par, "add": add, "sub": sub,
         "mul": mul, "div": div, "sin": sin, "cos": cos}
+
+
+def _fresh(e):
+    """e rebuilt apart through the node classes, as canonicalizing
+    constructors rebuild equal subtrees: interning gives back e itself."""
+    if isinstance(e, Add):
+        return Add(tuple(_fresh(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_fresh(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_fresh(e.base), e.exp)
+    if isinstance(e, Fun):
+        return Fun(e.name, _fresh(e.arg))
+    return e
 
 
 def _build(recipe):

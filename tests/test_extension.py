@@ -108,7 +108,7 @@ def _empty_forward_chain():
     from difflat.analysis import build_tower
     x = [var("x", i) for i in (1, 2, 3)]
     u = [var("u", j) for j in (1, 2)]
-    sysm = SystemModel(n=3, m=2, f=(x[1], P("x3 + u2", 3, 2), u[0]),
+    sysm = SystemModel(f=(x[1], P("x3 + u2", 3, 2), u[0]),
                        state_vars=tuple(x), input_vars=tuple(u),
                        g=(x[0], x[2]), point={v: 0.0 for v in x + u})
     cand = FlatCandidate(phi=(x[2], u[1]))
@@ -189,7 +189,7 @@ def test_trivial_system_extension_is_identity():
     # x+ = u with y = x: d = 0, no chain; the extension is the system itself
     # in transformed input coordinates
     from difflat.analysis import analyze
-    sysm = SystemModel(n=2, m=2, f=(var("u", 1), var("u", 2)),
+    sysm = SystemModel(f=(var("u", 1), var("u", 2)),
                        state_vars=(var("x", 1), var("x", 2)),
                        input_vars=(var("u", 1), var("u", 2)),
                        g=(var("x", 1), var("x", 2)),
@@ -223,7 +223,7 @@ def test_vtol_tower_row_supports_match_displays(reports):
 
 def test_extension_requires_two_inputs(reports, corpus):
     rep = reports["robot"]
-    single = SystemModel(n=2, m=1, f=(var("x", 2), var("u", 1)),
+    single = SystemModel(f=(var("x", 2), var("u", 1)),
                          state_vars=(var("x", 1), var("x", 2)),
                          input_vars=(var("u", 1),),
                          point={var("x", 1): 0.0, var("x", 2): 0.0,

@@ -17,11 +17,14 @@ def P(s, n, m, params=()):
 def test_swapped_robot_outputs_use_the_second_ordering(robot):
     """With the output components swapped, the chain-defining component is
     the second one; the permutation search must find ordering (2,1) and
-    report element-wise indices in the swapped numbering."""
+    report element-wise indices in the swapped numbering. The tower rows
+    are still in (component, shift) order, which every reader of them
+    follows."""
     sysm = robot.model
     cand = FlatCandidate(phi=(robot.candidate.phi[1], robot.candidate.phi[0]))
     rep = analyze(sysm, cand)
     assert rep.indices.sigma_y == (1, 0)
+    assert list(rep.tower.rows) == sorted(rep.tower.rows)
     assert rep.classification.kind == "general"
     assert rep.indices.rho == (0, 1)
     assert rep.indices.gamma == (1, 1)
@@ -34,7 +37,7 @@ def test_double_chain_system_is_linearizing():
     # two integrator chains of lengths 2 and 1: a static-feedback
     # linearizable system the pipeline has not seen before
     sysm = SystemModel(
-        n=3, m=2, f=(var("x", 2), var("u", 1), var("u", 2)),
+        f=(var("x", 2), var("u", 1), var("u", 2)),
         state_vars=(var("x", 1), var("x", 2), var("x", 3)),
         input_vars=(var("u", 1), var("u", 2)),
         g=(var("x", 1), var("x", 3)),

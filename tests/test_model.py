@@ -93,7 +93,7 @@ def test_validate_robot(robot):
 
 def test_validate_duplicated_input_column_fails():
     sysm = SystemModel(
-        n=2, m=2, f=(var("u", 1), var("u", 1)),
+        f=(var("u", 1), var("u", 1)),
         state_vars=(var("x", 1), var("x", 2)),
         input_vars=(var("u", 1), var("u", 2)),
         point={var("x", 1): 0.0, var("x", 2): 0.0,
@@ -104,7 +104,7 @@ def test_validate_duplicated_input_column_fails():
 
 def test_validate_rejects_stray_leaves():
     sysm = SystemModel(
-        n=1, m=1, f=(add(var("x", 1), var("x", 2)),),
+        f=(add(var("x", 1), var("x", 2)),),
         state_vars=(var("x", 1),), input_vars=(var("u", 1),),
         point={var("x", 1): 0.0, var("u", 1): 0.0})
     with pytest.raises(ModelError):
@@ -207,7 +207,7 @@ def test_choose_extension_ranks_the_stacked_point_jacobian(corpus, name, with_g,
 
 def test_a_pole_of_the_point_jacobian_reads_rank_0_and_stops_choose_extension():
     x1, x2, u1, u2 = var("x", 1), var("x", 2), var("u", 1), var("u", 2)
-    sysm = SystemModel(n=2, m=2, f=(P("1/x1 + u1", 2), P("x2 + u2", 2)),
+    sysm = SystemModel(f=(P("1/x1 + u1", 2), P("x2 + u2", 2)),
                        state_vars=(x1, x2), input_vars=(u1, u2),
                        point={x1: 0.0, x2: 0.0, u1: 0.0, u2: 0.0})
     assert sysm.point_rank(range(2), range(2, 4), 1e-8) == 0
@@ -237,7 +237,7 @@ def test_academic_paper_extension_choice_passes(academic):
 
 def test_auto_selection_academic(academic):
     bare = academic.model.with_g(None)
-    bare = SystemModel(n=bare.n, m=bare.m, f=bare.f, state_vars=bare.state_vars,
+    bare = SystemModel(f=bare.f, state_vars=bare.state_vars,
                        input_vars=bare.input_vars, g=None, params=bare.params,
                        point=bare.point)
     ch = choose_extension(bare)
@@ -245,7 +245,7 @@ def test_auto_selection_academic(academic):
 
 
 def test_auto_selection_robot(robot):
-    bare = SystemModel(n=3, m=2, f=robot.model.f,
+    bare = SystemModel(f=robot.model.f,
                        state_vars=robot.model.state_vars,
                        input_vars=robot.model.input_vars, g=None,
                        params=robot.model.params, point=robot.model.point)
@@ -257,7 +257,7 @@ def test_auto_selection_robot(robot):
 
 
 def test_auto_selection_vtol_backtracks_to_solvable_psi(vtol):
-    bare = SystemModel(n=6, m=2, f=vtol.model.f,
+    bare = SystemModel(f=vtol.model.f,
                        state_vars=vtol.model.state_vars,
                        input_vars=vtol.model.input_vars, g=None,
                        params=vtol.model.params, point=vtol.model.point)
@@ -269,7 +269,7 @@ def test_auto_selection_vtol_backtracks_to_solvable_psi(vtol):
 
 def test_fully_normalized_system_auto_selects_states():
     sysm = SystemModel(
-        n=2, m=2, f=(var("u", 1), var("u", 2)),
+        f=(var("u", 1), var("u", 2)),
         state_vars=(var("x", 1), var("x", 2)),
         input_vars=(var("u", 1), var("u", 2)),
         point={var("x", 1): 0.0, var("x", 2): 0.0,
@@ -411,16 +411,18 @@ def test_backward_shift_without_psi_raises(vtol):
         backward_shift(var("x", 1), vtol.model)
 
 
-def test_repeated_analyses_on_one_model_keep_its_shift_cache_bounded(
-        robot, monkeypatch):
-    """A long-lived model analyzing ever new candidates keeps at most
-    `SHIFT_CACHE_SIZE` shift images, dropping the oldest first, and the
-    analyses still agree with a fresh model's."""
-    from difflat import analyze, model
+def test_repeated_analyses_on_one_model_keep_its_shift_memo_bounded(robot):
+    """A long-lived model analyzing ever new candidates keeps a shift image
+    only while its expression lives: once the analyses are dropped and
+    collected, the memo is no larger after the sixth candidate than after
+    the first, and every analysis agrees with a fresh model's. The
+    `differentiate` LRU keeps the expressions it saw alive until it evicts
+    them, so it is emptied before each count."""
+    import gc
+    from difflat import analyze
     from difflat.analysis import FlatCandidate
-    monkeypatch.setattr(model, "SHIFT_CACHE_SIZE", 8)
+    from difflat.expr import differentiate
     sysm = analyze(robot.model, robot.candidate, robot.options).model
-    sysm._shift_cache.clear()
     sizes = []
     for c in range(1, 7):
         phi = (robot.candidate.phi[0],
@@ -429,5 +431,10 @@ def test_repeated_analyses_on_one_model_keep_its_shift_cache_bounded(
         fresh = analyze(invert_extension(robot.model), FlatCandidate(phi=phi),
                         robot.options)
         assert rep.to_json() == fresh.to_json()
-        sizes.append(len(sysm._shift_cache))
-    assert max(sizes) == 8
+        grown = sum(map(len, sysm._shifts.values()))
+        del rep, fresh, phi
+        differentiate.cache_clear()
+        gc.collect()
+        sizes.append(sum(map(len, sysm._shifts.values())))
+        assert sizes[-1] < grown
+    assert max(sizes) <= sizes[0]

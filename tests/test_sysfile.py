@@ -167,7 +167,7 @@ def test_round_trip_keeps_transformed_inputs_of_plain_states():
     # a static forward extension: states x1..x3, inputs ubar1, ubar2
     x = tuple(var("x", i) for i in (1, 2, 3))
     ubar = (Var("ubar", 1, 0), Var("ubar", 2, 0))
-    model = SystemModel(n=3, m=2, f=(x[1], ubar[0], ubar[1]), state_vars=x,
+    model = SystemModel(f=(x[1], ubar[0], ubar[1]), state_vars=x,
                         input_vars=ubar, point={ubar[0]: 0.5}, name="chain")
     sf = SystemFile(model=model, candidate=FlatCandidate(phi=(x[0], x[2])),
                     options=AnalyzeOptions())
