@@ -7,9 +7,7 @@ leaves and advances input shifts; delta^-1 substitutes the inverse of the
 extension map (f, g). Run:  python demos/01_symbolic_shifts.py
 """
 
-from difflat import (
-    backward_shift, forward_shift, invert_extension, systems, to_text,
-)
+from difflat import invert_extension, systems, to_text
 from difflat.expr import cos, pow_, sin, tan, var
 
 print("== canonical expressions ==")
@@ -33,12 +31,12 @@ print("\n== backward shifts of the flat output ==")
 y1, y2 = sf.candidate.phi
 print(f"  y1      = {to_text(y1)}")
 for k in range(1, 5):
-    print(f"  y1[{-k}]  = {to_text(backward_shift(y1, model, k))}")
+    print(f"  y1[{-k}]  = {to_text(model.shift(y1, -k))}")
 print(f"  y2      = {to_text(y2)}")
 for k in range(1, 4):
-    print(f"  y2[{-k}]  = {to_text(backward_shift(y2, model, k))}")
+    print(f"  y2[{-k}]  = {to_text(model.shift(y2, -k))}")
 
 print("\n== delta and delta^-1 are mutually inverse ==")
 probe = y2
-roundtrip = forward_shift(backward_shift(probe, model), model)
+roundtrip = model.shift(model.shift(probe, -1), 1)
 print(f"  delta(delta^-1(y2)) == y2  ->  {roundtrip == probe}")

@@ -6,12 +6,14 @@ Three rank facts organize the classification:
   * in general both blocks are singular, and the ranks of
     d_{y[-R1]} g(F_x, F_u) and d_{y[-R1]} F_x always coincide.
 After normalizing m transition rows to x^{j,+} = v^j, the v-parameterization
-cannot see the deepest backward shifts at all (a structural zero block).
+cannot see the deepest backward shifts at all (a structural zero block): as
+v^j = F_x^j shifted one step and F_x sees y_j[-R1_j .. R2_j - 1], F_v sees
+y_j[1 - R1_j .. R2_j] only.
 
 Run:  python demos/05_rank_structure.py
 """
 
-from difflat import analyze, normalize_inputs, systems, to_text, zero_block_check
+from difflat import analyze, normalize_inputs, systems, to_text, vars_of
 
 for name in ("vtol", "academic", "robot"):
     sf = systems.load(name)
@@ -38,7 +40,9 @@ for e in norm.F_v:
     if len(text) > 100:
         text = text[:97] + "..."
     print(f"    {text}")
-structural, worst = zero_block_check(norm, report.parameterization)
-print(f"  d_y[-R1] F_v: structurally zero = {structural}, "
-      f"max |numeric| = {worst:.2e}")
-assert structural and worst <= 1e-10
+leaves = set().union(*map(vars_of, norm.F_v))
+for j, r1 in enumerate(report.indices.r1, start=1):
+    shifts = [v.shift for v in leaves if v.component == j]
+    print(f"  y{j}: F_v sees shifts {min(shifts)} .. {max(shifts)}, "
+          f"none below 1 - R1 = {1 - r1}")
+    assert min(shifts) >= 1 - r1

@@ -17,18 +17,17 @@ from .expr import (
 from .parsing import DimTable, ParseError, parse_expression
 from .model import (
     ExtensionChoice, ModelError, SystemModel, ValidationReport,
-    backward_shift, choose_extension, forward_shift, invert_extension,
-    validate,
+    choose_extension, invert_extension, validate,
 )
 from .numeric import (
-    ResidualReport, Trajectory, fd_jacobian_check, numeric_rank, simulate,
+    ResidualReport, Trajectory, numeric_rank, simulate,
     verify_parameterization,
 )
 from .analysis import (
     AnalysisError, AnalysisReport, AnalyzeOptions, Classification,
     ClassificationError, FlatCandidate, Parameterization, ShiftIndices,
     Tower, analyze, backward_depths, build_tower, classify, invert_tower,
-    normalize_inputs, relative_degrees, zero_block_check,
+    normalize_inputs, relative_degrees,
 )
 from .extension import (
     Certificate, ExtendedSystem, ExtensionError, build_combined,

@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, Var, ZERO, compile_exprs, differentiate, evaluate,
+    EvalError, Expr, Var, ZERO, compile_exprs, evaluate,
     jacobian, shift_vars, sub as esub, substitute, to_text, vars_of,
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
@@ -365,15 +365,6 @@ class Classification:
     rank_g_of_F: int | None
     diagnostics: list = field(default_factory=list)
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "rank_Fu_at_R2": self.rank_Fu_at_R2,
-            "rank_Fx_at_minusR1": self.rank_Fx_at_minusR1,
-            "rank_g_of_F": self.rank_g_of_F,
-            "diagnostics": self.diagnostics,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Shift indices.
@@ -656,9 +647,13 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
     if backward:
         gamma1, gamma2 = gamma[sigma_y[0]], gamma[sigma_y[1]]
         r12 = sys.n + 1 - gamma1 - (rho1 + r22 if forward else 0)
-        if r12 < max(gamma2, 1):
+        # alone, the backward chain may be empty (d1 = 0, r12 = gamma2 - 1),
+        # as the forward chain may (r22 = rho2)
+        lowest = gamma2 if forward else gamma2 - 1
+        if r12 < lowest:
             lhs = "region identity gives r12" if forward else "r12 = n+1-gamma1"
-            diags.append(f"{tag}: {lhs} = {r12} < gamma2 = {gamma2}")
+            bound = "gamma2" if forward else "gamma2 - 1"
+            diags.append(f"{tag}: {lhs} = {r12} < {bound} = {lowest}")
             return None
         r11 = gamma1 + (r12 - gamma2)
         d1 = r11 + 1 - gamma1
@@ -813,10 +808,12 @@ def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
         e = sys_bar.shift(phi_bar[1], -s)
         if not _independent_of(sys_bar, e, [("zetabar", 2)], opts):
             return f"phi2_[-{s}] depends on zetabar2"
-    bottom = sys_bar.shift(phi_bar[1], -r12)
-    if not _depends(sys_bar, bottom, [Var("zetabar", 1, -(r12 - gamma2 + 1))], opts):
-        return (f"phi2_[-{r12}] does not reach "
-                f"zetabar1[{-(r12 - gamma2 + 1)}]")
+    if r12 >= gamma2:
+        # with a nonempty chain the bottom row must reach its deepest zetabar1
+        deepest = -(r12 - gamma2 + 1)
+        bottom = sys_bar.shift(phi_bar[1], -r12)
+        if not _depends(sys_bar, bottom, [Var("zetabar", 1, deepest)], opts):
+            return f"phi2_[-{r12}] does not reach zetabar1[{deepest}]"
     return None
 
 
@@ -1033,7 +1030,8 @@ class NormalizedInputs:
     v_transform: tuple          # v_k = f^{j_k}(x, u)
     u_from_v: dict              # {u leaf: expr over (x, ubar)}
     system: SystemModel         # transformed system with x^{j_k,+} = v_k
-    F_v: tuple | None           # v over y-shifts, when a symbolic F is given
+    F_v: tuple | None           # v over y-shifts, when a symbolic F is given:
+                                # F_x one step on, so free of y[-R1] (Eq. (8))
 
 
 def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
@@ -1094,20 +1092,6 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
     return NormalizedInputs(rows=tuple(i + 1 for i in chosen),
                             v_transform=tuple(sys.f[i] for i in chosen),
                             u_from_v=sol, system=sys_v, F_v=F_v)
-
-
-def zero_block_check(norm: NormalizedInputs, param: Parameterization):
-    """Lemma 1 / Eq. (8): d_{y_[-R1]} F_v must vanish structurally and
-    numerically, the latter at the tower's windows. Returns (structural_ok,
-    max_abs_numeric)."""
-    idx = param.indices
-    cols = [Var("y", j + 1, -idx.r1[j]) for j in range(2) if idx.r1[j] > 0]
-    if not cols or norm.F_v is None:
-        return True, 0.0
-    structural = all(v not in vars_of(e) for e in norm.F_v for v in cols)
-    partials = [differentiate(e, c) for e in norm.F_v for c in cols]
-    return structural, max(_magnitudes(
-        partials, [win.pt for win in param.tower.windows]), default=0.0)
 
 
 # ---------------------------------------------------------------------------

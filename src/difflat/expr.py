@@ -22,7 +22,7 @@ __all__ = [
     "Expr", "Num", "Par", "Var", "Add", "Mul", "Pow", "Fun",
     "ExprError", "EvalError", "UnboundLeafError", "PoleError",
     "FAMILIES", "num", "par", "var", "add", "sub", "neg", "mul", "div",
-    "pow_", "sin", "cos", "tan", "cot", "canonical", "differentiate",
+    "pow_", "sin", "cos", "tan", "cot", "differentiate",
     "substitute", "evaluate", "compile_exprs", "jacobian", "vars_of",
     "params_of", "shift_vars", "to_text", "ZERO", "ONE",
 ]
@@ -432,7 +432,7 @@ def mul(*args) -> Expr:
 
     if sums:
         # Distribute every positively-powered sum over the rest.
-        head = Num(coeff) if not factors else _raw_mul([Num(coeff)] + factors)
+        head = Mul((Num(coeff), *factors)) if factors else Num(coeff)
         out = sums[0]
         for s in sums[1:]:
             out = _expand_product(out, s)
@@ -442,12 +442,6 @@ def mul(*args) -> Expr:
         return Num(coeff)
     if coeff != 1:
         factors.insert(0, Num(coeff))
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(tuple(factors))
-
-
-def _raw_mul(factors):
     if len(factors) == 1:
         return factors[0]
     return Mul(tuple(factors))
@@ -541,21 +535,6 @@ _FUNCTIONS: Mapping[str, Callable[[Expr], Expr]] = {
 }
 
 
-def canonical(e: Expr) -> Expr:
-    """Rebuild through the constructors (idempotent on canonical trees)."""
-    if isinstance(e, (Num, Par, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*[canonical(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[canonical(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(canonical(e.base), e.exp)
-    if isinstance(e, Fun):
-        return _FUNCTIONS[e.name](canonical(e.arg))
-    raise ExprError(f"unknown node {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Calculus, substitution, evaluation.
 
@@ -603,8 +582,8 @@ def substitute(e: Expr, mapping: Mapping[Union[Var, Par], Expr]) -> Expr:
 
     Shared subtrees are rebuilt once: results are memoized by node identity
     within the call. A node none of whose children changed is returned as
-    the same object, not rebuilt (`canonical` is idempotent on canonical
-    trees), so a subtree free of mapped leaves costs one walk and no
+    the same object, not rebuilt (the constructors are idempotent on
+    canonical trees), so a subtree free of mapped leaves costs one walk and no
     constructor call, and `substitute(e, m) is e` when no key of `m` occurs
     in `e`.
     """

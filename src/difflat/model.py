@@ -21,7 +21,6 @@ from .solve import SolveError, solve_equations
 __all__ = [
     "SystemModel", "ModelError", "ValidationReport", "ExtensionChoice",
     "validate", "choose_extension", "invert_extension",
-    "forward_shift", "backward_shift",
 ]
 
 
@@ -170,12 +169,16 @@ class SystemModel:
         """One shift of e, memoized while e lives: the memo is keyed weakly
         by the node, as equal trees are one node, and an image keeps the
         next shift's key alive, so a chain of shifts lives as long as its
-        first expression."""
+        first expression. A shift that undoes a memoized one (e is the
+        image of its result) is not memoized: the two entries would keep
+        each other alive for as long as the model."""
         memo = self._shifts[step]
         out = memo.get(e)
         if out is None:
             image = self._delta_image if step > 0 else self._delta_inv_image
-            out = memo[e] = substitute(e, {v: image(v) for v in vars_of(e)})
+            out = substitute(e, {v: image(v) for v in vars_of(e)})
+            if self._shifts[-step].get(out) is not e:
+                memo[e] = out
         return out
 
     @cached_property
@@ -242,18 +245,6 @@ class SystemModel:
     def with_g(self, g) -> "SystemModel":
         return replace(self, g=None if g is None else tuple(g),
                        psi_x=None, psi_u=None)
-
-
-def forward_shift(e: Expr, sys: SystemModel, k: int = 1) -> Expr:
-    if k < 0:
-        raise ModelError("k must be positive; use backward_shift")
-    return sys.shift(e, k)
-
-
-def backward_shift(e: Expr, sys: SystemModel, k: int = 1) -> Expr:
-    if k < 0:
-        raise ModelError("k must be positive")
-    return sys.shift(e, -k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Numeric primitives: SVD ranks, finite-difference cross-checks, jet-space
-probe points, trajectory simulation, parameterization verification and
-Newton inversion with a block triangular step solve."""
+"""Numeric primitives: SVD ranks, jet-space probe points, trajectory
+simulation, parameterization verification and Newton inversion with a block
+triangular step solve."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from .expr import EvalError, Par, Var, ZERO, differentiate, evaluate, jacobian
 
 __all__ = [
-    "numeric_rank", "fd_jacobian_check", "eval_matrix", "probe_points",
+    "numeric_rank", "eval_matrix", "probe_points",
     "RankProbe", "probe_rank", "Trajectory",
     "random_inputs", "simulate", "SimulationError", "verify_parameterization",
     "ResidualReport", "newton_solve", "block_triangular_solver", "Window",
@@ -50,21 +50,6 @@ def eval_matrix(rows, point) -> np.ndarray:
     memo = {}
     return np.array([[evaluate(e, point, memo) for e in row] for row in rows],
                     dtype=float)
-
-
-def fd_jacobian_check(exprs, cols, point, h: float = 1e-6) -> float:
-    """Max relative deviation between symbolic partials and central differences."""
-    worst = 0.0
-    for e in exprs:
-        for v in cols:
-            sym = evaluate(differentiate(e, v), point)
-            hi = dict(point)
-            lo = dict(point)
-            hi[v] = point[v] + h
-            lo[v] = point[v] - h
-            fd = (evaluate(e, hi) - evaluate(e, lo)) / (2.0 * h)
-            worst = max(worst, abs(sym - fd) / (1.0 + abs(sym)))
-    return worst
 
 
 def probe_points(center, seed, count=PROBE_COUNT, perturb=None, bind=()):

@@ -4,7 +4,7 @@ import pytest
 
 from difflat import systems
 from difflat.analysis import analyze
-from difflat.expr import add, mul, num
+from difflat.expr import add, differentiate, evaluate, mul, num, vars_of
 from difflat.model import invert_extension
 
 
@@ -64,3 +64,30 @@ def random_corpus_expressions(sf, count, seed=0, max_shift=1):
                 e = add(mul(e, p), num(rng.randint(-2, 2)))
         out.append(e)
     return out
+
+
+def fd_jacobian_check(exprs, cols, point, h: float = 1e-6) -> float:
+    """Max relative deviation between symbolic partials and central
+    differences: the oracle the Jacobian tests check `differentiate` by."""
+    worst = 0.0
+    for e in exprs:
+        for v in cols:
+            sym = evaluate(differentiate(e, v), point)
+            hi = dict(point)
+            lo = dict(point)
+            hi[v] = point[v] + h
+            lo[v] = point[v] - h
+            fd = (evaluate(e, hi) - evaluate(e, lo)) / (2.0 * h)
+            worst = max(worst, abs(sym - fd) / (1.0 + abs(sym)))
+    return worst
+
+
+def lowest_F_v_shifts(norm):
+    """{output component j: the lowest shift of a y_j leaf of the
+    v-parameterization F_v}. Lemma 1 / Eq. (8), d_{y[-R1]} F_v = 0, holds
+    when each is at least 1 - R1_j."""
+    low = {}
+    for e in norm.F_v:
+        for v in vars_of(e):
+            low[v.component] = min(low.get(v.component, v.shift), v.shift)
+    return dict(sorted(low.items()))

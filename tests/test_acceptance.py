@@ -10,20 +10,18 @@ import time
 
 import pytest
 
-from conftest import random_corpus_expressions
-from difflat import systems
-from difflat.analysis import (
-    analyze, normalize_inputs, verification_trajectory, zero_block_check,
+from conftest import (
+    fd_jacobian_check, lowest_F_v_shifts, random_corpus_expressions,
 )
+from difflat import systems
+from difflat.analysis import analyze, normalize_inputs, verification_trajectory
 from difflat.cli import main
 from difflat.expr import (
     EvalError, Var, differentiate, evaluate, substitute, to_text, var, vars_of,
 )
 from difflat.extension import build_combined, certify_linearizing, truncated
-from difflat.model import backward_shift, forward_shift
 from difflat.numeric import (
-    SimulationError, eval_matrix, fd_jacobian_check, numeric_rank,
-    verify_parameterization,
+    SimulationError, eval_matrix, numeric_rank, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 
@@ -161,14 +159,17 @@ def test_criterion_5_rank_coincidence(reports, corpus):
           f"{checked} at 12 windows each): PASS")
 
 
-def test_criterion_6_zero_block(academic, reports):
-    rep = reports["academic"]
-    norm = normalize_inputs(rep.model, rep.parameterization)
-    structural, worst = zero_block_check(norm, rep.parameterization)
-    assert structural
-    assert worst <= 1e-10
-    print(f"criterion 6 (Lemma-1 zero block after input normalization, "
-          f"structural + numeric {worst:.2e} <= 1e-10): PASS")
+def test_criterion_6_zero_block(reports):
+    lows = {}
+    for name in ("academic", "robot"):    # vtol's F is implicit: no F_v tree
+        rep = reports[name]
+        low = lowest_F_v_shifts(normalize_inputs(rep.model, rep.parameterization))
+        assert sorted(low) == [1, 2], name
+        assert all(s >= 1 - rep.indices.r1[j - 1] for j, s in low.items()), (
+            name, low, rep.indices.r1)
+        lows[name] = low
+    print(f"criterion 6 (Lemma-1 zero block after input normalization: F_v "
+          f"sees no y_j below 1 - R1_j; lowest shifts {lows}): PASS")
 
 
 def test_criterion_7_trajectory_verification(reports, corpus):
@@ -221,8 +222,8 @@ def test_criterion_9_infrastructure(reports, corpus, models_with_psi):
         sysm = models_with_psi[name]
         n_take = 17 if name != "robot" else 16
         for e in random_corpus_expressions(sf, n_take, seed=len(name)):
-            fb = backward_shift(forward_shift(e, sysm), sysm)
-            bf = forward_shift(backward_shift(e, sysm), sysm)
+            fb = sysm.shift(sysm.shift(e, 1), -1)
+            bf = sysm.shift(sysm.shift(e, -1), 1)
             for out in (fb, bf):
                 if out == e:
                     continue

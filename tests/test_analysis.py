@@ -18,7 +18,6 @@ from difflat.analysis import (
     VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate, _rank_drop,
     _try_tower, analyze, backward_depths, build_tower, classify, invert_tower,
     normalize_inputs, relative_degrees, verification_trajectory,
-    zero_block_check,
 )
 from difflat.expr import (
     EvalError, Var, add, compile_exprs, differentiate, evaluate, jacobian,
@@ -30,7 +29,9 @@ from difflat.numeric import (
     tower_windows, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
+from difflat.solve import SolveError
 from difflat.sysfile import loads_system
+from conftest import lowest_F_v_shifts
 from test_cli import VTOL_RELABELED_SWAPPED
 
 
@@ -569,7 +570,7 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
     poison.count = 1
     cls = classify(rep.model, robot.candidate, param, robot.options)
     assert len(poisoned) == 1
-    assert cls.to_json() == rep.classification.to_json()
+    assert cls == rep.classification
     poisoned.clear()
     poison.count = VERIFY_STEPS
     with pytest.raises(AnalysisError, match="no verification window"):
@@ -619,6 +620,27 @@ def test_user_F_the_windows_cannot_evaluate_is_rejected(reports, robot, x3, why)
     with pytest.raises(AnalysisError) as ei:
         analyze(robot.model, cand, robot.options)
     assert str(ei.value) == why
+
+
+def test_a_user_F_stands_in_when_the_solver_cannot_invert_the_tower(
+        reports, robot, monkeypatch):
+    """Where the restricted solver cannot invert the tower, the user's F is
+    adopted and verified along the trajectory as an inverted F is: robot's
+    own F, with the solver made to fail."""
+    rep = reports["robot"]
+    F = (rep.parameterization.F_x, rep.parameterization.F_u)
+    cand = FlatCandidate(phi=robot.candidate.phi, user_F=F)
+
+    def unsolvable(*args):
+        raise SolveError("forced")
+
+    monkeypatch.setattr(analysis, "solve_equations", unsolvable)
+    param = invert_tower(rep.model, cand, rep.tower)
+    assert param.source == "user_supplied"
+    assert (param.F_x, param.F_u) == F
+    assert param.diagnostics[-1] == (
+        "restricted solver could not invert the tower: forced")
+    assert analysis._verify(param, robot.options)["pass"]
 
 
 def test_auto_selected_extension_map_reads_tol_rank(monkeypatch):
@@ -829,8 +851,7 @@ def test_normalize_inputs_academic_identity(academic, reports):
     # v = (u1, u2): the transform is the identity
     assert norm.u_from_v[var("u", 1)] == Var("ubar", 1, 0)
     assert norm.u_from_v[var("u", 2)] == Var("ubar", 2, 0)
-    structural, worst = zero_block_check(norm, reports["academic"].parameterization)
-    assert structural and worst <= 1e-10
+    assert lowest_F_v_shifts(norm) == {1: -3, 2: -2}    # R1 = (4, 3)
 
 
 def test_normalize_inputs_robot(robot, reports):
@@ -849,8 +870,7 @@ def test_normalize_inputs_robot(robot, reports):
         back[Var("ubar", 2, 0)] = v_vals[1]
         assert abs(evaluate(norm.u_from_v[var("u", 1)], back) - u[0]) < 1e-9
         assert abs(evaluate(norm.u_from_v[var("u", 2)], back) - u[1]) < 1e-9
-    structural, worst = zero_block_check(norm, reports["robot"].parameterization)
-    assert structural and worst <= 1e-10
+    assert lowest_F_v_shifts(norm) == {1: 0, 2: 0}      # R1 = (1, 1)
 
 
 def test_normalize_inputs_vtol(vtol):

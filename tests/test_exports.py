@@ -1,6 +1,7 @@
-"""Every name a difflat module lists in `__all__` exists, and every name it
-imports is used, so deleting a function cannot leave a stale export or a
-stale import behind."""
+"""Every name a difflat module lists in `__all__` exists, every name it
+imports is used, and every private helper it defines is referenced, so
+deleting a function cannot leave a stale export, a stale import or a dead
+helper behind."""
 
 import ast
 import importlib
@@ -57,3 +58,42 @@ def test_no_module_imports_a_name_it_never_uses(name):
     with open(path, encoding="utf-8") as fh:
         unused = _unused_imports(fh.read())
     assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def _dead_private_helpers(sources: dict) -> list:
+    """The module-level private functions and private methods (`_name`, not
+    dunders) of `sources` ({module: source}) whose name no module reads, as
+    a bare name or an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(module, f.name) for f in body
+                        if isinstance(f, ast.FunctionDef)
+                        and f.name.startswith("_") and not f.name.endswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_the_dead_helper_check_finds_an_unreferenced_helper():
+    sources = {"a": "def _used(): pass\ndef _dead(): pass\n"
+                    "class C:\n    def _gone(self): pass\n"
+                    "    def __init__(self): self._kept()\n"
+                    "    def _kept(self): pass\n",
+               "b": "from a import _used\n_used()\n"}
+    assert _dead_private_helpers(sources) == ["a._dead", "a._gone"]
+
+
+def test_no_private_helper_is_left_unreferenced():
+    sources = {}
+    for name in MODULES:
+        with open(importlib.util.find_spec(name).origin, encoding="utf-8") as fh:
+            sources[name] = fh.read()
+    dead = _dead_private_helpers(sources)
+    assert not dead, f"private helpers no module references: {dead}"

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus_expressions
-from difflat import model
+from difflat import model, systems
 from difflat.analysis import normalize_inputs
 from difflat.expr import (
     Par, PoleError, Var, add, evaluate, jacobian, mul, to_text, var, vars_of,
 )
 from difflat.model import (
-    ModelError, SystemModel, backward_shift, choose_extension, forward_shift,
-    invert_extension, validate,
+    ModelError, SystemModel, choose_extension, invert_extension, validate,
 )
 from difflat.numeric import eval_matrix, numeric_rank
 from difflat.parsing import DimTable, parse_expression
@@ -349,21 +348,21 @@ def test_one_model_compiles_f_and_g_once(academic, monkeypatch):
 
 def test_forward_shift_vtol_first_row(vtol):
     sysm = vtol.model
-    assert forward_shift(var("x", 1), sysm) == P("x1 + T_s*x3")
+    assert sysm.shift(var("x", 1), 1) == P("x1 + T_s*x3")
 
 
 def test_robot_double_shift_of_y1(models_with_psi):
     sysm = models_with_psi["robot"]
     # delta(x3) = x3 + u2; delta^2(x3) = x3 + u2 + u2[1]
-    assert forward_shift(var("x", 3), sysm) == P("x3 + u2", 3, 2, ())
-    assert forward_shift(var("x", 3), sysm, 2) == P("x3 + u2 + u2[1]", 3, 2, ())
+    assert sysm.shift(var("x", 3), 1) == P("x3 + u2", 3, 2, ())
+    assert sysm.shift(var("x", 3), 2) == P("x3 + u2 + u2[1]", 3, 2, ())
 
 
 def test_backward_shifts_academic_y1(models_with_psi, academic):
     sysm = models_with_psi["academic"]
     y1 = academic.candidate.phi[0]
-    assert backward_shift(y1, sysm, 1) == P("x1 + x4", 5, 2, ())
-    assert backward_shift(y1, sysm, 3) == P("zeta1[-1]", 5, 2, ())
+    assert sysm.shift(y1, -1) == P("x1 + x4", 5, 2, ())
+    assert sysm.shift(y1, -3) == P("zeta1[-1]", 5, 2, ())
 
 
 def test_robot_backward_shift_of_y2_matches_paper(models_with_psi, robot):
@@ -371,15 +370,15 @@ def test_robot_backward_shift_of_y2_matches_paper(models_with_psi, robot):
     y2 = robot.candidate.phi[1]
     # with g = (x3, x1): zeta1 is the x3-history
     expect = P("x1*sin(x3 - zeta1[-1]) - x2*cos(x3 - zeta1[-1])", 3, 2, ())
-    assert backward_shift(y2, sysm, 1) == expect
+    assert sysm.shift(y2, -1) == expect
 
 
 def test_shift_inverse_pair_on_random_corpus_expressions(corpus, models_with_psi):
     for name, sf in corpus.items():
         sysm = models_with_psi[name]
         for e in random_corpus_expressions(sf, 17, seed=hash(name) % 1000):
-            fwd_back = backward_shift(forward_shift(e, sysm), sysm)
-            back_fwd = forward_shift(backward_shift(e, sysm), sysm)
+            fwd_back = sysm.shift(sysm.shift(e, 1), -1)
+            back_fwd = sysm.shift(sysm.shift(e, -1), 1)
             for out in (fwd_back, back_fwd):
                 if out == e:
                     continue
@@ -400,28 +399,30 @@ def test_shift_is_a_ring_morphism(corpus, models_with_psi):
         sysm = models_with_psi[name]
         es = random_corpus_expressions(sf, 6, seed=99)
         for a, b in zip(es[::2], es[1::2]):
-            assert forward_shift(add(a, b), sysm) == \
-                add(forward_shift(a, sysm), forward_shift(b, sysm))
-            assert forward_shift(mul(a, b), sysm) == \
-                mul(forward_shift(a, sysm), forward_shift(b, sysm))
+            assert sysm.shift(add(a, b), 1) == \
+                add(sysm.shift(a, 1), sysm.shift(b, 1))
+            assert sysm.shift(mul(a, b), 1) == \
+                mul(sysm.shift(a, 1), sysm.shift(b, 1))
 
 
 def test_backward_shift_without_psi_raises(vtol):
     with pytest.raises(ModelError):
-        backward_shift(var("x", 1), vtol.model)
+        vtol.model.shift(var("x", 1), -1)
 
 
-def test_repeated_analyses_on_one_model_keep_its_shift_memo_bounded(robot):
+def test_repeated_analyses_on_one_model_keep_its_shift_memo_bounded():
     """A long-lived model analyzing ever new candidates keeps a shift image
     only while its expression lives: once the analyses are dropped and
     collected, the memo is no larger after the sixth candidate than after
-    the first, and every analysis agrees with a fresh model's. The
-    `differentiate` LRU keeps the expressions it saw alive until it evicts
-    them, so it is emptied before each count."""
+    the first, and every analysis agrees with a fresh model's. The model is
+    loaded here, not shared with other tests. The `differentiate` LRU keeps
+    the expressions it saw alive until it evicts them, so it is emptied
+    before each count."""
     import gc
     from difflat import analyze
     from difflat.analysis import FlatCandidate
     from difflat.expr import differentiate
+    robot = systems.load("robot")
     sysm = analyze(robot.model, robot.candidate, robot.options).model
     sizes = []
     for c in range(1, 7):
@@ -438,3 +439,20 @@ def test_repeated_analyses_on_one_model_keep_its_shift_memo_bounded(robot):
         sizes.append(sum(map(len, sysm._shifts.values())))
         assert sizes[-1] < grown
     assert max(sizes) <= sizes[0]
+
+
+def test_a_shift_round_trip_keeps_no_memo_entry_alive():
+    """Shifting forward and then back gives the expression again. Were both
+    shifts memoized, each entry would keep the other's key alive for as long
+    as the model, so the expression must die with its last outside use."""
+    import gc
+    import weakref
+    sysm = invert_extension(systems.load("robot").model)
+    e = P("x1*sin(x3)", 3, 2, ())
+    assert sysm.shift(sysm.shift(e, 1), -1) is e
+    assert sysm.shift(sysm.shift(e, -1), 1) is e
+    alive = weakref.ref(e)
+    del e
+    gc.collect()
+    assert alive() is None
+    assert not any(map(len, sysm._shifts.values()))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fd_jacobian_check
 from difflat import analysis, numeric
 from difflat.analysis import verification_trajectory
 from difflat.expr import EvalError, Par, Var, add, evaluate, mul, num, pow_, var
 from difflat.numeric import (
-    NONZERO_TOL, PROBE_COUNT, PROBE_RADIUS, SimulationError, fd_jacobian_check,
+    NONZERO_TOL, PROBE_COUNT, PROBE_RADIUS, SimulationError,
     block_triangular_solver, check_windows, newton_solve, numeric_rank,
     probe_points, random_inputs, simulate, tower_windows,
     verify_parameterization,
@@ -111,7 +112,7 @@ def test_probe_points_repeat_for_the_same_seed():
 
 
 # ---------------------------------------------------------------------------
-# the nonzero scan: dependence, chain-lead identity, pivots and zero block
+# the nonzero scan: dependence, chain-lead identity and pivots
 
 class RecordingPoint(dict):
     """A point that records each leaf `evaluate` reads from it."""

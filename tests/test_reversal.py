@@ -12,7 +12,7 @@ and backward-flat swap, and so do d1 and d2.
 import pytest
 
 from difflat import (
-    AnalysisError, AnalyzeOptions, FlatCandidate, SystemModel, analyze,
+    AnalyzeOptions, FlatCandidate, SystemModel, analyze,
     build_combined, certify_linearizing, invert_extension, loads_system,
 )
 from difflat.expr import evaluate, substitute
@@ -62,12 +62,9 @@ REVERSED = {
 
 @pytest.mark.parametrize("name", [
     "robot", "robot_swapped", "academic", "vtol",
-    # the backward search requires r12 >= gamma2, so a backward tower
-    # without a chain (d1 = 0) is never tried; the forward search admits
-    # its mirror, r22 = rho2
-    pytest.param("double_chain", marks=pytest.mark.xfail(
-        raises=AnalysisError, strict=True,
-        reason="no backward tower with d1 = 0")),
+    # a backward tower without a chain (d1 = 0), the mirror of the forward
+    # one without a chain (r22 = rho2)
+    "double_chain",
 ])
 def test_the_reversed_analysis_swaps_the_indices(name):
     sf, model, rev, cand = _load_and_reverse(name)
@@ -81,7 +78,8 @@ def test_the_reversed_analysis_swaps_the_indices(name):
             mine.d2) == REVERSED[name]
 
 
-@pytest.mark.parametrize("name", ["robot", "robot_swapped", "academic"])
+@pytest.mark.parametrize("name", ["robot", "robot_swapped", "academic",
+                                  "double_chain"])
 def test_the_reversed_system_extends_and_certifies(name):
     *_, rev, cand = _load_and_reverse(name)
     report = analyze(rev, cand, AnalyzeOptions())
