@@ -287,6 +287,10 @@ def _mono_key(mono):
 # Canonicalizing constructors.
 
 def add(*args) -> Expr:
+    return _memo(_add, *map(_as_expr, args))
+
+
+def _add(*args) -> Expr:
     # Monomials key the dict directly: their bases cache their hashes, while
     # the nested `_key` tuples would rehash every subtree (exact rationals
     # included) on each lookup. `_key` is injective, so sorting by
@@ -309,7 +313,7 @@ def add(*args) -> Expr:
                 terms[mono] = coeff
 
     for a in args:
-        absorb(_as_expr(a))
+        absorb(a)
 
     _pythagoras(terms)
     empty = terms.pop((), None)
@@ -395,6 +399,10 @@ def _mono_drop_square(mono, i, base, exp):
 
 
 def mul(*args) -> Expr:
+    return _memo(_mul, *map(_as_expr, args))
+
+
+def _mul(*args) -> Expr:
     coeff = Fraction(1)
     powers = {}  # base -> exp, ordered by `_key` at the end (as in `add`)
 
@@ -415,7 +423,7 @@ def mul(*args) -> Expr:
             powers[e] = exp
 
     for a in args:
-        absorb(_as_expr(a))
+        absorb(a)
 
     if coeff == 0:
         return ZERO
@@ -538,15 +546,38 @@ _FUNCTIONS: Mapping[str, Callable[[Expr], Expr]] = {
 # ---------------------------------------------------------------------------
 # Calculus, substitution, evaluation.
 
-# One corpus-sweep round of the benchmark (52 analyses, each extended and
-# certified) fills 6,488 entries and an academic analyze + extend 490, so no
-# such run evicts; the bound keeps a long-lived process from growing without
-# limit.
-@lru_cache(maxsize=1 << 15)
+# One table memoizes every pure operation on interned nodes: `add`, `mul`,
+# `differentiate`, `substitute`, `vars_of` and `compile_exprs`. Its key is
+# the operation and its arguments as nodes (or tuples and frozensets of
+# nodes), so a repeated call, e.g. from another case of the same family,
+# costs one lookup. It holds its entries strongly until it evicts them.
+# A corpus-sweep round of the benchmark (seed-1 deck, 52 analyses, each
+# extended and certified) looks up 59,636 times, 73 % hits, and fills all
+# 4,096 entries. Unbounded, it would end the round at 15,433 entries and
+# 74 % hits, so 2^12 redoes 6 % more operations (16,301 against 15,433),
+# while 2^15 raised the peak RSS of a 12 s corpus-sweep run from 37.4 to
+# 40.4 MB (Python 3.11, 2-core x86 VM).
+_MEMO_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo(op, *args):
+    return op(*args)
+
+
 def differentiate(e: Expr, v: Var) -> Expr:
     """Exact partial derivative, canonicalized. Canonical trees share
     subexpressions heavily across tower rows and Jacobian entries, so results
-    are memoized (the operation is pure), in a bounded LRU cache."""
+    are memoized (the operation is pure). `differentiate.cache_clear()` and
+    `cache_info()` act on the table every memoized operation shares."""
+    return _memo(_differentiate, e, v)
+
+
+differentiate.cache_clear = _memo.cache_clear
+differentiate.cache_info = _memo.cache_info
+
+
+def _differentiate(e: Expr, v: Var) -> Expr:
     if isinstance(e, (Num, Par)):
         return ZERO
     if isinstance(e, Var):
@@ -585,11 +616,15 @@ def substitute(e: Expr, mapping: Mapping[Union[Var, Par], Expr]) -> Expr:
     the same object, not rebuilt (the constructors are idempotent on
     canonical trees), so a subtree free of mapped leaves costs one walk and no
     constructor call, and `substitute(e, m) is e` when no key of `m` occurs
-    in `e`.
+    in `e`. Calls are memoized in the table `differentiate` shares.
     """
     if not mapping:
         return e
-    memo = {}
+    return _memo(_substitute, e, frozenset(mapping.items()))
+
+
+def _substitute(e: Expr, items: frozenset) -> Expr:
+    mapping, memo = dict(items), {}
 
     def walk(e: Expr) -> Expr:
         if isinstance(e, (Var, Par)):
@@ -692,8 +727,13 @@ def compile_exprs(exprs: Sequence[Expr], leaves: Sequence[Union[Var, Par]]):
     `1.0 *` of `_eval` is exact and dropped), and a zero base under a
     negative exponent raises the same first `PoleError`, and a float overflow
     or domain error the same `EvalError`. A leaf not in `leaves` raises
-    `UnboundLeafError` here, at compile time.
+    `UnboundLeafError` here, at compile time. Compiles are memoized in the
+    table `differentiate` shares.
     """
+    return _memo(_compile_exprs, tuple(exprs), tuple(leaves))
+
+
+def _compile_exprs(exprs: tuple, leaves: tuple):
     slots = [f"a{i}" for i in range(len(leaves))]
     args = dict(zip(leaves, slots))
     names = {}    # node -> its local
@@ -751,14 +791,14 @@ def jacobian(rows: Sequence[Expr], cols: Sequence[Var]):
 
 
 def vars_of(e: Expr) -> frozenset:
-    return frozenset(_collect(e, Var))
+    return _memo(_collect, e, Var)
 
 
 def params_of(e: Expr) -> frozenset:
-    return frozenset(_collect(e, Par))
+    return _collect(e, Par)
 
 
-def _collect(e, kind) -> set:
+def _collect(e, kind) -> frozenset:
     """The leaves of type `kind` under e, walking each distinct node once:
     canonical trees share subtrees heavily, and a walk of every path can
     take exponential time. Leaves are added in the order a recursive
@@ -780,7 +820,7 @@ def _collect(e, kind) -> set:
                 stack.append(n.base)
             elif t is Fun:
                 stack.append(n.arg)
-    return out
+    return frozenset(out)
 
 
 def shift_vars(e: Expr, k: int) -> Expr:

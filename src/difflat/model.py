@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -42,8 +41,7 @@ class SystemModel:
     The dimensions are those of `state_vars` and `input_vars`. Every
     compiled function of the model reads `coordinates` (states, then
     inputs) and then `param_leaves`, whose values are `param_values`;
-    `histories` are the g-value history leaves <gvalue_family>j[-1]. Each
-    shift image is kept while its expression lives (`_shift_once`).
+    `histories` are the g-value history leaves <gvalue_family>j[-1].
     """
 
     f: tuple
@@ -74,8 +72,6 @@ class SystemModel:
         self.param_values = [float(v) for v in self.params.values()]
         self.histories = tuple(Var(self.gvalue_family, j + 1, -1)
                                for j in range(self.m))
-        self._shifts = {1: weakref.WeakKeyDictionary(),
-                        -1: weakref.WeakKeyDictionary()}
 
     @property
     def n(self) -> int:
@@ -158,28 +154,10 @@ class SystemModel:
 
     def shift(self, e: Expr, k: int) -> Expr:
         """delta^k for k > 0, delta^-|k| for k < 0, identity for k = 0."""
-        if k == 0:
-            return e
-        step = 1 if k > 0 else -1
+        image = self._delta_image if k > 0 else self._delta_inv_image
         for _ in range(abs(k)):
-            e = self._shift_once(e, step)
+            e = substitute(e, {v: image(v) for v in vars_of(e)})
         return e
-
-    def _shift_once(self, e: Expr, step: int) -> Expr:
-        """One shift of e, memoized while e lives: the memo is keyed weakly
-        by the node, as equal trees are one node, and an image keeps the
-        next shift's key alive, so a chain of shifts lives as long as its
-        first expression. A shift that undoes a memoized one (e is the
-        image of its result) is not memoized: the two entries would keep
-        each other alive for as long as the model."""
-        memo = self._shifts[step]
-        out = memo.get(e)
-        if out is None:
-            image = self._delta_image if step > 0 else self._delta_inv_image
-            out = substitute(e, {v: image(v) for v in vars_of(e)})
-            if self._shifts[-step].get(out) is not e:
-                memo[e] = out
-        return out
 
     @cached_property
     def fg(self):

@@ -3,13 +3,17 @@ import math
 import random
 import signal
 import weakref
+import zlib
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from difflat import expr
+from conftest import random_corpus_expressions
+from difflat import expr, systems
+from difflat.analysis import analyze
+from difflat.extension import build_combined, certify_linearizing
 from difflat.expr import (
     ONE, Add, EvalError, Expr, Fun, Mul, Num, Par, PoleError, Pow,
     UnboundLeafError, Var, add, compile_exprs, cos, cot,
@@ -292,6 +296,61 @@ def test_differentiate_cache_is_bounded():
     differentiate(mul(var("x", 1), var("x", 2)), var("x", 1))
     differentiate.cache_clear()
     assert differentiate.cache_info().currsize == 0
+
+
+def test_a_memo_hit_is_the_tree_the_unmemoized_operation_builds(corpus):
+    """The shared table returns, on a hit, the very node the operation's
+    own body builds: nodes are interned, so memoizing changes no result."""
+    for name, sf in corpus.items():
+        es = random_corpus_expressions(sf, 8, seed=zlib.crc32(name.encode()))
+        x = sf.model.state_vars[0]
+        for a, b in zip(es, es[1:]):
+            items = frozenset({x: b}.items())
+            for call, body, args in [
+                    (mul, expr._mul, (a, b)),
+                    (add, expr._add, (a, b)),
+                    (differentiate, expr._differentiate, (a, x)),
+                    (lambda e, m: substitute(e, dict(m)), expr._substitute,
+                     (a, items))]:
+                first = call(*args)
+                hits = differentiate.cache_info().hits
+                assert call(*args) is first
+                assert differentiate.cache_info().hits == hits + 1, body.__name__
+                assert body(*args) is first, (name, body.__name__, to_text(a))
+
+
+def test_two_passes_after_a_clear_do_the_same_work():
+    """Emptying the table restarts it: two analyze + extend passes of robot,
+    each from a fresh load and an empty table, miss the same number of
+    times, so no pass reuses work an earlier one left behind."""
+    misses = []
+    for _ in range(2):
+        differentiate.cache_clear()
+        start = differentiate.cache_info().misses
+        robot = systems.load("robot")
+        rep = analyze(robot.model, robot.candidate, robot.options)
+        ext = build_combined(rep.model, robot.candidate, rep.tower)
+        assert certify_linearizing(ext, robot.options).passed
+        misses.append(differentiate.cache_info().misses - start)
+    assert misses[0] == misses[1] > 0
+
+
+def test_the_shared_memo_evicts_an_early_tree_without_a_clear():
+    """The table holds a tree while it has an entry for it, and drops it
+    once more than `maxsize` newer distinct operations have run: it is
+    bounded, and nothing else keeps the tree alive."""
+    differentiate.cache_clear()
+    e = P("x1[96]*sin(u2[96] + 9949/9941)")
+    differentiate(e, var("x", 1, 96))
+    alive = weakref.ref(e)
+    del e
+    gc.collect()
+    assert alive() is not None
+    x = var("x", 1)
+    for k in range(differentiate.cache_info().maxsize + 1):
+        differentiate(mul(k + 2, x, x), x)
+    gc.collect()
+    assert alive() is None
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +684,16 @@ def test_every_node_class_interns_and_defines_no_eq():
 
 
 def test_an_unreferenced_tree_leaves_the_node_table():
+    # the shared operation table holds its entries strongly until it evicts
+    # them, so it is emptied before each count
+    differentiate.cache_clear()
     gc.collect()
     before = len(expr._NODES)
     e = P("x1[97]*sin(u2[97] + 9973/9967) - cos(x3[97])/(x1[97] + T_s)^3")
     assert len(expr._NODES) > before
     gone = weakref.ref(e)
     del e
+    differentiate.cache_clear()
     gc.collect()
     assert gone() is None
     assert len(expr._NODES) == before

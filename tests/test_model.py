@@ -1,15 +1,19 @@
 import ast
+import gc
 import itertools
 import random
+import weakref
+import zlib
 
 import numpy as np
 import pytest
 
 from conftest import random_corpus_expressions
-from difflat import model, systems
+from difflat import expr, model, systems
 from difflat.analysis import normalize_inputs
 from difflat.expr import (
-    Par, PoleError, Var, add, evaluate, jacobian, mul, to_text, var, vars_of,
+    Par, PoleError, Var, add, differentiate, evaluate, jacobian, mul, to_text,
+    var, vars_of,
 )
 from difflat.model import (
     ModelError, SystemModel, choose_extension, invert_extension, validate,
@@ -376,7 +380,7 @@ def test_robot_backward_shift_of_y2_matches_paper(models_with_psi, robot):
 def test_shift_inverse_pair_on_random_corpus_expressions(corpus, models_with_psi):
     for name, sf in corpus.items():
         sysm = models_with_psi[name]
-        for e in random_corpus_expressions(sf, 17, seed=hash(name) % 1000):
+        for e in random_corpus_expressions(sf, 17, seed=zlib.crc32(name.encode())):
             fwd_back = sysm.shift(sysm.shift(e, 1), -1)
             back_fwd = sysm.shift(sysm.shift(e, -1), 1)
             for out in (fwd_back, back_fwd):
@@ -411,17 +415,15 @@ def test_backward_shift_without_psi_raises(vtol):
 
 
 def test_repeated_analyses_on_one_model_keep_its_shift_memo_bounded():
-    """A long-lived model analyzing ever new candidates keeps a shift image
-    only while its expression lives: once the analyses are dropped and
-    collected, the memo is no larger after the sixth candidate than after
-    the first, and every analysis agrees with a fresh model's. The model is
-    loaded here, not shared with other tests. The `differentiate` LRU keeps
-    the expressions it saw alive until it evicts them, so it is emptied
-    before each count."""
-    import gc
+    """A long-lived model analyzing ever new candidates keeps no shift image
+    of its own: shifts are memoized in `expr`'s shared table, which fills
+    up to its bound and no further. Once the analyses are dropped, the
+    table emptied (it holds its entries strongly until it evicts them) and
+    garbage collected, no more nodes live after the sixth candidate than
+    after the first, and every analysis agrees with a fresh model's. The
+    model is loaded here, not shared with other tests."""
     from difflat import analyze
     from difflat.analysis import FlatCandidate
-    from difflat.expr import differentiate
     robot = systems.load("robot")
     sysm = analyze(robot.model, robot.candidate, robot.options).model
     sizes = []
@@ -432,27 +434,33 @@ def test_repeated_analyses_on_one_model_keep_its_shift_memo_bounded():
         fresh = analyze(invert_extension(robot.model), FlatCandidate(phi=phi),
                         robot.options)
         assert rep.to_json() == fresh.to_json()
-        grown = sum(map(len, sysm._shifts.values()))
+        info = differentiate.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+        grown = len(expr._NODES)
         del rep, fresh, phi
         differentiate.cache_clear()
         gc.collect()
-        sizes.append(sum(map(len, sysm._shifts.values())))
+        assert differentiate.cache_info().currsize == 0
+        sizes.append(len(expr._NODES))
         assert sizes[-1] < grown
     assert max(sizes) <= sizes[0]
 
 
 def test_a_shift_round_trip_keeps_no_memo_entry_alive():
-    """Shifting forward and then back gives the expression again. Were both
-    shifts memoized, each entry would keep the other's key alive for as long
-    as the model, so the expression must die with its last outside use."""
-    import gc
-    import weakref
+    """Shifting forward and then back gives the expression again. The model
+    keeps no memo of its own, so once the shared table is emptied the
+    expression dies with its last outside use, and no node the shifts built
+    outlives it."""
     sysm = invert_extension(systems.load("robot").model)
+    differentiate.cache_clear()
+    gc.collect()
+    before = len(expr._NODES)
     e = P("x1*sin(x3)", 3, 2, ())
     assert sysm.shift(sysm.shift(e, 1), -1) is e
     assert sysm.shift(sysm.shift(e, -1), 1) is e
     alive = weakref.ref(e)
     del e
+    differentiate.cache_clear()
     gc.collect()
     assert alive() is None
-    assert not any(map(len, sysm._shifts.values()))
+    assert len(expr._NODES) == before
