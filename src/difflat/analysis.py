@@ -8,7 +8,12 @@ history (zetabar1), rebuild the system in the transformed coordinates, and
 read the index structure off the shifts of the second component. One tower
 search serves all three constructions, since the combined one (Prop. 4) is
 the prolongation (Prop. 2) or the prelongation (Prop. 3) when one of its
-chains is empty. Forward detection runs first (it needs no inverse map),
+chains is empty. The two chains mirror each other in time, so each is a
+record (`_Chain`: shift direction, starting depth, lead variable) and each
+step of the search is one routine run on either: the depths
+(`relative_degrees`, `backward_depths`), the transform solve and the chain
+checks. Only their index rules differ (r22 by a search, r12 by the region
+identity). Forward detection runs first (it needs no inverse map),
 then backward, then the combined case; component and input permutations are
 tried deterministically. `analyze` verifies the inverted tower once, along a
 seeded random trajectory, before classifying; a failure raises.
@@ -373,41 +378,58 @@ def _shift_cap(sys: SystemModel) -> int:
     return SHIFT_CAP_FACTOR * (sys.n + sys.m)
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """One chain of the tower, described once for both directions of time:
+    the forward chain on ubar1 of a prolongation (Prop. 2) and the backward
+    chain on zetabar1 of a prelongation (Prop. 3). Each step of the search
+    (depths, transform, checks) is one routine reading a chain."""
+
+    sign: int       # +1: the chain shifts forward; -1: backward
+    start: int      # the least depth its search tries (rho_j >= 0, gamma_j >= 1)
+    lead: Var       # the new coordinate its transform defines
+    base: str       # the model's leaves the transform replaces (SystemModel attribute)
+    noun: str       # what those leaves are, in messages
+
+    @property
+    def second(self) -> Var:
+        """The other new coordinate of the lead's family (ubar2, zetabar2[-1])."""
+        return Var(self.lead.family, 2, self.lead.shift)
+
+
+_FORWARD = _Chain(1, 0, Var("ubar", 1, 0), "input_vars", "input")
+_BACKWARD = _Chain(-1, 1, Var("zetabar", 1, -1), "histories", "history")
+
+
 def relative_degrees(sys: SystemModel, cand: FlatCandidate,
                      opts: AnalyzeOptions | None = None):
     """rho_j: minimal alpha >= 0 with delta^alpha phi_j depending on the
     current input, certified numerically at the analysis point or nearby."""
-    opts = opts or AnalyzeOptions()
-    cap = sys.n + sys.m
-    out = []
-    for j, phi in enumerate(cand.phi):
-        rho = _first_dependent_shift(sys, phi, lambda e: sys.input_vars,
-                                     0, cap, 1, opts)
-        if rho is None:
-            raise AnalysisError(
-                f"output component {j + 1} shows no input dependence up to "
-                f"shift {cap}; defective candidate")
-        out.append(rho)
-    return tuple(out)
+    return _depths(sys, cand, _FORWARD, opts)
 
 
 def backward_depths(sys: SystemModel, cand: FlatCandidate,
                     opts: AnalyzeOptions | None = None):
     """gamma_j: minimal beta >= 1 with delta^-beta phi_j depending on some
-    g-value history zeta[-1]."""
+    g-value history zeta[-1]; the backward shifts need the inverse map psi."""
+    return _depths(sys, cand, _BACKWARD, opts)
+
+
+def _depths(sys: SystemModel, cand: FlatCandidate, chain: _Chain,
+            opts: AnalyzeOptions | None):
+    """Each output component's depth along `chain`: the least k >= start
+    whose shift by sign * k depends on the leaves the chain replaces."""
     opts = opts or AnalyzeOptions()
-    if sys.psi_x is None:
-        raise ModelError("backward depths need the inverse map psi")
     cap = sys.n + sys.m
     out = []
     for j, phi in enumerate(cand.phi):
-        gamma = _first_dependent_shift(sys, phi, lambda e: sys.histories,
-                                       1, cap, -1, opts)
-        if gamma is None:
+        depth = _first_dependent_shift(sys, phi, lambda e: getattr(sys, chain.base),
+                                       chain.start, cap, chain.sign, opts)
+        if depth is None:
             raise AnalysisError(
-                f"output component {j + 1} shows no history dependence up to "
-                f"backward shift {cap}")
-        out.append(gamma)
+                f"output component {j + 1} shows no {chain.noun} dependence up "
+                f"to shift {chain.sign * cap}; defective candidate")
+        out.append(depth)
     return tuple(out)
 
 
@@ -431,13 +453,15 @@ def _jet_probes(sys: SystemModel, leaves, opts: AnalyzeOptions):
 # ---------------------------------------------------------------------------
 # Transforms.
 
-def _solve_transform(sys: SystemModel, definition: Expr, new, old,
+def _solve_transform(sys: SystemModel, first: Expr, chain: _Chain, k1: int,
                      opts: AnalyzeOptions):
-    """Solve new[0] == definition for one of the two `old` coordinates, tried
-    in order, and rename the other one new[1]. Returns the inverse map
-    {old coordinate: expr over the remaining coordinates and `new`} and the
-    untouched old coordinate."""
-    target = new[0]
+    """Solve the chain's lead = delta^(sign k1) phi_first, the definition, for
+    one of the two leaves the chain replaces (inputs or histories), tried in
+    order, and rename the other one the second new coordinate. Returns the
+    inverse map {old leaf: expr over the remaining coordinates and the new
+    ones}, the definition and the untouched old leaf."""
+    definition = sys.shift(first, chain.sign * k1)
+    target, old = chain.lead, getattr(sys, chain.base)
     leaves = vars_of(definition) | set(old)
     probes = list(probe_points(sys.jet_center(leaves), opts.seed,
                                bind=[(target, definition)]))
@@ -449,45 +473,12 @@ def _solve_transform(sys: SystemModel, definition: Expr, new, old,
             last = ex
             continue
         other = next(v for v in old if v != solved)
-        inverse = {other: new[1],
-                   solved: substitute(sol[solved], {other: new[1]})}
-        return inverse, other
+        inverse = {other: chain.second,
+                   solved: substitute(sol[solved], {other: chain.second})}
+        return inverse, definition, other
     raise AnalysisError(f"transform {to_text(target)} = {to_text(definition)} "
                         f"is not solvable for any of "
                         f"{[to_text(u) for u in old]}: {last}")
-
-
-def _input_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, rho,
-                     opts: AnalyzeOptions):
-    """ubar1 = delta^rho1 phi_first solved for one input component; the other
-    input becomes ubar2. Returns (u_inverse map, (definition, untouched
-    input))."""
-    first = cand.phi[sigma_y[0]]
-    definition = sys.shift(first, rho[sigma_y[0]])
-    u_inverse, other = _solve_transform(
-        sys, definition, (Var("ubar", 1, 0), Var("ubar", 2, 0)),
-        list(sys.input_vars), opts)
-    return u_inverse, (definition, other)
-
-
-def _zeta_transform(sys: SystemModel, cand: FlatCandidate, sigma_y, gamma,
-                    opts: AnalyzeOptions):
-    """zetabar1[-1] = delta^-gamma1 phi_first solved for one zeta component;
-    the other history becomes zetabar2[-1]. Returns (zeta_inverse map,
-    gbar), gbar1 being over (x, u)."""
-    first = cand.phi[sigma_y[0]]
-    gamma1 = gamma[sigma_y[0]]
-    zeta_inverse, other = _solve_transform(
-        sys, sys.shift(first, -gamma1),
-        (Var("zetabar", 1, -1), Var("zetabar", 2, -1)), sys.histories, opts)
-    gbar1 = sys.shift(first, -(gamma1 - 1))  # = phi_first shifted by -(gamma1-1): over (x,u)
-    bad = [v for v in vars_of(gbar1) if v.family == sys.gvalue_family]
-    if bad:
-        raise AnalysisError(
-            "gbar1 still contains history leaves "
-            f"{[to_text(v) for v in bad]}; inconsistent backward depth")
-    gbar2 = sys.g[sys.histories.index(other)]
-    return zeta_inverse, (gbar1, gbar2)
 
 
 def _make_sys_bar(sys: SystemModel, u_inverse, transform_def, gbar,
@@ -537,9 +528,11 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
     """Construct the stacked shift tower of Props. 2-4 and its index data.
 
     Tries forward detection first (both component orders), then backward,
-    then the combined construction. A permutation passing every structural
-    check is admissible when its Jacobian has full rank at some verification
-    window. The first admissible tower of full rank at every window wins;
+    then the combined construction; each permutation transforms and checks
+    its chains, forward on ubar1 and/or backward on zetabar1, by the same
+    routines (`_solve_transform`, `_chain_checks`) read off a `_Chain`. A
+    permutation passing every structural check is admissible when its
+    Jacobian has full rank at some verification window. The first admissible tower of full rank at every window wins;
     failing that, the first admissible one. Each tower passed over is
     reported in the diagnostics, with the window where its rank drops.
     """
@@ -584,9 +577,17 @@ def _admissible_towers(sys, cand, rho, opts, diags):
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
     sysb = invert_extension(sysb)    # solves for a missing psi, checks any psi
     gamma = backward_depths(sysb, cand, opts)
+    # Prop. 3 hypothesis, the outputs jointly regular in u, for every sigma_y
+    leaves = set().union(*map(vars_of, cand.phi)) | set(sysb.input_vars)
+    rank = probe_rank(list(cand.phi), list(sysb.input_vars),
+                      _jet_probes(sysb, leaves, opts), opts.tol_rank)
 
     for mode in ("backward", "combined"):
         for sigma_y in _SIGMA_Y:
+            if mode == "backward" and rank != sysb.m:
+                diags.append(f"backward sigma_y={sigma_y}: rank d_u phi = {rank} < m "
+                             "(candidate routed to the combined construction)")
+                continue
             t = _try_tower(sysb, cand, rho, gamma, sigma_y, mode, opts, diags)
             if t is not None:
                 yield t
@@ -597,28 +598,31 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
 
     The mode names the chains of the tower: "forward" a forward chain on
     ubar1 (Prop. 2), "backward" a backward chain on zetabar1 (Prop. 3),
-    "combined" both (Prop. 4). A forward chain brings the input transform
-    ubar1 = delta^rho1 phi_first, the ubar2 search for r22 and the forward
-    checks; a backward chain brings the history transform
-    zetabar1[-1] = delta^-gamma1 phi_first and the backward checks.
+    "combined" both (Prop. 4). Each chain brings its transform, lead =
+    delta^(+-k1) phi_first (`_solve_transform`), and its checks
+    (`_chain_checks`); only the index rules differ: a forward chain's r22 is
+    the first shift of phi2 on ubar2, and a backward chain's r12 follows
+    from the region identity. A backward chain also makes g = gbar. The
+    caller checks Prop. 3's hypothesis (rank d_u phi = m) before "backward".
     """
     tag = f"{mode} sigma_y={sigma_y}"
     forward, backward = mode != "backward", mode != "forward"
-    if mode == "backward":
-        # Prop. 3 hypothesis: the outputs jointly regular in u
-        leaves = set().union(*map(vars_of, cand.phi)) | set(sys.input_vars)
-        rank = probe_rank(list(cand.phi), list(sys.input_vars),
-                          _jet_probes(sys, leaves, opts), opts.tol_rank)
-        if rank != sys.m:
-            diags.append(f"{tag}: rank d_u phi = {rank} < m "
-                         "(candidate routed to the combined construction)")
-            return None
+    first = cand.phi[sigma_y[0]]
+    rho1, rho2 = rho[sigma_y[0]], rho[sigma_y[1]]
+    gamma1, gamma2 = (gamma[sigma_y[0]], gamma[sigma_y[1]]) if backward else (0, 0)
     u_inverse = tdef = zeta_inverse = gbar = None
     try:
         if forward:
-            u_inverse, tdef = _input_transform(sys, cand, sigma_y, rho, opts)
+            u_inverse, *tdef = _solve_transform(sys, first, _FORWARD, rho1, opts)
         if backward:
-            zeta_inverse, gbar = _zeta_transform(sys, cand, sigma_y, gamma, opts)
+            zeta_inverse, _, other = _solve_transform(sys, first, _BACKWARD,
+                                                      gamma1, opts)
+            gbar1 = sys.shift(first, 1 - gamma1)   # over (x, u)
+            bad = [to_text(v) for v in vars_of(gbar1) if v.family == sys.gvalue_family]
+            if bad:
+                raise AnalysisError(f"gbar1 still contains history leaves {bad}; "
+                                    "inconsistent backward depth")
+            gbar = (gbar1, sys.g[sys.histories.index(other)])
         sys_bar = _make_sys_bar(sys, u_inverse, tdef, gbar, zeta_inverse)
     except (AnalysisError, ModelError, SolveError, EvalError) as ex:
         diags.append(f"{tag}: {ex}")
@@ -627,7 +631,6 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
 
     r11 = r12 = r21 = r22 = d1 = d2 = 0
     if forward:
-        rho1, rho2 = rho[sigma_y[0]], rho[sigma_y[1]]
         cap = _shift_cap(sys)
         ubar2 = sys_bar.input_vars[1]
         r22 = _first_dependent_shift(
@@ -645,7 +648,6 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
         d2 = r22 - rho2
         r21 = rho1 + d2
     if backward:
-        gamma1, gamma2 = gamma[sigma_y[0]], gamma[sigma_y[1]]
         r12 = sys.n + 1 - gamma1 - (rho1 + r22 if forward else 0)
         # alone, the backward chain may be empty (d1 = 0, r12 = gamma2 - 1),
         # as the forward chain may (r22 = rho2)
@@ -659,9 +661,9 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
         d1 = r11 + 1 - gamma1
     why = None
     if forward:
-        why = _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts)
+        why = _chain_checks(sys_bar, phi_bar, _FORWARD, rho1, rho2, d2, opts)
     if backward and why is None:
-        why = _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts)
+        why = _chain_checks(sys_bar, phi_bar, _BACKWARD, gamma1, gamma2, d1, opts)
     if why is not None:
         diags.append(f"{tag}: {why}")
         return None
@@ -710,11 +712,6 @@ def _bar_phi(cand, sigma_y, u_inverse):
     return phi
 
 
-def _independent_of(sys_bar, e, fam_comp_list, opts) -> bool:
-    targets = [v for v in vars_of(e) if (v.family, v.component) in fam_comp_list]
-    return not targets or not _depends(sys_bar, e, targets, opts)
-
-
 def _depends(sys_bar, e, target_vars, opts) -> bool:
     return depends_on(e, list(target_vars), _jet_probes(
         sys_bar, vars_of(e) | set(target_vars), opts))
@@ -758,33 +755,36 @@ def _rank_drop(tower: Tower) -> str | None:
                  if r != rp.required), None)
 
 
-def _forward_checks(sys_bar, phi_bar, rho1, rho2, r22, opts):
-    """Why the forward chain's rows violate Prop. 2, or None."""
-    ub1 = Var("ubar", 1, 0)
-    for s in range(rho1):
-        e = sys_bar.shift(phi_bar[0], s)
-        if not _independent_of(sys_bar, e, [("ubar", 1), ("ubar", 2)], opts):
-            return f"phi1_[{s}] already depends on an input"
-    e = sys_bar.shift(phi_bar[0], rho1)
-    if _differs(sys_bar, e, ub1, opts):
-        return f"phi1_[{rho1}] != ubar1 (got {to_text(e)})"
-    for s in range(rho2, r22):
-        e = sys_bar.shift(phi_bar[1], s)
-        if not _independent_of(sys_bar, e, [("ubar", 2)], opts):
-            return f"phi2_[{s}] depends on ubar2 below r22"
-    if r22 > rho2:
-        # with a nonempty chain the top row must reach its deepest ubar1 shift
-        top = sys_bar.shift(phi_bar[1], r22)
-        if not _depends(sys_bar, top, [Var("ubar", 1, r22 - rho2)], opts):
-            return f"phi2_[{r22}] does not reach ubar1[{r22 - rho2}]"
+def _chain_checks(sys_bar, phi_bar, chain: _Chain, k1, k2, d, opts):
+    """Why a chain's rows violate Prop. 2 (forward) or Prop. 3 (backward),
+    or None. A row's shift is sign * s: phi1's rows below k1 are free of the
+    chain's family and its row at k1 is the lead (|row - lead| at most
+    `NONZERO_TOL` at every jet probe); phi2's d rows from k2 are free of the
+    family's second leaf, and with a nonempty chain (d > 0) phi2's row at
+    k2 + d - start reaches the lead shifted by d - start, the chain's end."""
+    sign, lead, family = chain.sign, chain.lead, chain.lead.family
+
+    def free_of(e, components):
+        targets = [v for v in vars_of(e)
+                   if v.family == family and v.component in components]
+        return not targets or not _depends(sys_bar, e, targets, opts)
+
+    for s in range(chain.start, k1):
+        if not free_of(sys_bar.shift(phi_bar[0], sign * s), (1, 2)):
+            return (f"phi1_[{sign * s}] depends on {chain.noun} leaves before "
+                    f"depth {k1}")
+    e = sys_bar.shift(phi_bar[0], sign * k1)
+    if e != lead and any(a > NONZERO_TOL for a in _magnitudes(
+            [esub(e, lead)], _jet_probes(sys_bar, vars_of(e) | {lead}, opts))):
+        return f"phi1_[{sign * k1}] != {to_text(lead)} (got {to_text(e)})"
+    for s in range(k2, k2 + d):
+        if not free_of(sys_bar.shift(phi_bar[1], sign * s), (2,)):
+            return f"phi2_[{sign * s}] depends on {family}2"
+    if d > 0:
+        row, end = sign * (k2 + d - chain.start), lead.shifted(sign * (d - chain.start))
+        if not _depends(sys_bar, sys_bar.shift(phi_bar[1], row), [end], opts):
+            return f"phi2_[{row}] does not reach {to_text(end)}"
     return None
-
-
-def _differs(sys_bar, e, lead, opts) -> bool:
-    """The chain row e is not its lead variable: |e - lead| exceeds
-    `NONZERO_TOL` at a jet probe (the first that does ends the scan)."""
-    return e != lead and any(a > NONZERO_TOL for a in _magnitudes(
-        [esub(e, lead)], _jet_probes(sys_bar, vars_of(e) | {lead}, opts)))
 
 
 def _unpermute(sigma_y, first_val, second_val):
@@ -792,29 +792,6 @@ def _unpermute(sigma_y, first_val, second_val):
     out[sigma_y[0]] = first_val
     out[sigma_y[1]] = second_val
     return tuple(out)
-
-
-def _backward_checks(sys_bar, phi_bar, gamma1, gamma2, r12, opts):
-    """Why the backward chain's rows violate Prop. 3, or None."""
-    zb1 = Var("zetabar", 1, -1)
-    for s in range(1, gamma1):
-        e = sys_bar.shift(phi_bar[0], -s)
-        if not _independent_of(sys_bar, e, [("zetabar", 1), ("zetabar", 2)], opts):
-            return f"phi1_[-{s}] depends on a history before gamma1"
-    e = sys_bar.shift(phi_bar[0], -gamma1)
-    if _differs(sys_bar, e, zb1, opts):
-        return f"phi1_[-{gamma1}] != zetabar1[-1] (got {to_text(e)})"
-    for s in range(gamma2, r12 + 1):
-        e = sys_bar.shift(phi_bar[1], -s)
-        if not _independent_of(sys_bar, e, [("zetabar", 2)], opts):
-            return f"phi2_[-{s}] depends on zetabar2"
-    if r12 >= gamma2:
-        # with a nonempty chain the bottom row must reach its deepest zetabar1
-        deepest = -(r12 - gamma2 + 1)
-        bottom = sys_bar.shift(phi_bar[1], -r12)
-        if not _depends(sys_bar, bottom, [Var("zetabar", 1, deepest)], opts):
-            return f"phi2_[-{r12}] does not reach zetabar1[{deepest}]"
-    return None
 
 
 # ---------------------------------------------------------------------------

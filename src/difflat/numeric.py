@@ -85,12 +85,15 @@ def depends_on(e, variables, probes) -> bool:
 
 
 def _magnitudes(exprs, points):
-    """|e| at each point, for each expression in turn; a (point, expression)
-    pair whose evaluation hits a pole is skipped, and a NaN counts as 0.0."""
+    """|e| at each point, for each expression in turn, through one evaluation
+    memo per point, so a subtree the expressions share is walked once there;
+    a (point, expression) pair whose evaluation hits a pole is skipped, and
+    a NaN counts as 0.0."""
     for pt in points:
+        memo = {}
         for e in exprs:
             try:
-                a = abs(evaluate(e, pt))
+                a = abs(evaluate(e, pt, memo))
             except EvalError:
                 continue
             yield a if a == a else 0.0

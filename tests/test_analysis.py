@@ -79,6 +79,12 @@ def test_backward_depths(models_with_psi, corpus):
                            corpus["vtol"].candidate) == (1, 1)
 
 
+def test_backward_depths_need_the_inverse_map(academic):
+    assert academic.model.psi_x is None
+    with pytest.raises(ModelError, match=r"^backward shift needs the inverse map psi$"):
+        backward_depths(academic.model, academic.candidate)
+
+
 def test_backward_depth_trivial_swap_system():
     sysm = SystemModel(f=(var("u", 1), var("u", 2)),
                        state_vars=(var("x", 1), var("x", 2)),
@@ -695,16 +701,12 @@ def test_a_transformed_psi_is_the_composed_base_psi(name, mode,
                                                     models_with_psi, corpus):
     """The psi `_make_sys_bar` composes from the base psi and the transforms
     is, structurally, the psi the restricted solver finds for the
-    transformed system."""
+    transformed system (the tower's `sys_bar`, sigma_y = (0, 1))."""
     sysm, cand = models_with_psi[name], corpus[name].candidate
-    opts, sigma_y = corpus[name].options, (0, 1)
-    rho = relative_degrees(sysm, cand, opts)
-    gamma = backward_depths(sysm, cand, opts)
-    u_inverse = tdef = None
-    if mode == "combined":
-        u_inverse, tdef = analysis._input_transform(sysm, cand, sigma_y, rho, opts)
-    zeta_inverse, gbar = analysis._zeta_transform(sysm, cand, sigma_y, gamma, opts)
-    bar = analysis._make_sys_bar(sysm, u_inverse, tdef, gbar, zeta_inverse)
+    opts = corpus[name].options
+    tower = _try_tower(sysm, cand, relative_degrees(sysm, cand, opts),
+                       backward_depths(sysm, cand, opts), (0, 1), mode, opts, [])
+    bar = tower.context.sys_bar
     assert (bar.psi_x, bar.psi_u) == model._solve_psi(bar, bar.g)
     assert bar.psi_residual <= 1e-9
 
@@ -729,18 +731,80 @@ def test_analyze_solves_psi_once_per_model(name, monkeypatch):
 def test_a_wrong_history_transform_fails_the_psi_check(monkeypatch):
     """The composed psi is still checked: a `zeta_inverse` off by 1e-6
     makes every backward tower of academic fail the 1e-9 psi check."""
-    real = analysis._zeta_transform
+    real = analysis._solve_transform
 
-    def wrong(*args):
-        zeta_inverse, gbar = real(*args)
-        return {v: add(e, num(1e-6)) for v, e in zeta_inverse.items()}, gbar
+    def wrong(sysm, first, chain, *args):
+        inverse, *rest = real(sysm, first, chain, *args)
+        if chain is analysis._BACKWARD:
+            inverse = {v: add(e, num(1e-6)) for v, e in inverse.items()}
+        return (inverse, *rest)
 
-    monkeypatch.setattr(analysis, "_zeta_transform", wrong)
+    monkeypatch.setattr(analysis, "_solve_transform", wrong)
     sf = systems.load("academic")
     with pytest.raises(AnalysisError) as ei:
         build_tower(invert_extension(sf.model), sf.candidate, sf.options)
     assert re.search(r"backward sigma_y=\(0, 1\): psi verification residual "
                      r"\S+ exceeds 1e-9", str(ei.value))
+
+
+# ---------------------------------------------------------------------------
+# rejections of the chain checks (Props. 2 and 3)
+#
+# Four rejections can be reached; each is driven here by `_try_tower` with
+# crafted indices, a transform solve off by 1e-6, or a non-flat output. The
+# other four cannot be: a row below rho1 (gamma1) depending on an input (a
+# history) is what the depth search excludes, a phi2 row below r22 depending
+# on ubar2 is what the r22 search excludes, and a history transform off
+# its lead fails the composed psi check first.
+
+def _rejection(name, rho, gamma, sigma_y, mode):
+    """The one diagnostic of a `_try_tower` call on a bundled system that
+    finds no tower."""
+    sf = systems.load(name)
+    sysm = sf.model if mode == "forward" else invert_extension(sf.model)
+    diags = []
+    assert _try_tower(sysm, sf.candidate, rho, gamma, sigma_y, mode,
+                      sf.options, diags) is None
+    (why,) = diags
+    return why
+
+
+def test_a_chain_row_off_its_lead_is_rejected(monkeypatch):
+    """vtol's forward chain with an input transform off by 1e-6: the chain
+    row phi1_[rho1] is not ubar1."""
+    real = analysis.solve_equations
+
+    def wrong(*args):
+        return {v: add(e, num(1e-6)) for v, e in real(*args).items()}
+
+    monkeypatch.setattr(analysis, "solve_equations", wrong)
+    why = _rejection("vtol", (2, 2), None, (0, 1), "forward")
+    assert why.startswith("forward sigma_y=(0, 1): phi1_[2] != ubar1 (got ubar1 ")
+
+
+@pytest.mark.parametrize("name,rho,gamma,mode,why", [
+    ("vtol", (2, 1), None, "forward", "phi2_[4] does not reach ubar1[3]"),
+    ("academic", (0, 0), (3, 1), "backward", "phi2_[-3] does not reach zetabar1[-3]"),
+    ("robot", (1, 0), (1, 0), "combined", "phi2_[-1] does not reach zetabar1[-2]"),
+])
+def test_a_chain_whose_far_row_misses_its_last_lead_is_rejected(
+        name, rho, gamma, mode, why):
+    """rho2 (gamma2) one below the depth of phi2: the search finds the same
+    rows, so the chain seems one longer, and phi2's row at its far end does
+    not reach the lead one shift further on."""
+    assert _rejection(name, rho, gamma, (0, 1), mode) == (
+        f"{mode} sigma_y=(0, 1): {why}")
+
+
+def test_a_phi2_row_on_the_second_history_is_rejected():
+    """robot with the outputs (x2, x3), which are not flat: the combined
+    tower sigma_y = (1, 0) has phi2_[-1] on zetabar2."""
+    text = systems.source("robot").replace(
+        "y1 = x3\ny2 = x1*sin(u2) - x2*cos(u2)", "y1 = x2\ny2 = x3")
+    sf = loads_system(text)
+    with pytest.raises(AnalysisError) as ei:
+        analyze(sf.model, sf.candidate, sf.options)
+    assert "\n  - combined sigma_y=(1, 0): phi2_[-1] depends on zetabar2" in str(ei.value)
 
 
 # ---------------------------------------------------------------------------

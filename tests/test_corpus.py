@@ -4,11 +4,15 @@ Every case of `perfbench/workloads.corpus_deck(1, 4)` (52 metamorphic
 variants of robot, vtol and the double chain) runs analyze, build_combined
 and certify_linearizing and is checked against its known answer with
 `workloads.check`, in fresh interpreters under PYTHONHASHSEED 0 and 3. Only
-the known failure may fail; fixing it empties the set below. A seeded sample
+the known failure may fail; fixing it empties the set below. Each case's
+tower-search diagnostics, or the error text of a rejected case, must equal
+`tests/golden/corpus_diagnostics.json` under both hash seeds; run this file
+(`PYTHONPATH=src python tests/test_corpus.py`) to rewrite it. A seeded sample
 of the state relabelings of vtol with swapped outputs runs the same way and
 must pass.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -18,6 +22,7 @@ from pathlib import Path
 import difflat
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "corpus_diagnostics.json"
 KNOWN_FAILURES = {
     "vtol/permute-532146/rescale-u2-1e-4",   # no admissible tower
 }
@@ -41,25 +46,29 @@ def cases():
              W.permute_states(swapped, list(p)), W.KNOWN["vtol"].swapped())
             for p in perms]
 
-failed = {}
+failed, diagnostics = {}, {}
 for name, text, answer in cases():
     sf = difflat.loads_system(text)
     try:
         rep = difflat.analyze(sf.model, sf.candidate, sf.options)
+        diagnostics[name] = rep.tower.context.diagnostics
         ext = difflat.build_combined(rep.model, sf.candidate, rep.tower)
         why = W.check(answer, rep,
                       difflat.certify_linearizing(ext, sf.options))
     except Exception as ex:  # a rejection is right for a non-flat case only
+        diagnostics[name] = f"{type(ex).__name__}: {ex}"
         right = answer is None and isinstance(ex, AnalysisError)
-        why = None if right else f"{type(ex).__name__}: {ex}"
+        why = None if right else diagnostics[name]
     if why is not None:
         failed[name] = why
-print(json.dumps(failed))
+print(json.dumps({"failed": failed, "diagnostics": diagnostics}))
 """
 
 
-def _failures(mode):
-    """{hash seed: {case: why it failed}} of the sweep `mode` under
+@functools.lru_cache(maxsize=None)
+def _sweep(mode):
+    """{hash seed: {"failed": {case: why it failed}, "diagnostics": {case:
+    its tower-search diagnostics or error text}}} of the sweep `mode` under
     PYTHONHASHSEED 0 and 3, one interpreter each, run side by side."""
     path = [str(Path(difflat.__file__).parents[1]), str(ROOT / "perfbench")]
     if os.environ.get("PYTHONPATH"):
@@ -80,13 +89,30 @@ def _failures(mode):
 
 
 def test_corpus_sweep_fails_no_more_than_the_known_cases():
-    for seed, failed in _failures("corpus").items():
-        assert set(failed) <= KNOWN_FAILURES, (seed, failed)
+    for seed, out in _sweep("corpus").items():
+        assert set(out["failed"]) <= KNOWN_FAILURES, (seed, out["failed"])
+
+
+def test_corpus_diagnostics_match_the_golden():
+    """Every rejected permutation's message, and every rejection, is pinned:
+    a change to the tower search that rewords or reorders one shows here."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for seed, out in _sweep("corpus").items():
+        changed = sorted(name for name in golden.keys() | out["diagnostics"].keys()
+                         if golden.get(name) != out["diagnostics"].get(name))
+        assert not changed, (seed, changed)
 
 
 def test_relabeled_swapped_vtol_sample_passes():
     """The tower search must not accept a tower whose Jacobian is singular
     at a verification window while another admissible one is regular at
     all of them."""
-    for seed, failed in _failures("relabel").items():
-        assert not failed, (seed, failed)
+    for seed, out in _sweep("relabel").items():
+        assert not out["failed"], (seed, out["failed"])
+
+
+if __name__ == "__main__":
+    diagnostics = _sweep("corpus")["0"]["diagnostics"]
+    GOLDEN.write_text(json.dumps(diagnostics, sort_keys=True, indent=2) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fd_jacobian_check
-from difflat import analysis, numeric
+from difflat import analysis, expr, numeric
 from difflat.analysis import verification_trajectory
-from difflat.expr import EvalError, Par, Var, add, evaluate, mul, num, pow_, var
+from difflat.expr import (
+    EvalError, Par, Var, add, evaluate, mul, num, pow_, sin, var,
+)
 from difflat.numeric import (
     NONZERO_TOL, PROBE_COUNT, PROBE_RADIUS, SimulationError,
     block_triangular_solver, check_windows, newton_solve, numeric_rank,
@@ -131,6 +133,28 @@ def test_a_pole_skips_only_its_own_pair_of_the_scan():
     # 1/a has a pole at a = 0: (a = 0, a) and both pairs at a = 2 remain
     scan = numeric._magnitudes([pow_(a, -1), a], [{a: 0.0}, {a: 2.0}])
     assert list(scan) == [0.0, 0.5, 2.0]
+
+
+def test_a_subtree_the_scanned_expressions_share_is_walked_once_a_point(
+        monkeypatch):
+    """The partials of one dependence test share subtrees; the scan walks
+    such a subtree once at each point, not once per expression."""
+    x1, x2, x3 = var("x", 1), var("x", 2), var("x", 3)
+    inner = add(mul(x1, x2), x3)
+    exprs = [add(sin(inner), x1), mul(sin(inner), x2)]
+    points = [{x1: 0.5, x2: -1.5, x3: 2.0}, {x1: 1.0, x2: 2.0, x3: -0.5}]
+    walks = []
+    real = expr._eval
+
+    def counting(e, point, memo):
+        if e is inner:
+            walks.append(id(point))
+        return real(e, point, memo)
+
+    want = [abs(evaluate(e, pt)) for pt in points for e in exprs]
+    monkeypatch.setattr(expr, "_eval", counting)
+    assert list(numeric._magnitudes(exprs, points)) == want
+    assert walks == [id(pt) for pt in points]
 
 
 def test_a_nan_is_never_nonzero_and_never_the_maximum():
