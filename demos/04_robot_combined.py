@@ -50,7 +50,7 @@ model = report.model
 traj = verification_trajectory(model, idx, 30, random.Random(7),
                                sf.options.input_boxes)
 out = verify_parameterization(model, sf.candidate, report.parameterization,
-                              traj, range(0, 30), tol=1e-8)
+                              traj, range(0, 30))
 print(f"  30-step random trajectory: max |x - F_x| = {out.max_residual_x:.2e}, "
       f"max |u - F_u| = {out.max_residual_u:.2e}")
 assert out.passed and cert.passed

@@ -42,7 +42,7 @@ from .expr import (
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    NONZERO_TOL, RANK_TOL, RESIDUAL_TOL, RankProbe, SimulationError, _magnitudes,
+    NONZERO_TOL, RESIDUAL_TOL, RankProbe, SimulationError, _magnitudes,
     block_triangular_solver, check_windows, depends_on, eval_matrix,
     newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
     simulate, tower_windows,
@@ -75,7 +75,6 @@ class FlatCandidate:
 
     phi: tuple
     user_F: tuple | None = None          # (F_x tuple, F_u tuple) over y-shifts
-    declared_indices: tuple | None = None
 
     def __post_init__(self):
         self.phi = tuple(self.phi)
@@ -88,8 +87,6 @@ class FlatCandidate:
 class AnalyzeOptions:
     input_boxes: dict = field(default_factory=dict)  # 1-based input index -> (lo, hi)
     seed: int = 2023
-    tol_rank: float = RANK_TOL
-    tol_verify: float = RESIDUAL_TOL
     skip_verification: bool = False
 
 
@@ -227,11 +224,11 @@ class Tower:
         """The tower Jacobian at a point binding every leaf."""
         return self.jacobian_kernel([pt[v] for v in self.leaves])
 
-    def rank_at(self, pt, tol_rel: float) -> int | None:
+    def rank_at(self, pt) -> int | None:
         """The numeric rank of the tower Jacobian at a point binding every
         leaf, None where it hits a pole or a non-finite entry."""
         try:
-            return numeric_rank(self.jacobian_at(pt), tol_rel)
+            return numeric_rank(self.jacobian_at(pt))
         except (EvalError, ValueError):
             return None
 
@@ -572,7 +569,7 @@ def _admissible_towers(sys, cand, rho, opts, diags):
     # backward machinery needs g and psi
     sysb = sys
     if sysb.g is None:
-        choice = choose_extension(sysb, opts.tol_rank)
+        choice = choose_extension(sysb)
         sysb = sysb.with_g(choice.g).with_psi(choice.psi_x, choice.psi_u)
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
     sysb = invert_extension(sysb)    # solves for a missing psi, checks any psi
@@ -580,7 +577,7 @@ def _admissible_towers(sys, cand, rho, opts, diags):
     # Prop. 3 hypothesis, the outputs jointly regular in u, for every sigma_y
     leaves = set().union(*map(vars_of, cand.phi)) | set(sysb.input_vars)
     rank = probe_rank(list(cand.phi), list(sysb.input_vars),
-                      _jet_probes(sysb, leaves, opts), opts.tol_rank)
+                      _jet_probes(sysb, leaves, opts))
 
     for mode in ("backward", "combined"):
         for sigma_y in _SIGMA_Y:
@@ -697,7 +694,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
     except (EvalError, SimulationError) as ex:
         diags.append(f"{tag}: verification trajectory: {ex}")
         return None
-    rp = tower.rank_probe = _tower_rank(tower, opts)
+    rp = tower.rank_probe = _tower_rank(tower)
     if rp.generic < rp.required:
         diags.append(f"{tag}: tower rank {rp.generic} < required "
                      f"{rp.required} at every verification window")
@@ -731,14 +728,13 @@ def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
     return rows, tuple(variables)
 
 
-def _tower_rank(tower: Tower, opts) -> RankProbe:
+def _tower_rank(tower: Tower) -> RankProbe:
     """Rank of the tower's compiled Jacobian (compiled here) at `point`
     (`at_point`, None if not evaluable) and at each window (`per_point`, 0
     if not evaluable); `generic` is the highest window rank."""
-    per_window = [tower.rank_at(win.pt, opts.tol_rank) or 0
-                  for win in tower.windows]
+    per_window = [tower.rank_at(win.pt) or 0 for win in tower.windows]
     try:
-        at_point = tower.rank_at(tower.point, opts.tol_rank)
+        at_point = tower.rank_at(tower.point)
     except EvalError:
         at_point = None
     return RankProbe(at_point=at_point, generic=max(per_window, default=0),
@@ -757,28 +753,22 @@ def _rank_drop(tower: Tower) -> str | None:
 
 def _chain_checks(sys_bar, phi_bar, chain: _Chain, k1, k2, d, opts):
     """Why a chain's rows violate Prop. 2 (forward) or Prop. 3 (backward),
-    or None. A row's shift is sign * s: phi1's rows below k1 are free of the
-    chain's family and its row at k1 is the lead (|row - lead| at most
-    `NONZERO_TOL` at every jet probe); phi2's d rows from k2 are free of the
-    family's second leaf, and with a nonempty chain (d > 0) phi2's row at
-    k2 + d - start reaches the lead shifted by d - start, the chain's end."""
+    or None. A row's shift is sign * s: phi1's row at k1 is the lead
+    (|row - lead| at most `NONZERO_TOL` at every jet probe); phi2's d rows
+    from k2 are free of the family's second leaf, and with a nonempty chain
+    (d > 0) phi2's row at k2 + d - start reaches the lead shifted by
+    d - start, the chain's end. phi1's rows below k1 need no check: `_depths`
+    picks k1 as the first shift of phi1 on the leaves the transform replaces,
+    so each row below it is free of them, and so of the chain's family."""
     sign, lead, family = chain.sign, chain.lead, chain.lead.family
-
-    def free_of(e, components):
-        targets = [v for v in vars_of(e)
-                   if v.family == family and v.component in components]
-        return not targets or not _depends(sys_bar, e, targets, opts)
-
-    for s in range(chain.start, k1):
-        if not free_of(sys_bar.shift(phi_bar[0], sign * s), (1, 2)):
-            return (f"phi1_[{sign * s}] depends on {chain.noun} leaves before "
-                    f"depth {k1}")
     e = sys_bar.shift(phi_bar[0], sign * k1)
     if e != lead and any(a > NONZERO_TOL for a in _magnitudes(
             [esub(e, lead)], _jet_probes(sys_bar, vars_of(e) | {lead}, opts))):
         return f"phi1_[{sign * k1}] != {to_text(lead)} (got {to_text(e)})"
     for s in range(k2, k2 + d):
-        if not free_of(sys_bar.shift(phi_bar[1], sign * s), (2,)):
+        e = sys_bar.shift(phi_bar[1], sign * s)
+        targets = [v for v in vars_of(e) if (v.family, v.component) == (family, 2)]
+        if targets and _depends(sys_bar, e, targets, opts):
             return f"phi2_[{sign * s}] depends on {family}2"
     if d > 0:
         row, end = sign * (k2 + d - chain.start), lead.shifted(sign * (d - chain.start))
@@ -894,13 +884,13 @@ def _cross_check_user_F(cand, param, diags):
     diags.append(f"user_F cross-checked against the inverted tower ({worst:.3g})")
 
 
-def _verify(param, opts: AnalyzeOptions) -> dict:
+def _verify(param) -> dict:
     """Residuals of the parameterization at the tower's windows (its
-    `verification_trajectory`); raises AnalysisError when they exceed the
-    tolerance or cannot be computed."""
+    `verification_trajectory`); raises AnalysisError when they exceed
+    `RESIDUAL_TOL` or cannot be computed."""
     why = "parameterization failed trajectory verification"
     try:
-        report = check_windows(param, param.tower.windows, tol=opts.tol_verify)
+        report = check_windows(param, param.tower.windows)
     except EvalError as ex:
         raise AnalysisError(f"{why}: {ex}") from ex
     if not report.passed:
@@ -926,19 +916,18 @@ def verification_trajectory(sys, idx: ShiftIndices, steps: int, rng, boxes):
 # ---------------------------------------------------------------------------
 # Classification.
 
-def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
-             opts: AnalyzeOptions | None = None) -> Classification:
+def classify(sys: SystemModel, cand: FlatCandidate,
+             param: Parameterization) -> Classification:
     """Decide the flatness class from the index data and certify the rank
     conditions of the Jacobian submatrices of F. The ranks are read off the
     inverse of the tower Jacobian at the tower's windows, for symbolic and
     Newton parameterizations alike (`_tower_ranks`)."""
-    opts = opts or AnalyzeOptions()
     idx = param.indices
     diags = list(param.diagnostics)
 
     cols_R2 = [Var("y", j + 1, idx.r2[j]) for j in range(2)]
     cols_mR1 = [Var("y", j + 1, -idx.r1[j]) for j in range(2)]
-    rank_fu, rank_fx, rank_gf = _tower_ranks(sys, param, cols_R2, cols_mR1, opts)
+    rank_fu, rank_fx, rank_gf = _tower_ranks(sys, param, cols_R2, cols_mR1)
 
     if idx.size_R == sys.n:
         kind = "linearizing"
@@ -967,7 +956,7 @@ def classify(sys: SystemModel, cand: FlatCandidate, param: Parameterization,
                           diagnostics=diags)
 
 
-def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
+def _tower_ranks(sys, param, cols_R2, cols_mR1):
     """Generic (max) ranks of d_y[R2] F_u, d_y[-R1] F_x and d_y[-R1] g(F)
     at the tower's windows, read off the inverse tower Jacobian (implicit
     function theorem). A window where the blocks cannot be evaluated, the
@@ -981,14 +970,14 @@ def _tower_ranks(sys, param, cols_R2, cols_mR1, opts):
     for win in tower.windows:
         try:
             dFx, dFu, _ = tower.jacobian_blocks(win.w)
-            ranks = [numeric_rank(dFu[:, col_idx_R2], opts.tol_rank),
-                     numeric_rank(dFx[:, col_idx_mR1], opts.tol_rank)]
+            ranks = [numeric_rank(dFu[:, col_idx_R2]),
+                     numeric_rank(dFx[:, col_idx_mR1])]
             if sys.g is not None:
                 xs, us = tower.states_inputs(win.w)
                 gpt = sys.param_bindings()
                 gpt.update(zip(sys.coordinates, xs + us))
                 dG = eval_matrix(Dg, gpt) @ np.vstack([dFx, dFu])
-                ranks.append(numeric_rank(dG[:, col_idx_mR1], opts.tol_rank))
+                ranks.append(numeric_rank(dG[:, col_idx_mR1]))
             per_point.append(ranks)
         except (EvalError, np.linalg.LinAlgError, ValueError):
             continue
@@ -1028,7 +1017,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
                 chosen.append(i)
 
     def rank_of(rows):    # of d_u f at the analysis point
-        return sys.point_rank(rows, range(sys.n, sys.n + sys.m), opts.tol_rank)
+        return sys.point_rank(rows, range(sys.n, sys.n + sys.m))
 
     for i in range(sys.n):
         if len(chosen) < sys.m and i not in chosen and (
@@ -1123,23 +1112,17 @@ def analyze(sys: SystemModel, cand: FlatCandidate,
     opts = opts or AnalyzeOptions()
     if sys.g is not None and sys.psi_x is None:
         sys = invert_extension(sys)
-    vrep = validate_model(sys, opts.tol_rank)
+    vrep = validate_model(sys)
     if not vrep.passed:
         raise AnalysisError(f"standing assumptions fail: {vrep.to_json()}")
     tower = build_tower(sys, cand, opts)
     sys = tower.context.base_model
-    if cand.declared_indices is not None:
-        r1d, r2d = (tuple(r) for r in cand.declared_indices)
-        if (r1d, r2d) != (tower.indices.r1, tower.indices.r2):
-            raise AnalysisError(
-                f"declared shift orders R1={r1d}, R2={r2d} disagree with the "
-                f"computed R1={tower.indices.r1}, R2={tower.indices.r2}")
     if tower.indices.gamma is None and sys.psi_x is not None:
         gamma = backward_depths(sys, cand, opts)
         tower.indices = replace(tower.indices, gamma=gamma)
     param = invert_tower(sys, cand, tower)
-    residuals = {} if opts.skip_verification else _verify(param, opts)
-    cls = classify(sys, cand, param, opts)
+    residuals = {} if opts.skip_verification else _verify(param)
+    cls = classify(sys, cand, param)
     return AnalysisReport(system=sys.name, indices=param.indices,
                           classification=cls, tower=tower,
                           parameterization=param, validation=vrep,

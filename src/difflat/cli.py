@@ -20,9 +20,7 @@ from .analysis import (
 from .expr import EvalError
 from .extension import build_combined, certify_linearizing
 from .model import ModelError
-from .numeric import (
-    RANK_TOL, RESIDUAL_TOL, SimulationError, fold_residuals, verify_parameterization,
-)
+from .numeric import SimulationError, fold_residuals, verify_parameterization
 from .parsing import ParseError
 from .sysfile import (
     SystemFile, SystemFileError, load_system, loads_system, print_system,
@@ -76,11 +74,8 @@ def _fmt(v):
 
 
 def _options(sf: SystemFile, args) -> AnalyzeOptions:
-    opts = sf.options
-    opts.seed = args.seed
-    opts.tol_rank = args.tol_rank
-    opts.tol_verify = args.tol_verify
-    return opts
+    sf.options.seed = args.seed
+    return sf.options
 
 
 def cmd_analyze(args) -> int:
@@ -96,7 +91,7 @@ def cmd_extend(args) -> int:
     opts = _options(sf, args)
     report = analyze(sf.model, sf.candidate, opts)
     ext = build_combined(report.model, sf.candidate, report.tower)
-    cert = certify_linearizing(ext, opts)
+    cert = certify_linearizing(ext)
 
     header = (f"extended system: {sf.model.name} with d1 = {ext.d1} "
               f"prelongation, d2 = {ext.d2} prolongation steps")
@@ -111,7 +106,7 @@ def cmd_extend(args) -> int:
     reparsed = loads_system(text, path="<emitted>")
     if print_system(reparsed, header=header) != text:
         raise AnalysisError("emitted extended system is not print-stable")
-    recert = certify_linearizing(replace(ext, model=reparsed.model), opts)
+    recert = certify_linearizing(replace(ext, model=reparsed.model))
     if recert.to_json() != cert.to_json():
         raise AnalysisError("re-parsed extended system certifies differently")
 
@@ -144,8 +139,7 @@ def cmd_verify(args) -> int:
                 traj = verification_trajectory(model, param.indices, args.steps,
                                                rng, opts.input_boxes)
                 reports.append(verify_parameterization(
-                    model, sf.candidate, param, traj, range(0, args.steps),
-                    tol=args.tol_verify))
+                    model, sf.candidate, param, traj, range(0, args.steps)))
                 break
             except (SimulationError, EvalError) as ex:
                 if rng is None:
@@ -158,8 +152,8 @@ def cmd_verify(args) -> int:
         else:
             print(f"trial {t}: pole persisted after 10 resamples", file=sys.stderr)
             return EXIT_VERIFY
-    worst = fold_residuals(((r.worst_k, r.max_residual_x, r.max_residual_u)
-                            for r in reports), args.tol_verify)
+    worst = fold_residuals((r.worst_k, r.max_residual_x, r.max_residual_u)
+                           for r in reports)
     payload = {"schema": "1", "trials": len(reports), "steps": args.steps,
                **worst.to_json()}
     _emit(payload, args.json)
@@ -185,8 +179,6 @@ def _count(low):
 _FLAGS = {
     "--json": dict(action="store_true", help="emit machine-readable JSON"),
     "--out": dict(help="output path of the extended system"),
-    "--tol-rank": dict(type=float, default=RANK_TOL),
-    "--tol-verify": dict(type=float, default=RESIDUAL_TOL),
     "--steps": dict(type=_count(1), default=30),
     "--trials": dict(type=_count(0), default=5),
     "--seed": dict(type=int, default=2023),
@@ -200,7 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="flatness analysis and exact linearization of "
                     "discrete-time two-input systems")
     sub = p.add_subparsers(dest="command", required=True)
-    common = ("--json", "--tol-rank", "--tol-verify", "--seed")
+    common = ("--json", "--seed")
     for name, fn, flags in (
             ("analyze", cmd_analyze, common),
             ("extend", cmd_extend, common + ("--out",)),

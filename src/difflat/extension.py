@@ -126,8 +126,9 @@ def certify_linearizing(ext: ExtendedSystem,
     (`build_combined` lists them so), so the generic rank is the one the
     tower search took at the verification windows (`Tower.rank_probe`),
     with the same compiled Jacobian (`Tower.jacobian_kernel`). The at-point
-    rank is that Jacobian at the extended model's own point."""
-    opts = opts or AnalyzeOptions()
+    rank is that Jacobian at the extended model's own point. No option is
+    read: `opts` is accepted, and ignored, for callers that pass their
+    analysis options."""
     tower = ext.tower
     model = ext.model
     coords = model.coordinates
@@ -144,8 +145,7 @@ def certify_linearizing(ext: ExtendedSystem,
     rp = tower.rank_probe
     return Certificate(square=True, rank=rp.generic, required=required,
                        points_checked=len(rp.per_point),
-                       at_point_rank=tower.rank_at(model.analysis_point(),
-                                                   opts.tol_rank))
+                       at_point_rank=tower.rank_at(model.analysis_point()))
 
 
 def truncated(ext: ExtendedSystem, which: str) -> ExtendedSystem:

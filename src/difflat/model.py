@@ -13,7 +13,7 @@ from .expr import (
     sub as esub, substitute, to_text, vars_of, params_of,
 )
 from .numeric import (
-    FIXED_POINT_TOL, PSI_TOL, RANK_TOL, _max_abs, numeric_rank, probe_points,
+    FIXED_POINT_TOL, PSI_TOL, _max_abs, numeric_rank, probe_points,
 )
 from .solve import SolveError, solve_equations
 
@@ -175,12 +175,12 @@ class SystemModel:
         return [[evaluate(e, pt, memo) for e in row]
                 for row in jacobian([*self.f, *(self.g or ())], self.coordinates)]
 
-    def point_rank(self, rows, cols, tol_rel: float) -> int:
+    def point_rank(self, rows, cols) -> int:
         """`numeric_rank` of the `rows` x `cols` block (indices) of
         `point_jacobian`, 0 where that hits a pole or a non-finite entry."""
         try:
             J = self.point_jacobian
-            return numeric_rank([[J[i][j] for j in cols] for i in rows], tol_rel)
+            return numeric_rank([[J[i][j] for j in cols] for i in rows])
         except (EvalError, ValueError):
             return 0
 
@@ -274,7 +274,7 @@ def _check_leaves(sys: SystemModel, exprs, where: str):
                 raise ModelError(f"{where}: undeclared parameter {p.name}")
 
 
-def validate(sys: SystemModel, tol_rank: float = RANK_TOL) -> ValidationReport:
+def validate(sys: SystemModel) -> ValidationReport:
     """Check independent inputs, submersivity, the (f,g) diffeomorphism rank,
     the fixed-point property of the declared point, and psi consistency."""
     _check_leaves(sys, sys.f, "dynamics")
@@ -286,9 +286,9 @@ def validate(sys: SystemModel, tol_rank: float = RANK_TOL) -> ValidationReport:
             raise ModelError(f"analysis point does not bind {to_text(v)}")
 
     f_rows, xu = range(sys.n), range(sys.n + sys.m)
-    input_rank = sys.point_rank(f_rows, range(sys.n, sys.n + sys.m), tol_rank)
-    sub_rank = sys.point_rank(f_rows, xu, tol_rank)
-    ext_rank = None if sys.g is None else sys.point_rank(xu, xu, tol_rank)
+    input_rank = sys.point_rank(f_rows, range(sys.n, sys.n + sys.m))
+    sub_rank = sys.point_rank(f_rows, xu)
+    ext_rank = None if sys.g is None else sys.point_rank(xu, xu)
 
     resid = sys.fixed_point_residual()
     fixed = resid <= FIXED_POINT_TOL
@@ -352,7 +352,7 @@ def invert_extension(sys: SystemModel) -> SystemModel:
     return out
 
 
-def choose_extension(sys: SystemModel, tol_rank: float = RANK_TOL) -> ExtensionChoice:
+def choose_extension(sys: SystemModel) -> ExtensionChoice:
     """Pick m coordinate functions g from (x, u) making (f,g) a local
     diffeomorphism with a rationally solvable inverse.
 
@@ -367,7 +367,7 @@ def choose_extension(sys: SystemModel, tol_rank: float = RANK_TOL) -> ExtensionC
     rank_valid = None
     for g in itertools.combinations(pool, sys.m):
         units = [[float(v == w) for w in pool] for v in g]
-        if numeric_rank(f_rows + units, tol_rank) != sys.n + sys.m:
+        if numeric_rank(f_rows + units) != sys.n + sys.m:
             continue
         rank_valid = rank_valid or g
         try:

@@ -33,8 +33,8 @@ PROBE_RADIUS = 1e-2
 PROBE_COUNT = 10
 
 
-def numeric_rank(M, tol_rel: float = RANK_TOL) -> int:
-    """Singular values above tol_rel * sigma_max; the zero matrix has rank 0."""
+def numeric_rank(M) -> int:
+    """Singular values above RANK_TOL * sigma_max; the zero matrix has rank 0."""
     A = np.asarray(M, dtype=float)
     if A.size == 0:
         return 0
@@ -43,7 +43,7 @@ def numeric_rank(M, tol_rel: float = RANK_TOL) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol_rel * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def eval_matrix(rows, point) -> np.ndarray:
@@ -107,7 +107,7 @@ class RankProbe:
     required: int | None = None
 
 
-def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL) -> int:
+def probe_rank(rows, cols, probes) -> int:
     """Generic numeric rank of the Jacobian of `rows` w.r.t. `cols`: the
     highest over the probe points (binding dicts), tree-walked by
     `eval_matrix`; a probe where the matrix hits an evaluation pole or has a
@@ -117,7 +117,7 @@ def probe_rank(rows, cols, probes, tol_rel: float = RANK_TOL) -> int:
     rank = 0
     for pt in probes:
         try:
-            rank = max(rank, numeric_rank(eval_matrix(J, pt), tol_rel))
+            rank = max(rank, numeric_rank(eval_matrix(J, pt)))
         except (EvalError, ValueError):
             continue
     return rank
@@ -206,8 +206,12 @@ class ResidualReport:
     max_residual_x: float
     max_residual_u: float
     worst_k: int
-    tolerance: float
     checked: int = 0
+
+    @property
+    def tolerance(self) -> float:
+        """`RESIDUAL_TOL`, the bound every residual report is held to."""
+        return RESIDUAL_TOL
 
     @property
     def passed(self) -> bool:
@@ -256,15 +260,15 @@ def tower_windows(tower, traj: Trajectory, k_window) -> list:
     return out
 
 
-def verify_parameterization(sys, cand, param, traj: Trajectory, k_window,
-                            tol: float = RESIDUAL_TOL) -> ResidualReport:
+def verify_parameterization(sys, cand, param, traj: Trajectory,
+                            k_window) -> ResidualReport:
     """Check |x(k) - F_x(y-shifts)| and |u(k) - F_u(y-shifts)| along the
     trajectory for each k in the window, read by `param.tower`, which was
     built from `sys` and `cand`."""
-    return check_windows(param, tower_windows(param.tower, traj, k_window), tol)
+    return check_windows(param, tower_windows(param.tower, traj, k_window))
 
 
-def check_windows(param, windows, tol: float = RESIDUAL_TOL) -> ResidualReport:
+def check_windows(param, windows) -> ResidualReport:
     """The residuals of `verify_parameterization` at `windows`, folded by
     `fold_residuals`; an EvalError is raised again, same type, naming its k."""
     tower = param.tower
@@ -282,10 +286,10 @@ def check_windows(param, windows, tol: float = RESIDUAL_TOL) -> ResidualReport:
         return (win.k, _max_abs([a - b for a, b in zip(fx, win.x)]),
                 _max_abs([a - b for a, b in zip(fu, win.u)]))
 
-    return fold_residuals(map(residuals, windows), tol)
+    return fold_residuals(map(residuals, windows))
 
 
-def fold_residuals(rows, tol: float) -> ResidualReport:
+def fold_residuals(rows) -> ResidualReport:
     """One report over `rows` of (k, residual in x, residual in u): their
     maxima, NaN if any is (`_max_abs`), the k of the first largest max(x, u)
     or of the first NaN, and the count of rows; it passes when each row
@@ -298,7 +302,7 @@ def fold_residuals(rows, tol: float) -> ResidualReport:
             worst_k = k    # the first largest residual, or the first NaN
         worst_x, worst_u = _max_abs([worst_x, rx]), _max_abs([worst_u, ru])
     return ResidualReport(max_residual_x=worst_x, max_residual_u=worst_u,
-                          worst_k=worst_k, tolerance=tol, checked=checked)
+                          worst_k=worst_k, checked=checked)
 
 
 def _max_abs(r: list) -> float:

@@ -4,7 +4,7 @@ Sections appear in a fixed order; later optional sections may be omitted:
 
     [params]            name = value           (numeric, may use pi; a
                         parameter may not be named pi)
-    [dims]              n = ..., m = ...       (both at least 1)
+    [dims]              n = ..., m = ...       (both at least 1; no other row)
     [dynamics]          <state>+ = expr        (n rows; states on the LHS)
     [extension]         g<j> = expr            (optional, m rows)
     [inverse]           <state> = expr / <input> = expr   (optional; applied
@@ -136,6 +136,9 @@ def loads_system(text: str, path: str = "") -> SystemFile:
         params[lhs] = _eval_const(rhs, params, ln)
 
     dims = {lhs: (rhs, ln) for lhs, rhs, ln in sections["dims"]}
+    for lhs, (_, ln) in dims.items():
+        if lhs not in ("n", "m"):
+            raise SystemFileError(f"[dims] declares only n and m, got {lhs}", ln)
     try:
         n, m = int(dims["n"][0]), int(dims["m"][0])
     except (KeyError, ValueError) as ex:

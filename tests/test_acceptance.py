@@ -185,7 +185,7 @@ def test_criterion_7_trajectory_verification(reports, corpus):
                                                    sf.options.input_boxes)
                     out = verify_parameterization(
                         sysm, sf.candidate, rep.parameterization, traj,
-                        range(0, 30), tol=1e-8)
+                        range(0, 30))
                     break
                 except (SimulationError, EvalError):
                     continue  # resample a trajectory that left the chart

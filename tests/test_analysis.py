@@ -574,13 +574,13 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
 
     monkeypatch.setattr(param.tower, "jacobian_blocks", poison)
     poison.count = 1
-    cls = classify(rep.model, robot.candidate, param, robot.options)
+    cls = classify(rep.model, robot.candidate, param)
     assert len(poisoned) == 1
     assert cls == rep.classification
     poisoned.clear()
     poison.count = VERIFY_STEPS
     with pytest.raises(AnalysisError, match="no verification window"):
-        classify(rep.model, robot.candidate, param, robot.options)
+        classify(rep.model, robot.candidate, param)
     assert len(poisoned) == VERIFY_STEPS
 
 
@@ -646,30 +646,20 @@ def test_a_user_F_stands_in_when_the_solver_cannot_invert_the_tower(
     assert (param.F_x, param.F_u) == F
     assert param.diagnostics[-1] == (
         "restricted solver could not invert the tower: forced")
-    assert analysis._verify(param, robot.options)["pass"]
+    assert analysis._verify(param)["pass"]
 
 
-def test_auto_selected_extension_map_reads_tol_rank(monkeypatch):
-    """The extension map the search selects for its backward towers is
-    ranked at the analysis's `tol_rank`, as every other rank is: vtol
-    without its [extension] section, every admissible tower enumerated."""
-    seen = []
-    real = analysis.choose_extension
-
-    def spy(sysm, *args):
-        seen.append(args)
-        return real(sysm, *args)
-
-    monkeypatch.setattr(analysis, "choose_extension", spy)
+def test_the_search_auto_selects_a_missing_extension_map():
+    """Before its backward towers the search selects an extension map where
+    the model declares none, and says which: vtol without its [extension]
+    section, every admissible tower enumerated."""
     text = systems.source("vtol").replace("[extension]\ng1 = x1\ng2 = x5\n", "")
     sf = loads_system(text)
     opts = sf.options
-    opts.tol_rank = 1e-7
     rho = relative_degrees(sf.model, sf.candidate, opts)
     diags = []
     towers = list(analysis._admissible_towers(sf.model, sf.candidate, rho,
                                               opts, diags))
-    assert seen == [(1e-7,)]
     assert "auto-selected extension map g = ('x1', 'x5')" in diags
     assert [t.context.mode for t in towers] == ["forward", "forward"]
 

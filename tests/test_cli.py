@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from difflat import cli, systems
+from difflat import cli, numeric, systems
 from difflat.analysis import verification_trajectory
 from difflat.cli import main
 from difflat.expr import EvalError
@@ -119,9 +119,10 @@ u2 = -1/4 .. 1/4
 """
 
 
-def test_failed_trajectory_verification_is_a_typed_error(paths, capsys):
+def test_failed_trajectory_verification_is_a_typed_error(paths, capsys, monkeypatch):
     # vtol's residuals are near 1e-9, far above this tolerance
-    rc, _, err = run(capsys, "analyze", paths["vtol"], "--tol-verify", "1e-15")
+    monkeypatch.setattr(numeric, "RESIDUAL_TOL", 1e-15)
+    rc, _, err = run(capsys, "analyze", paths["vtol"])
     assert rc == 1
     assert ("analysis error: parameterization failed trajectory "
             "verification: max residual") in err
@@ -205,7 +206,7 @@ def test_verify_robot(paths, capsys):
 def _crafted_trials(monkeypatch, trials):
     """Make `difflat verify` get the report of each of `trials`, (worst_k,
     residual in x, residual in u) in order, from its trajectories."""
-    reports = iter([ResidualReport(rx, ru, k, 1e-8) for k, rx, ru in trials])
+    reports = iter([ResidualReport(rx, ru, k) for k, rx, ru in trials])
     monkeypatch.setattr(cli, "verify_parameterization",
                         lambda *args, **kwargs: next(reports))
 
@@ -362,13 +363,15 @@ def test_user_F_outside_its_window_fails_analyze(paths, reports, tmp_path,
                    "the window [-1, 1]\n")
 
 
-# every flag of the CLI, and the flags a command does not read
+# every flag of the CLI, the tolerance flags it no longer has, and the flags
+# a command does not read
 _FLAGS = {"--json": [], "--out": [os.devnull], "--tol-rank": ["1e-8"],
           "--tol-verify": ["1e-8"], "--steps": ["3"], "--trials": ["1"],
           "--seed": ["1"]}
-_UNREAD = {"analyze": ["--out", "--steps", "--trials"],
-           "extend": ["--steps", "--trials"],
-           "verify": ["--out"],
+_REMOVED = ["--tol-rank", "--tol-verify"]
+_UNREAD = {"analyze": ["--out", "--steps", "--trials", *_REMOVED],
+           "extend": ["--steps", "--trials", *_REMOVED],
+           "verify": ["--out", *_REMOVED],
            "print": sorted(_FLAGS)}
 
 
@@ -399,10 +402,11 @@ def test_verify_rejects_a_count_that_checks_nothing(paths, capsys, flag, value):
     assert f"argument {flag}: must be at least" in err
 
 
-def test_verify_tolerance_flag_is_honored(paths, capsys):
+def test_verify_fails_a_run_above_the_residual_tolerance(paths, capsys, monkeypatch):
     # an impossibly tight tolerance flips the same run to a failure
+    monkeypatch.setattr(numeric, "RESIDUAL_TOL", 1e-16)
     rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--steps", "10",
-                     "--trials", "1", "--seed", "7", "--tol-verify", "1e-16")
+                     "--trials", "1", "--seed", "7")
     assert rc == 4
     j = json.loads(out)
     assert j["pass"] is False and j["tolerance"] == 1e-16

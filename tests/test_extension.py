@@ -304,11 +304,11 @@ def test_tower_kernel_matches_the_tree_walked_jacobian(name, monkeypatch):
 
     real_tower_rank = analysis._tower_rank
 
-    def tower_rank(tower, opts):
+    def tower_rank(tower):
         towers.append(tower)
         record(tower.row_exprs(), list(tower.variables), tower.jacobian_at,
                [tower.point] + [win.pt for win in tower.windows])
-        return real_tower_rank(tower, opts)
+        return real_tower_rank(tower)
 
     monkeypatch.setattr(analysis, "_tower_rank", tower_rank)
     sf = loads_system(CASES[name])

@@ -107,18 +107,6 @@ def test_analysis_and_extension_with_auto_selected_g():
     assert ext.model.n == 7 and cert.passed
 
 
-def test_declared_indices_are_cross_checked(robot):
-    ok = FlatCandidate(phi=robot.candidate.phi,
-                       declared_indices=((1, 1), (2, 1)))
-    rep = analyze(robot.model, ok)
-    assert rep.indices.r2 == (2, 1)
-    bad = FlatCandidate(phi=robot.candidate.phi,
-                        declared_indices=((0, 0), (2, 1)))
-    with pytest.raises(AnalysisError) as ei:
-        analyze(robot.model, bad)
-    assert "declared shift orders" in str(ei.value)
-
-
 def test_wrong_user_inverse_is_rejected(academic):
     model = invert_extension(academic.model)
     bad_psi_x = (model.psi_x[0] + P("1/1000", 5, 2),) + model.psi_x[1:]

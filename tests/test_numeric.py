@@ -266,7 +266,7 @@ def test_verify_robot_thirty_steps(reports, robot):
     us = [[rng.uniform(0.5, 1.5), rng.uniform(-1, 1)] for _ in range(H + K)]
     traj = simulate(sysm, [0.0] * 3, us, H, K)
     out = verify_parameterization(sysm, robot.candidate, rep.parameterization,
-                                  traj, range(0, 30), tol=1e-8)
+                                  traj, range(0, 30))
     assert out.passed and out.checked == 30
     assert max(out.max_residual_x, out.max_residual_u) <= 1e-8
 
@@ -281,8 +281,7 @@ def test_verify_constant_trajectory_roundoff_only_vtol(reports, vtol):
     u0 = [pt[v] for v in sysm.input_vars]
     traj = simulate(sysm, x0, [list(u0)] * 16, 2, 14)
     out = verify_parameterization(sysm, vtol.candidate,
-                                  rep.parameterization, traj, range(0, 4),
-                                  tol=1e-8)
+                                  rep.parameterization, traj, range(0, 4))
     assert out.passed
     assert max(out.max_residual_x, out.max_residual_u) <= 1e-9
 
@@ -296,8 +295,7 @@ def test_constant_trajectories_sit_on_the_singular_locus(reports, academic):
     traj = simulate(sysm, [0.0] * 5, [[0.0, 0.0]] * 16, 5, 11)
     with pytest.raises(PoleError):
         verify_parameterization(sysm, academic.candidate,
-                                rep.parameterization, traj, range(0, 4),
-                                tol=1e-12)
+                                rep.parameterization, traj, range(0, 4))
 
 
 def test_corrupted_parameterization_is_caught(reports, robot):
@@ -314,7 +312,7 @@ def test_corrupted_parameterization_is_caught(reports, robot):
     us = [[rng.uniform(0.5, 1.5), rng.uniform(-1, 1)] for _ in range(H + K)]
     traj = simulate(sysm, [0.5] * 3, us, H, K)
     out = verify_parameterization(sysm, robot.candidate, bad, traj,
-                                  range(0, 10), tol=1e-8)
+                                  range(0, 10))
     assert not out.passed
     # the injected fault is ~1e-3 * |y1|
     y1 = traj.state(out.worst_k)[2]

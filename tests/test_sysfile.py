@@ -193,6 +193,7 @@ def test_input_inference_error_reports_the_first_dynamics_line():
     ("[dims]", "[params]\na = 1/0\n[dims]", "a = 1/0",
      "bad numeric expression: division by exact zero"),
     ("n = 2", "n = two", "[dims]", "[dims] must declare integer n and m"),
+    ("m = 2", "m = 2\nk = 9", "k = 9", "[dims] declares only n and m, got k"),
     ("y2 = x2", "y3 = x2", "[output]", "[output] must define y1..y2"),
     ("[output]", "[extension]\ng1 = x1\ng3 = x2\n[output]", "[extension]",
      "[extension] must define g1..g2"),
