@@ -42,7 +42,7 @@ from .expr import (
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    NONZERO_TOL, RESIDUAL_TOL, RankProbe, SimulationError, _magnitudes,
+    NONZERO_TOL, RESIDUAL_TOL, SEED, RankProbe, SimulationError, _magnitudes,
     block_triangular_solver, check_windows, depends_on, eval_matrix,
     newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
     simulate, tower_windows,
@@ -86,7 +86,6 @@ class FlatCandidate:
 @dataclass
 class AnalyzeOptions:
     input_boxes: dict = field(default_factory=dict)  # 1-based input index -> (lo, hi)
-    seed: int = 2023
     skip_verification: bool = False
 
 
@@ -398,30 +397,26 @@ _FORWARD = _Chain(1, 0, Var("ubar", 1, 0), "input_vars", "input")
 _BACKWARD = _Chain(-1, 1, Var("zetabar", 1, -1), "histories", "history")
 
 
-def relative_degrees(sys: SystemModel, cand: FlatCandidate,
-                     opts: AnalyzeOptions | None = None):
+def relative_degrees(sys: SystemModel, cand: FlatCandidate):
     """rho_j: minimal alpha >= 0 with delta^alpha phi_j depending on the
     current input, certified numerically at the analysis point or nearby."""
-    return _depths(sys, cand, _FORWARD, opts)
+    return _depths(sys, cand, _FORWARD)
 
 
-def backward_depths(sys: SystemModel, cand: FlatCandidate,
-                    opts: AnalyzeOptions | None = None):
+def backward_depths(sys: SystemModel, cand: FlatCandidate):
     """gamma_j: minimal beta >= 1 with delta^-beta phi_j depending on some
     g-value history zeta[-1]; the backward shifts need the inverse map psi."""
-    return _depths(sys, cand, _BACKWARD, opts)
+    return _depths(sys, cand, _BACKWARD)
 
 
-def _depths(sys: SystemModel, cand: FlatCandidate, chain: _Chain,
-            opts: AnalyzeOptions | None):
+def _depths(sys: SystemModel, cand: FlatCandidate, chain: _Chain):
     """Each output component's depth along `chain`: the least k >= start
     whose shift by sign * k depends on the leaves the chain replaces."""
-    opts = opts or AnalyzeOptions()
     cap = sys.n + sys.m
     out = []
     for j, phi in enumerate(cand.phi):
         depth = _first_dependent_shift(sys, phi, lambda e: getattr(sys, chain.base),
-                                       chain.start, cap, chain.sign, opts)
+                                       chain.start, cap, chain.sign)
         if depth is None:
             raise AnalysisError(
                 f"output component {j + 1} shows no {chain.noun} dependence up "
@@ -431,27 +426,26 @@ def _depths(sys: SystemModel, cand: FlatCandidate, chain: _Chain,
 
 
 def _first_dependent_shift(sys: SystemModel, e: Expr, targets, start: int,
-                           stop: int, step: int, opts: AnalyzeOptions):
+                           stop: int, step: int):
     """Smallest k in [start, stop] whose shift sys.shift(e, step * k)
     depends on the leaves `targets(shifted)`, or None: the relative degrees
     (forward, on the inputs), the backward depths (backward, on the
     histories) and r22 (forward, on ubar2 and its shifts)."""
     for k in range(start, stop + 1):
         shifted = sys.shift(e, step * k)
-        if _depends(sys, shifted, targets(shifted), opts):
+        if _depends(sys, shifted, targets(shifted)):
             return k
     return None
 
 
-def _jet_probes(sys: SystemModel, leaves, opts: AnalyzeOptions):
-    return probe_points(sys.jet_center(leaves), opts.seed)
+def _jet_probes(sys: SystemModel, leaves):
+    return probe_points(sys.jet_center(leaves), SEED)
 
 
 # ---------------------------------------------------------------------------
 # Transforms.
 
-def _solve_transform(sys: SystemModel, first: Expr, chain: _Chain, k1: int,
-                     opts: AnalyzeOptions):
+def _solve_transform(sys: SystemModel, first: Expr, chain: _Chain, k1: int):
     """Solve the chain's lead = delta^(sign k1) phi_first, the definition, for
     one of the two leaves the chain replaces (inputs or histories), tried in
     order, and rename the other one the second new coordinate. Returns the
@@ -460,7 +454,7 @@ def _solve_transform(sys: SystemModel, first: Expr, chain: _Chain, k1: int,
     definition = sys.shift(first, chain.sign * k1)
     target, old = chain.lead, getattr(sys, chain.base)
     leaves = vars_of(definition) | set(old)
-    probes = list(probe_points(sys.jet_center(leaves), opts.seed,
+    probes = list(probe_points(sys.jet_center(leaves), SEED,
                                bind=[(target, definition)]))
     last = None
     for solved in old:
@@ -538,10 +532,10 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
         raise AnalysisError("towers are defined for two-input systems (m = 2)")
     if not cand.is_xu_flat(sys):
         raise AnalysisError("tower construction needs an (x,u)-flat candidate")
-    rho = relative_degrees(sys, cand, opts)
+    rho = relative_degrees(sys, cand)
     diags, fallback = [], None
     try:
-        for tower in _admissible_towers(sys, cand, rho, opts, diags):
+        for tower in _admissible_towers(sys, cand, rho, opts.input_boxes, diags):
             why = _rank_drop(tower)
             if why is None:
                 return tower
@@ -559,10 +553,10 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
     return fallback
 
 
-def _admissible_towers(sys, cand, rho, opts, diags):
+def _admissible_towers(sys, cand, rho, boxes, diags):
     """The admissible towers in search order, the backward ones lazily."""
     for sigma_y in _SIGMA_Y:
-        t = _try_tower(sys, cand, rho, None, sigma_y, "forward", opts, diags)
+        t = _try_tower(sys, cand, rho, None, sigma_y, "forward", boxes, diags)
         if t is not None:
             yield t
 
@@ -573,11 +567,11 @@ def _admissible_towers(sys, cand, rho, opts, diags):
         sysb = sysb.with_g(choice.g).with_psi(choice.psi_x, choice.psi_u)
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
     sysb = invert_extension(sysb)    # solves for a missing psi, checks any psi
-    gamma = backward_depths(sysb, cand, opts)
+    gamma = backward_depths(sysb, cand)
     # Prop. 3 hypothesis, the outputs jointly regular in u, for every sigma_y
     leaves = set().union(*map(vars_of, cand.phi)) | set(sysb.input_vars)
     rank = probe_rank(list(cand.phi), list(sysb.input_vars),
-                      _jet_probes(sysb, leaves, opts))
+                      _jet_probes(sysb, leaves))
 
     for mode in ("backward", "combined"):
         for sigma_y in _SIGMA_Y:
@@ -585,12 +579,12 @@ def _admissible_towers(sys, cand, rho, opts, diags):
                 diags.append(f"backward sigma_y={sigma_y}: rank d_u phi = {rank} < m "
                              "(candidate routed to the combined construction)")
                 continue
-            t = _try_tower(sysb, cand, rho, gamma, sigma_y, mode, opts, diags)
+            t = _try_tower(sysb, cand, rho, gamma, sigma_y, mode, boxes, diags)
             if t is not None:
                 yield t
 
 
-def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
+def _try_tower(sys, cand, rho, gamma, sigma_y, mode, boxes, diags):
     """One permutation of the tower search; records why it fails in diags.
 
     The mode names the chains of the tower: "forward" a forward chain on
@@ -610,10 +604,9 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
     u_inverse = tdef = zeta_inverse = gbar = None
     try:
         if forward:
-            u_inverse, *tdef = _solve_transform(sys, first, _FORWARD, rho1, opts)
+            u_inverse, *tdef = _solve_transform(sys, first, _FORWARD, rho1)
         if backward:
-            zeta_inverse, _, other = _solve_transform(sys, first, _BACKWARD,
-                                                      gamma1, opts)
+            zeta_inverse, _, other = _solve_transform(sys, first, _BACKWARD, gamma1)
             gbar1 = sys.shift(first, 1 - gamma1)   # over (x, u)
             bad = [to_text(v) for v in vars_of(gbar1) if v.family == sys.gvalue_family]
             if bad:
@@ -635,7 +628,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
             lambda e: [v for v in vars_of(e) | {ubar2}
                        if (v.family, v.component) == (ubar2.family, ubar2.component)
                        and v.shift >= ubar2.shift],
-            rho2, cap, 1, opts)
+            rho2, cap, 1)
         if r22 is None:
             diags.append(f"{tag}: no ubar2 dependence up to shift {cap}")
             return None
@@ -658,9 +651,9 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
         d1 = r11 + 1 - gamma1
     why = None
     if forward:
-        why = _chain_checks(sys_bar, phi_bar, _FORWARD, rho1, rho2, d2, opts)
+        why = _chain_checks(sys_bar, phi_bar, _FORWARD, rho1, rho2, d2)
     if backward and why is None:
-        why = _chain_checks(sys_bar, phi_bar, _BACKWARD, gamma1, gamma2, d1, opts)
+        why = _chain_checks(sys_bar, phi_bar, _BACKWARD, gamma1, gamma2, d1)
     if why is not None:
         diags.append(f"{tag}: {why}")
         return None
@@ -689,7 +682,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, opts, diags):
                   sources=sources, outputs=cand.phi)
     try:
         traj = verification_trajectory(sys, idx, VERIFY_STEPS,
-                                       random.Random(opts.seed + 1), opts.input_boxes)
+                                       random.Random(SEED + 1), boxes)
         tower.windows = tower_windows(tower, traj, range(VERIFY_STEPS))
     except (EvalError, SimulationError) as ex:
         diags.append(f"{tag}: verification trajectory: {ex}")
@@ -709,9 +702,9 @@ def _bar_phi(cand, sigma_y, u_inverse):
     return phi
 
 
-def _depends(sys_bar, e, target_vars, opts) -> bool:
+def _depends(sys_bar, e, target_vars) -> bool:
     return depends_on(e, list(target_vars), _jet_probes(
-        sys_bar, vars_of(e) | set(target_vars), opts))
+        sys_bar, vars_of(e) | set(target_vars)))
 
 
 def _rows_and_vars(sys_bar, phi_bar, sigma_y, r_first, r_second, d1, d2):
@@ -751,7 +744,7 @@ def _rank_drop(tower: Tower) -> str | None:
                  if r != rp.required), None)
 
 
-def _chain_checks(sys_bar, phi_bar, chain: _Chain, k1, k2, d, opts):
+def _chain_checks(sys_bar, phi_bar, chain: _Chain, k1, k2, d):
     """Why a chain's rows violate Prop. 2 (forward) or Prop. 3 (backward),
     or None. A row's shift is sign * s: phi1's row at k1 is the lead
     (|row - lead| at most `NONZERO_TOL` at every jet probe); phi2's d rows
@@ -763,16 +756,16 @@ def _chain_checks(sys_bar, phi_bar, chain: _Chain, k1, k2, d, opts):
     sign, lead, family = chain.sign, chain.lead, chain.lead.family
     e = sys_bar.shift(phi_bar[0], sign * k1)
     if e != lead and any(a > NONZERO_TOL for a in _magnitudes(
-            [esub(e, lead)], _jet_probes(sys_bar, vars_of(e) | {lead}, opts))):
+            [esub(e, lead)], _jet_probes(sys_bar, vars_of(e) | {lead}))):
         return f"phi1_[{sign * k1}] != {to_text(lead)} (got {to_text(e)})"
     for s in range(k2, k2 + d):
         e = sys_bar.shift(phi_bar[1], sign * s)
         targets = [v for v in vars_of(e) if (v.family, v.component) == (family, 2)]
-        if targets and _depends(sys_bar, e, targets, opts):
+        if targets and _depends(sys_bar, e, targets):
             return f"phi2_[{sign * s}] depends on {family}2"
     if d > 0:
         row, end = sign * (k2 + d - chain.start), lead.shifted(sign * (d - chain.start))
-        if not _depends(sys_bar, sys_bar.shift(phi_bar[1], row), [end], opts):
+        if not _depends(sys_bar, sys_bar.shift(phi_bar[1], row), [end]):
             return f"phi2_[{row}] does not reach {to_text(end)}"
     return None
 
@@ -916,8 +909,7 @@ def verification_trajectory(sys, idx: ShiftIndices, steps: int, rng, boxes):
 # ---------------------------------------------------------------------------
 # Classification.
 
-def classify(sys: SystemModel, cand: FlatCandidate,
-             param: Parameterization) -> Classification:
+def classify(sys: SystemModel, param: Parameterization) -> Classification:
     """Decide the flatness class from the index data and certify the rank
     conditions of the Jacobian submatrices of F. The ranks are read off the
     inverse of the tower Jacobian at the tower's windows, for symbolic and
@@ -1000,15 +992,14 @@ class NormalizedInputs:
                                 # F_x one step on, so free of y[-R1] (Eq. (8))
 
 
-def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
-                     opts: AnalyzeOptions | None = None) -> NormalizedInputs:
+def normalize_inputs(sys: SystemModel,
+                     param: Parameterization | None = None) -> NormalizedInputs:
     """Lemma-1 input transform: pick m transition rows jointly regular in u,
     set v_k = f^{j_k}, and rewrite the system with u expressed through v.
 
     Rows already in normalized form (f^j literally an input) are claimed
     first; a greedy ascending scan fills the rest by rank increase at the
     analysis point."""
-    opts = opts or AnalyzeOptions()
     pt = sys.analysis_point()
     chosen = []
     for i, fi in enumerate(sys.f):
@@ -1032,7 +1023,7 @@ def normalize_inputs(sys: SystemModel, param: Parameterization | None = None,
     v_vars = [Var("ubar", k + 1, 0) for k in range(sys.m)]
     eqs = [esub(sys.f[i], v) for i, v in zip(chosen, v_vars)]
     probes = list(probe_points(
-        pt, opts.seed + 3, 5,
+        pt, SEED + 3, 5,
         perturb=sys.coordinates,
         bind=[(v, sys.f[i]) for i, v in zip(chosen, v_vars)]))
     try:
@@ -1118,11 +1109,11 @@ def analyze(sys: SystemModel, cand: FlatCandidate,
     tower = build_tower(sys, cand, opts)
     sys = tower.context.base_model
     if tower.indices.gamma is None and sys.psi_x is not None:
-        gamma = backward_depths(sys, cand, opts)
+        gamma = backward_depths(sys, cand)
         tower.indices = replace(tower.indices, gamma=gamma)
     param = invert_tower(sys, cand, tower)
     residuals = {} if opts.skip_verification else _verify(param)
-    cls = classify(sys, cand, param)
+    cls = classify(sys, param)
     return AnalysisReport(system=sys.name, indices=param.indices,
                           classification=cls, tower=tower,
                           parameterization=param, validation=vrep,

@@ -20,7 +20,7 @@ from .analysis import (
 from .expr import EvalError
 from .extension import build_combined, certify_linearizing
 from .model import ModelError
-from .numeric import SimulationError, fold_residuals, verify_parameterization
+from .numeric import SEED, SimulationError, fold_residuals, verify_parameterization
 from .parsing import ParseError
 from .sysfile import (
     SystemFile, SystemFileError, load_system, loads_system, print_system,
@@ -73,23 +73,16 @@ def _fmt(v):
     return str(v)
 
 
-def _options(sf: SystemFile, args) -> AnalyzeOptions:
-    sf.options.seed = args.seed
-    return sf.options
-
-
 def cmd_analyze(args) -> int:
     sf = load_system(args.file)
-    opts = _options(sf, args)
-    report = analyze(sf.model, sf.candidate, opts)
+    report = analyze(sf.model, sf.candidate, sf.options)
     _emit(report.to_json(), args.json)
     return EXIT_OK
 
 
 def cmd_extend(args) -> int:
     sf = load_system(args.file)
-    opts = _options(sf, args)
-    report = analyze(sf.model, sf.candidate, opts)
+    report = analyze(sf.model, sf.candidate, sf.options)
     ext = build_combined(report.model, sf.candidate, report.tower)
     cert = certify_linearizing(ext)
 
@@ -126,18 +119,17 @@ def cmd_extend(args) -> int:
 
 def cmd_verify(args) -> int:
     sf = load_system(args.file)
-    opts = _options(sf, args)
-    opts.skip_verification = True
-    report = analyze(sf.model, sf.candidate, opts)
+    sf.options.skip_verification = True
+    report = analyze(sf.model, sf.candidate, sf.options)
     param, model = report.parameterization, report.model
-    first, resample = random.Random(args.seed), random.Random(args.seed + 1)
+    first, resample = random.Random(SEED), random.Random(SEED + 1)
     reports = []
     for t in range(args.trials or 1):
         rng = first if args.trials else None
         for _ in range(11):
             try:
                 traj = verification_trajectory(model, param.indices, args.steps,
-                                               rng, opts.input_boxes)
+                                               rng, sf.options.input_boxes)
                 reports.append(verify_parameterization(
                     model, sf.candidate, param, traj, range(0, args.steps)))
                 break
@@ -181,7 +173,6 @@ _FLAGS = {
     "--out": dict(help="output path of the extended system"),
     "--steps": dict(type=_count(1), default=30),
     "--trials": dict(type=_count(0), default=5),
-    "--seed": dict(type=int, default=2023),
 }
 
 
@@ -192,11 +183,10 @@ def make_parser() -> argparse.ArgumentParser:
         description="flatness analysis and exact linearization of "
                     "discrete-time two-input systems")
     sub = p.add_subparsers(dest="command", required=True)
-    common = ("--json", "--seed")
     for name, fn, flags in (
-            ("analyze", cmd_analyze, common),
-            ("extend", cmd_extend, common + ("--out",)),
-            ("verify", cmd_verify, common + ("--steps", "--trials")),
+            ("analyze", cmd_analyze, ("--json",)),
+            ("extend", cmd_extend, ("--json", "--out")),
+            ("verify", cmd_verify, ("--json", "--steps", "--trials")),
             ("print", cmd_print, ())):
         sp = sub.add_parser(name)
         sp.add_argument("file")

@@ -352,7 +352,7 @@ def _pythagoras(terms: dict) -> None:
                 if partner not in terms or terms[partner] == 0 or partner == mono:
                     continue
                 c2 = terms[partner]
-                reduced = _mono_drop_square(mono, i, base, exp)
+                reduced = _mono_drop_square(mono, i, exp)
                 # c*M*sin^2 + c2*M*cos^2 -> c2*M + (c - c2)*M*sin^2
                 terms[partner] = Fraction(0)
                 terms[mono] = coeff - c2
@@ -387,7 +387,7 @@ def _mono_shift(mono, i, base, exp, other_name):
     return tuple(out)
 
 
-def _mono_drop_square(mono, i, base, exp):
+def _mono_drop_square(mono, i, exp):
     out = []
     for j, (b, e) in enumerate(mono):
         if j == i:

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import EvalError, Par, Var, ZERO, differentiate, evaluate, jacobian
+from .expr import EvalError, Par, ZERO, differentiate, evaluate, jacobian
 
 __all__ = [
     "numeric_rank", "eval_matrix", "probe_points",
@@ -31,6 +31,7 @@ NEWTON_TOL = 1e-12       # Newton stops at this residual infinity norm
 NEWTON_MAX_ITER = 60
 PROBE_RADIUS = 1e-2
 PROBE_COUNT = 10
+SEED = 2023              # every draw's stream: probes SEED, trajectories SEED + 1
 
 
 def numeric_rank(M) -> int:
@@ -154,24 +155,6 @@ class Trajectory:
 
     def inputs(self, k: int):
         return self.u[self.index(k)]
-
-    def point(self, k: int, sys, input_depth: int = 0, zeta_depth: int = 0) -> dict:
-        """Jet bindings at time k: states, input forward-shifts, g-histories.
-        `tower_windows` binds the outputs by position instead; this dict is
-        the reference the tests compare it with."""
-        pt = dict(self.params)
-        xk = self.state(k)
-        for i, v in enumerate(sys.state_vars):
-            pt[v] = xk[i]
-        for a in range(input_depth + 1):
-            uk = self.inputs(k + a)
-            for j, v in enumerate(sys.input_vars):
-                pt[v.shifted(a)] = uk[j]
-        for b in range(1, zeta_depth + 1):
-            zk = self.zeta[self.index(k - b)]
-            for j in range(sys.m):
-                pt[Var(sys.gvalue_family, j + 1, -b)] = zk[j]
-        return pt
 
 
 def random_inputs(rng: random.Random, u0, boxes: dict, count: int) -> list:

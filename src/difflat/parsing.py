@@ -17,10 +17,11 @@ from .expr import (
     Expr, Par, Var, add, cos, cot, div, mul, neg, num, pow_, sin, sub, tan,
 )
 
-__all__ = ["DimTable", "ParseError", "parse_expression"]
+__all__ = ["DimTable", "ParseError", "parse_expression", "parameter_name_error"]
 
 _FUNCS = {"sin": sin, "cos": cos, "tan": tan, "cot": cot}
 _VAR_RE = re.compile(r"^(zetabar|ubar|zeta|x|u|y)([0-9]+)$")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 class ParseError(Exception):
@@ -57,7 +58,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t]+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<num>\d+\.\d+|\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>\+|-|\*|/|\^|\(|\)|\[|\])"
 )
 
@@ -203,6 +204,21 @@ class _Parser:
         if name in self.table.params:
             return Par(name)
         raise ParseError(f"undeclared identifier {name!r}", t.line, t.col)
+
+
+def parameter_name_error(name: str) -> str | None:
+    """Why the parser could never read `name` as a parameter, or None: a
+    parameter is an identifier that names no function, no variable family
+    and not the constant pi."""
+    if not re.fullmatch(_IDENT, name):
+        return f"parameter name {name!r} is not an identifier"
+    if name == "pi":
+        return "pi names the constant, not a parameter"
+    if name in _FUNCS:
+        return f"{name} names a function, not a parameter"
+    if _VAR_RE.match(name):
+        return f"{name} names a variable, not a parameter"
+    return None
 
 
 def parse_expression(text: str, table: DimTable, line: int = 1) -> Expr:

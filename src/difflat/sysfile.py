@@ -2,8 +2,9 @@
 
 Sections appear in a fixed order; later optional sections may be omitted:
 
-    [params]            name = value           (numeric, may use pi; a
-                        parameter may not be named pi)
+    [params]            name = value           (numeric, may use pi; a name
+                        is an identifier naming no function, no variable
+                        family and not pi)
     [dims]              n = ..., m = ...       (both at least 1; no other row)
     [dynamics]          <state>+ = expr        (n rows; states on the LHS)
     [extension]         g<j> = expr            (optional, m rows)
@@ -33,7 +34,7 @@ from .expr import (
     _FAMILY_RANK, EvalError, Par, Var, evaluate, to_text, vars_of,
 )
 from .model import SystemModel
-from .parsing import DimTable, ParseError, parse_expression
+from .parsing import DimTable, ParseError, parameter_name_error, parse_expression
 
 __all__ = ["SystemFile", "load_system", "loads_system", "print_system",
            "SystemFileError"]
@@ -131,8 +132,9 @@ def loads_system(text: str, path: str = "") -> SystemFile:
 
     params = {}
     for lhs, rhs, ln in sections.get("params", []):
-        if lhs == "pi":
-            raise SystemFileError("pi names the constant, not a parameter", ln)
+        why = parameter_name_error(lhs)
+        if why:
+            raise SystemFileError(why, ln)
         params[lhs] = _eval_const(rhs, params, ln)
 
     dims = {lhs: (rhs, ln) for lhs, rhs, ln in sections["dims"]}

@@ -4,7 +4,7 @@ import pytest
 
 from difflat import systems
 from difflat.analysis import analyze
-from difflat.expr import add, differentiate, evaluate, mul, num, vars_of
+from difflat.expr import Var, add, differentiate, evaluate, mul, num, vars_of
 from difflat.model import invert_extension
 
 
@@ -91,3 +91,19 @@ def lowest_F_v_shifts(norm):
         for v in vars_of(e):
             low[v.component] = min(low.get(v.component, v.shift), v.shift)
     return dict(sorted(low.items()))
+
+
+def trajectory_point(traj, k: int, sys, input_depth: int = 0,
+                     zeta_depth: int = 0) -> dict:
+    """Jet bindings of `traj` at time k: parameters, states, input
+    forward-shifts up to `input_depth` and g-histories down to
+    `zeta_depth`. `tower_windows` binds the outputs by position instead;
+    this dict is the reference the tests compare it with."""
+    pt = dict(traj.params)
+    pt.update(zip(sys.state_vars, traj.state(k)))
+    for a in range(input_depth + 1):
+        pt.update((v.shifted(a), u) for v, u in zip(sys.input_vars, traj.inputs(k + a)))
+    for b in range(1, zeta_depth + 1):
+        zk = traj.zeta[traj.index(k - b)]
+        pt.update((Var(sys.gvalue_family, j + 1, -b), zk[j]) for j in range(sys.m))
+    return pt

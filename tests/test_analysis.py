@@ -25,13 +25,13 @@ from difflat.expr import (
 )
 from difflat.model import ModelError, SystemModel, invert_extension
 from difflat.numeric import (
-    RankProbe, check_windows, eval_matrix, newton_solve, numeric_rank,
+    SEED, RankProbe, check_windows, eval_matrix, newton_solve, numeric_rank,
     tower_windows, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 from difflat.solve import SolveError
 from difflat.sysfile import loads_system
-from conftest import lowest_F_v_shifts
+from conftest import lowest_F_v_shifts, trajectory_point
 from test_cli import VTOL_RELABELED_SWAPPED
 
 
@@ -103,13 +103,13 @@ def test_backward_depth_trivial_swap_system():
 JET_PROBES = """
 import json
 from difflat import systems
-from difflat.analysis import AnalyzeOptions, _jet_probes
+from difflat.analysis import _jet_probes
 from difflat.expr import to_text, vars_of
 sf = systems.load("vtol")
 sys = sf.model
 leaves = vars_of(sys.shift(sf.candidate.phi[1], 5)) | set(sys.input_vars)
 print(json.dumps([[[to_text(k), float(v).hex()] for k, v in pt.items()]
-                  for pt in _jet_probes(sys, leaves, AnalyzeOptions())]))
+                  for pt in _jet_probes(sys, leaves)]))
 """
 
 
@@ -307,7 +307,7 @@ def test_one_step_vtol_verification_matches_the_tree_walked_reference(reports,
                                                                       vtol):
     """A one-step vtol `verify_parameterization` gives, bit for bit, the
     residuals of the tree-walked Newton reference, fed with the outputs
-    evaluated at `Trajectory.point`, the exact tower point read off each
+    evaluated at `trajectory_point`, the exact tower point read off each
     tower variable's source and the same seed perturbation."""
     rep = reports["vtol"]
     sysm, idx, param = rep.model, rep.indices, rep.parameterization
@@ -319,7 +319,7 @@ def test_one_step_vtol_verification_matches_the_tree_walked_reference(reports,
         x, u = traj.state(k), traj.inputs(k)
         y = {}
         for s in range(-max(idx.r1), max(idx.r2) + 1):
-            at = traj.point(k + s, sysm)
+            at = trajectory_point(traj, k + s, sysm)
             for j, phi in enumerate(vtol.candidate.phi):
                 y[Var("y", j + 1, s)] = evaluate(phi, at)
         measured = dict(y)
@@ -412,7 +412,7 @@ def _exact_seed_windows(text):
     rep = analyze(sf.model, sf.candidate, sf.options)
     tower, idx = rep.tower, rep.indices
     traj = verification_trajectory(rep.model, idx, VERIFY_STEPS,
-                                   random.Random(sf.options.seed + 1),
+                                   random.Random(SEED + 1),
                                    sf.options.input_boxes)
     rows = compile_exprs(tower.row_exprs(), tower.leaves)
     params = list(rep.model.param_bindings().values())
@@ -451,9 +451,9 @@ def test_relabeled_swapped_vtol_starts_on_the_singular_locus():
     at every window. Verifying the first tower fails at k = 0, and the error
     names that window."""
     sf = loads_system(VTOL_RELABELED_SWAPPED)
-    sysm, cand, opts = sf.model, sf.candidate, sf.options
-    first = _try_tower(sysm, cand, relative_degrees(sysm, cand, opts), None,
-                       (0, 1), "forward", opts, [])
+    sysm, cand = sf.model, sf.candidate
+    first = _try_tower(sysm, cand, relative_degrees(sysm, cand), None,
+                       (0, 1), "forward", sf.options.input_boxes, [])
     ranks = first.rank_probe.per_point
     assert ranks[0] <= 2 and ranks[1:] == [10] * (VERIFY_STEPS - 1)
     assert _rank_drop(first) == (f"tower rank {ranks[0]} < required 10 at "
@@ -574,13 +574,13 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
 
     monkeypatch.setattr(param.tower, "jacobian_blocks", poison)
     poison.count = 1
-    cls = classify(rep.model, robot.candidate, param)
+    cls = classify(rep.model, param)
     assert len(poisoned) == 1
     assert cls == rep.classification
     poisoned.clear()
     poison.count = VERIFY_STEPS
     with pytest.raises(AnalysisError, match="no verification window"):
-        classify(rep.model, robot.candidate, param)
+        classify(rep.model, param)
     assert len(poisoned) == VERIFY_STEPS
 
 
@@ -655,11 +655,10 @@ def test_the_search_auto_selects_a_missing_extension_map():
     section, every admissible tower enumerated."""
     text = systems.source("vtol").replace("[extension]\ng1 = x1\ng2 = x5\n", "")
     sf = loads_system(text)
-    opts = sf.options
-    rho = relative_degrees(sf.model, sf.candidate, opts)
+    rho = relative_degrees(sf.model, sf.candidate)
     diags = []
     towers = list(analysis._admissible_towers(sf.model, sf.candidate, rho,
-                                              opts, diags))
+                                              sf.options.input_boxes, diags))
     assert "auto-selected extension map g = ('x1', 'x5')" in diags
     assert [t.context.mode for t in towers] == ["forward", "forward"]
 
@@ -693,9 +692,9 @@ def test_a_transformed_psi_is_the_composed_base_psi(name, mode,
     is, structurally, the psi the restricted solver finds for the
     transformed system (the tower's `sys_bar`, sigma_y = (0, 1))."""
     sysm, cand = models_with_psi[name], corpus[name].candidate
-    opts = corpus[name].options
-    tower = _try_tower(sysm, cand, relative_degrees(sysm, cand, opts),
-                       backward_depths(sysm, cand, opts), (0, 1), mode, opts, [])
+    tower = _try_tower(sysm, cand, relative_degrees(sysm, cand),
+                       backward_depths(sysm, cand), (0, 1), mode,
+                       corpus[name].options.input_boxes, [])
     bar = tower.context.sys_bar
     assert (bar.psi_x, bar.psi_u) == model._solve_psi(bar, bar.g)
     assert bar.psi_residual <= 1e-9
@@ -754,7 +753,7 @@ def _rejection(name, rho, gamma, sigma_y, mode):
     sysm = sf.model if mode == "forward" else invert_extension(sf.model)
     diags = []
     assert _try_tower(sysm, sf.candidate, rho, gamma, sigma_y, mode,
-                      sf.options, diags) is None
+                      sf.options.input_boxes, diags) is None
     (why,) = diags
     return why
 

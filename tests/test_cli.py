@@ -10,7 +10,7 @@ from difflat import cli, numeric, systems
 from difflat.analysis import verification_trajectory
 from difflat.cli import main
 from difflat.expr import EvalError
-from difflat.numeric import ResidualReport, verify_parameterization
+from difflat.numeric import SEED, ResidualReport, verify_parameterization
 from difflat.sysfile import SystemFileError, loads_system
 
 
@@ -49,8 +49,8 @@ def test_analyze_robot(paths, capsys):
 
 
 def test_analyze_is_deterministic(paths, capsys):
-    rc1, out1, _ = run(capsys, "analyze", paths["academic"], "--json", "--seed", "5")
-    rc2, out2, _ = run(capsys, "analyze", paths["academic"], "--json", "--seed", "5")
+    rc1, out1, _ = run(capsys, "analyze", paths["academic"], "--json")
+    rc2, out2, _ = run(capsys, "analyze", paths["academic"], "--json")
     assert rc1 == rc2 == 0
     assert out1 == out2
 
@@ -196,7 +196,7 @@ def test_extend_vtol_and_robot(paths, tmp_path, capsys):
 
 def test_verify_robot(paths, capsys):
     rc, out, _ = run(capsys, "verify", paths["robot"], "--json",
-                     "--steps", "30", "--trials", "5", "--seed", "7")
+                     "--steps", "30", "--trials", "5")
     assert rc == 0
     j = json.loads(out)
     assert j["pass"] is True
@@ -236,12 +236,12 @@ def test_verify_fails_on_a_nan_trial_and_names_its_k(paths, capsys, monkeypatch)
 
 def test_verify_robot_reports_the_maximum_over_its_trials(paths, reports,
                                                           robot, capsys):
-    """Robot with the default seed and 5 trials: the maxima and worst k of
-    the five trials drawn through `verification_trajectory`, whose x and u
-    maxima lie in different trials."""
+    """Robot with 5 trials: the maxima and worst k of the five trials drawn
+    through `verification_trajectory` from `SEED`, whose x and u maxima lie
+    in different trials."""
     rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--trials", "5")
     assert rc == 0
-    rep, rng = reports["robot"], random.Random(2023)
+    rep, rng = reports["robot"], random.Random(SEED)
     trials = [verify_parameterization(
         rep.model, robot.candidate, rep.parameterization,
         verification_trajectory(rep.model, rep.indices, 30, rng,
@@ -273,19 +273,19 @@ def _poles(monkeypatch, count):
 
 def test_verify_redraws_a_pole_from_the_next_seed(paths, reports, robot,
                                                   capsys, monkeypatch):
-    """A first attempt that hits a pole is redrawn from seed + 1; the next
-    trial's first attempt still continues the draws of the seed."""
+    """A first attempt that hits a pole is redrawn from SEED + 1; the next
+    trial's first attempt still continues the draws of SEED."""
     seen = _poles(monkeypatch, 1)
     rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--trials", "2",
-                     "--steps", "8", "--seed", "7")
+                     "--steps", "8")
     assert rc == 0 and json.loads(out)["trials"] == 2
-    rep, first = reports["robot"], random.Random(7)
+    rep, first = reports["robot"], random.Random(SEED)
 
     def drawn(rng):
         return verification_trajectory(rep.model, rep.indices, 8, rng,
                                        robot.options.input_boxes).u
 
-    assert seen == [drawn(first), drawn(random.Random(8)), drawn(first)]
+    assert seen == [drawn(first), drawn(random.Random(SEED + 1)), drawn(first)]
 
 
 def test_a_persisting_pole_exits_4_after_ten_resamples(paths, capsys,
@@ -363,12 +363,12 @@ def test_user_F_outside_its_window_fails_analyze(paths, reports, tmp_path,
                    "the window [-1, 1]\n")
 
 
-# every flag of the CLI, the tolerance flags it no longer has, and the flags
-# a command does not read
+# every flag of the CLI, the tolerance and seed flags it no longer has, and
+# the flags a command does not read
 _FLAGS = {"--json": [], "--out": [os.devnull], "--tol-rank": ["1e-8"],
           "--tol-verify": ["1e-8"], "--steps": ["3"], "--trials": ["1"],
           "--seed": ["1"]}
-_REMOVED = ["--tol-rank", "--tol-verify"]
+_REMOVED = ["--tol-rank", "--tol-verify", "--seed"]
 _UNREAD = {"analyze": ["--out", "--steps", "--trials", *_REMOVED],
            "extend": ["--steps", "--trials", *_REMOVED],
            "verify": ["--out", *_REMOVED],
@@ -406,7 +406,7 @@ def test_verify_fails_a_run_above_the_residual_tolerance(paths, capsys, monkeypa
     # an impossibly tight tolerance flips the same run to a failure
     monkeypatch.setattr(numeric, "RESIDUAL_TOL", 1e-16)
     rc, out, _ = run(capsys, "verify", paths["robot"], "--json", "--steps", "10",
-                     "--trials", "1", "--seed", "7")
+                     "--trials", "1")
     assert rc == 4
     j = json.loads(out)
     assert j["pass"] is False and j["tolerance"] == 1e-16

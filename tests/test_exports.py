@@ -1,7 +1,7 @@
 """Every name a difflat module lists in `__all__` exists, every name it
-imports is used, and every private helper it defines is referenced, so
-deleting a function cannot leave a stale export, a stale import or a dead
-helper behind."""
+imports is used, every private helper it defines is referenced and every
+parameter of its functions is read, so deleting code cannot leave a stale
+export, a stale import, a dead helper or a pass-through parameter behind."""
 
 import ast
 import importlib
@@ -97,3 +97,63 @@ def test_no_private_helper_is_left_unreferenced():
             sources[name] = fh.read()
     dead = _dead_private_helpers(sources)
     assert not dead, f"private helpers no module references: {dead}"
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under `node`, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _unread_parameters(sources: dict) -> list:
+    """`module.function(parameter)` for each parameter of a function of
+    `sources` ({module: source}) that its body, nested functions included,
+    never reads as a bare name. A method's `self` or `cls` is not counted."""
+    out = []
+    for module, source in sources.items():
+        for name, fn in _functions(ast.parse(source)):
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{module}.{name}({p})" for p in params
+                    if p not in read and p not in ("self", "cls")]
+    return sorted(out)
+
+
+def test_the_unread_parameter_check_finds_an_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    return a + c\n"
+              "def g(x):\n    def h():\n        return x\n    return h\n"
+              "def k(y):\n    y = 1\n"
+              "class C:\n    def m(self, z):\n        return self\n")
+    assert _unread_parameters({"a": source}) == [
+        "a.C.m(z)", "a.f(b)", "a.f(kw)", "a.f(rest)", "a.k(y)"]
+
+
+# Parameters kept though no body reads them: the benchmark passes
+# `certify_linearizing` its analysis options and `verify_parameterization`
+# the model and candidate positionally, and `__setattr__` has the signature
+# Python calls it with.
+_UNREAD_ALLOWED = {
+    "difflat.extension.certify_linearizing(opts)",
+    "difflat.numeric.verify_parameterization(sys)",
+    "difflat.numeric.verify_parameterization(cand)",
+    "difflat.expr.Expr.__setattr__(value)",
+}
+
+
+def test_every_parameter_of_a_function_is_read():
+    sources = {}
+    for name in MODULES:
+        with open(importlib.util.find_spec(name).origin, encoding="utf-8") as fh:
+            sources[name] = fh.read()
+    unread = sorted(set(_unread_parameters(sources)) - _UNREAD_ALLOWED)
+    assert not unread, f"parameters no body reads: {unread}"

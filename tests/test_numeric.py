@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fd_jacobian_check
+from conftest import fd_jacobian_check, trajectory_point
 from difflat import analysis, expr, numeric
 from difflat.analysis import verification_trajectory
 from difflat.expr import (
@@ -323,7 +323,7 @@ def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
                                                            monkeypatch):
     """The windows run the tower's compiled outputs once per trajectory time,
     on the states, inputs and parameters there, and the residuals are
-    bit-identical to evaluating the outputs afresh at `Trajectory.point` for
+    bit-identical to evaluating the outputs afresh at `trajectory_point` for
     every shift of every step."""
     rep = reports["robot"]
     sysm, param, cand = rep.model, rep.parameterization, robot.candidate
@@ -336,7 +336,7 @@ def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
     for k in range(10):
         pt = dict(traj.params)
         for s in range(lo, hi + 1):
-            at = traj.point(k + s, sysm)
+            at = trajectory_point(traj, k + s, sysm)
             for j, phi in enumerate(cand.phi):
                 pt[Var("y", j + 1, s)] = evaluate(phi, at)
         fx = [evaluate(e, pt) for e in param.F_x]
@@ -360,7 +360,7 @@ def test_verify_reads_the_outputs_once_per_trajectory_time(reports, robot,
 
 
 def test_window_bindings_match_trajectory_points(reports, corpus):
-    """A window's positional reads bind the values `Trajectory.point` binds,
+    """A window's positional reads bind the values `trajectory_point` binds,
     on the robot and vtol windows: `Window.pt` (the parameters, every output
     shift around k and the tower point, in that order), the target vector
     in `Tower.targets` order, and the exact tower point read off each tower
@@ -379,7 +379,7 @@ def test_window_bindings_match_trajectory_points(reports, corpus):
         for win in windows:
             pt = dict(traj.params)
             for s in range(lo, hi + 1):
-                at = traj.point(win.k + s, sysm)
+                at = trajectory_point(traj, win.k + s, sysm)
                 for j, phi in enumerate(cand.phi):
                     pt[Var("y", j + 1, s)] = evaluate(phi, at)
             measured = dict(pt)
@@ -489,10 +489,11 @@ def test_shift_operator_soundness_along_trajectories(reports, corpus):
         for j, phi in enumerate(sf.candidate.phi):
             for k in range(-3, 4):
                 shifted = sysm.shift(phi, k)
-                pt = traj.point(k0, sysm, input_depth=max(k, 0) + 1,
-                                zeta_depth=max(-k, 0) + 1)
+                pt = trajectory_point(traj, k0, sysm, input_depth=max(k, 0) + 1,
+                                      zeta_depth=max(-k, 0) + 1)
                 a = evaluate(shifted, pt)
-                ptk = traj.point(k0 + k, sysm, input_depth=1, zeta_depth=1)
+                ptk = trajectory_point(traj, k0 + k, sysm, input_depth=1,
+                                       zeta_depth=1)
                 b = evaluate(phi, ptk)
                 assert abs(a - b) <= 1e-9 * (1 + abs(b)), (name, j, k)
 

@@ -64,7 +64,7 @@ CASES = {
                                                      ROBOT_SWAPPED_OUTPUT),
 }
 
-VERIFY_ARGS = ("--steps", "8", "--trials", "3", "--seed", "7")
+VERIFY_ARGS = ("--steps", "8", "--trials", "3")
 RESIDUAL_KEYS = ("max_residual_x", "max_residual_u", "worst_k")
 
 

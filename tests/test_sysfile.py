@@ -194,14 +194,26 @@ def test_input_inference_error_reports_the_first_dynamics_line():
      "bad numeric expression: division by exact zero"),
     ("n = 2", "n = two", "[dims]", "[dims] must declare integer n and m"),
     ("m = 2", "m = 2\nk = 9", "k = 9", "[dims] declares only n and m, got k"),
+    # parameters the parser reads as a variable or a function, or cannot
+    # read at all, so that no expression could ever reference them
+    ("[dims]", "[params]\nx1 = 3\n[dims]", "x1 = 3",
+     "x1 names a variable, not a parameter"),
+    ("[dims]", "[params]\nu1 = 3\n[dims]", "u1 = 3",
+     "u1 names a variable, not a parameter"),
+    ("[dims]", "[params]\nsin = 3\n[dims]", "sin = 3",
+     "sin names a function, not a parameter"),
+    ("[dims]", "[params]\n2a = 3\n[dims]", "2a = 3",
+     "parameter name '2a' is not an identifier"),
+    ("[dims]", "[params]\na b = 3\n[dims]", "a b = 3",
+     "parameter name 'a b' is not an identifier"),
     ("y2 = x2", "y3 = x2", "[output]", "[output] must define y1..y2"),
     ("[output]", "[extension]\ng1 = x1\ng3 = x2\n[output]", "[extension]",
      "[extension] must define g1..g2"),
 ])
 def test_row_and_section_errors_name_their_line(row, broken, at, message):
-    """An exact division by zero, a pole of f at the equilibrium and a
-    malformed section raise a SystemFileError with the line of the row, or
-    of the section's header."""
+    """An exact division by zero, a pole of f at the equilibrium, a
+    parameter name the parser cannot read and a malformed section raise a
+    SystemFileError with the line of the row, or of the section's header."""
     bad = MINIMAL.replace(row, broken)
     line = bad.splitlines().index(at) + 1
     with pytest.raises(SystemFileError) as ei:
