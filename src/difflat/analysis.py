@@ -31,6 +31,7 @@ extension its point.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -42,10 +43,10 @@ from .expr import (
 )
 from .model import ModelError, SystemModel, invert_extension, choose_extension
 from .numeric import (
-    NONZERO_TOL, RESIDUAL_TOL, SEED, RankProbe, SimulationError, _magnitudes,
-    block_triangular_solver, check_windows, depends_on, eval_matrix,
-    newton_solve, numeric_rank, probe_points, probe_rank, random_inputs,
-    simulate, tower_windows,
+    NONZERO_TOL, RESIDUAL_TOL, SEED, ResidualReport, SimulationError,
+    _magnitudes, _max_abs, block_triangular_solver, depends_on, eval_matrix,
+    fold_residuals, newton_solve, numeric_rank, probe_points, probe_rank,
+    random_inputs, simulate,
 )
 from .solve import SolveError, solve_equations
 
@@ -150,18 +151,36 @@ class SparseKernel:
 
 
 @dataclass
+class RankProbe:
+    at_point: int | None
+    generic: int
+    per_point: list
+    required: int | None = None
+
+
+class Window(namedtuple("Window", "k x u y w bindings")):
+    """Step k of a verification window: state x and input u at k, measured
+    targets y (`Tower.targets` order), exact tower point w, and the (keys,
+    values) that `pt` binds on first read (Newton reads none of them)."""
+
+    @cached_property
+    def pt(self) -> dict:
+        return dict(zip(*self.bindings))
+
+
+@dataclass
 class Tower:
     """The tower map w -> y of the tower variables w; its inverse is F.
 
-    Every numeric decision about a tower reads its `windows` (one
-    `numeric.Window` per verification step, set by the search): its rank,
-    the solver's pivots, the class ranks read off the inverse Jacobian
-    (`jacobian_blocks`) and the verification of F, by Newton inversion
-    (`recover`) where the solver cannot invert the tower; the reported
-    at-point rank is taken at `point`. The rows, the input recovery and
-    their Jacobians compile on first use into straight-line functions of
-    `leaves` (`expr.compile_exprs`, bit-identical to `evaluate`), each its
-    own `*_kernel`; the rest is read from `context`."""
+    Every numeric decision about a tower reads its `windows` (one `Window`
+    per verification step of a trajectory, `windows_along`, set by the
+    search): its rank, the solver's pivots, the class ranks read off the
+    inverse Jacobian (`jacobian_blocks`) and the verification of F, by
+    Newton inversion (`recover`) where the solver cannot invert the tower;
+    the reported at-point rank is taken at `point`. The rows, the input
+    recovery and their Jacobians compile on first use into straight-line
+    functions of `leaves` (`expr.compile_exprs`, bit-identical to
+    `evaluate`), each its own `*_kernel`; the rest is read from `context`."""
 
     rows: dict                     # (component j, shift s) -> Expr, in that order
     variables: tuple
@@ -268,23 +287,41 @@ class Tower:
         return compile_exprs(self.outputs, [*base.coordinates, *base.param_leaves])
 
     @cached_property
-    def window_plan(self) -> tuple:
-        """How `numeric.tower_windows` reads a trajectory by position: the
-        output times k + lo .. k + hi around a step k, the keys of
-        `Window.pt` (parameters, y<j>[s] for s = lo .. hi, tower variables)
-        and the position of each target among its y values."""
+    def _window_plan(self) -> tuple:
+        """How `windows_along` reads a trajectory by position: the output
+        times k + lo .. k + hi around a step k, the keys of `Window.pt`
+        (parameters, y<j>[s] for s = lo .. hi, tower variables), and the
+        position of each target among its y values and of each variable's
+        source (`sources`) among the states, inputs and targets."""
         m, lo, hi = len(self.outputs), -max(self.indices.r1), max(self.indices.r2)
+        base = self.context.base_model
         ys = [Var("y", j + 1, s) for s in range(lo, hi + 1) for j in range(m)]
         at = [(s - lo) * m + j - 1 for j, s in self.rows]
-        return lo, hi, [*self.context.base_model.param_leaves, *ys,
-                        *self.variables], at
+        data = [*base.coordinates, *self.targets]
+        return (lo, hi, [*base.param_leaves, *ys, *self.variables], at,
+                [data.index(self.sources[v]) for v in self.variables])
 
-    @cached_property
-    def _seed_plan(self) -> list:
-        """Where `trajectory_seed` reads each tower variable's source: its
-        position among the coordinates, then the targets."""
-        data = [*self.context.base_model.coordinates, *self.targets]
-        return [data.index(self.sources[v]) for v in self.variables]
+    def windows_along(self, traj, ks) -> list:
+        """The `Window` of each step of `ks` along `traj`, read by position
+        (`_window_plan`): the compiled outputs run once per trajectory time,
+        on the states, inputs and parameters there, and each window's exact
+        tower point w, Newton's seed, is each variable's source there."""
+        lo, hi, keys, at, seed_at = self._window_plan
+        values = [traj.params[p] for p in self.context.base_model.param_leaves]
+        outputs = {}    # trajectory time -> output values
+        out = []
+        for k in ks:
+            ys = []
+            for t in range(k + lo, k + hi + 1):
+                if t not in outputs:
+                    i = traj.index(t)
+                    outputs[t] = self.output_kernel([*traj.x[i], *traj.u[i], *values])
+                ys += outputs[t]
+            x, u, y = traj.state(k), traj.inputs(k), [ys[p] for p in at]
+            data = [*x, *u, *y]
+            w = [data[i] for i in seed_at]
+            out.append(Window(k, x, u, y, w, (keys, values + ys + w)))
+        return out
 
     @cached_property
     def seed_offset(self) -> list:
@@ -293,13 +330,6 @@ class Tower:
         taken from numpy's cos, not `math.cos`: the two may differ in the
         last bit on some platforms, and Newton's path with them."""
         return (1e-3 * np.cos(np.arange(len(self.variables)))).tolist()
-
-    def trajectory_seed(self, y, x_values, u_values):
-        """Newton seed from measured data: each tower variable's source, a
-        state of `x_values`, an input of `u_values` or a measured target of
-        `y` (`targets` order), read by position (`_seed_plan`), as a list."""
-        data = [*x_values, *u_values, *y]
-        return [data[i] for i in self._seed_plan]
 
     def recover(self, y, seed):
         """Solve tower(w) = y for w by Newton from `seed`, where `y` holds
@@ -356,6 +386,28 @@ class Parameterization:
     source: str                    # "tower_inverted" | "user_supplied" | "tower_implicit"
     tower: Tower
     diagnostics: list = field(default_factory=list)
+
+    def check(self, windows) -> ResidualReport:
+        """|x(k) - F_x| and |u(k) - F_u| at each of `windows`, folded by
+        `fold_residuals`; F is Newton's inversion of the tower from w + offset
+        (`Tower.seed_offset`) where it has no symbolic F. An EvalError is
+        raised again, same type, naming its k."""
+        tower = self.tower
+
+        def residuals(win):
+            try:
+                if self.F_x is not None:
+                    fx = [evaluate(e, win.pt) for e in self.F_x]
+                    fu = [evaluate(e, win.pt) for e in self.F_u]
+                else:
+                    fx, fu, _ = tower.recover(win.y, [
+                        a + o * (1.0 + abs(a)) for a, o in zip(win.w, tower.seed_offset)])
+            except EvalError as ex:
+                raise type(ex)(f"at window k = {win.k}: {ex}") from ex
+            return (win.k, _max_abs([a - b for a, b in zip(fx, win.x)]),
+                    _max_abs([a - b for a, b in zip(fu, win.u)]))
+
+        return fold_residuals(map(residuals, windows))
 
 
 @dataclass
@@ -683,7 +735,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, boxes, diags):
     try:
         traj = verification_trajectory(sys, idx, VERIFY_STEPS,
                                        random.Random(SEED + 1), boxes)
-        tower.windows = tower_windows(tower, traj, range(VERIFY_STEPS))
+        tower.windows = tower.windows_along(traj, range(VERIFY_STEPS))
     except (EvalError, SimulationError) as ex:
         diags.append(f"{tag}: verification trajectory: {ex}")
         return None
@@ -883,7 +935,7 @@ def _verify(param) -> dict:
     `RESIDUAL_TOL` or cannot be computed."""
     why = "parameterization failed trajectory verification"
     try:
-        report = check_windows(param, param.tower.windows)
+        report = param.check(param.tower.windows)
     except EvalError as ex:
         raise AnalysisError(f"{why}: {ex}") from ex
     if not report.passed:

@@ -42,27 +42,17 @@ def _emit(obj, as_json: bool):
         _emit_text(obj)
 
 
-def _emit_text(obj, indent=0):
+def _emit_text(obj: dict, indent=0):
+    """Each key and its value, aligned: a non-empty dict value recurses,
+    indented, and every other value prints inline (`_fmt`)."""
     pad = " " * indent
-    if isinstance(obj, dict):
-        width = max((len(str(k)) for k in obj), default=0)
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{pad}{k}:")
-                _emit_text(v, indent + 2)
-            else:
-                print(f"{pad}{str(k):<{width}}  {_fmt(v)}")
-    elif isinstance(obj, list):
-        for v in obj:
-            _emit_text(v, indent)
-    else:
-        print(f"{pad}{_fmt(obj)}")
-
-
-def _is_flat(v):
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
+    width = max((len(str(k)) for k in obj), default=0)
+    for k, v in obj.items():
+        if isinstance(v, dict) and v:
+            print(f"{pad}{k}:")
+            _emit_text(v, indent + 2)
+        else:
+            print(f"{pad}{str(k):<{width}}  {_fmt(v)}")
 
 
 def _fmt(v):

@@ -861,22 +861,27 @@ def _print_atom(e: Expr) -> str:
 
 
 def _print_term(coeff: Fraction, mono) -> str:
-    """One canonical term as numerator/denominator text, sign excluded."""
+    """One canonical term as numerator/denominator text, sign excluded. A
+    sum in the denominator is divided by alone, once per power, as in
+    `x1/x4/(x2 + x3)`: the parser multiplies out a product or a power of
+    sums before inverting it."""
     coeff = abs(coeff)
-    nums, dens = [], []
+    nums, dens, sums = [], [], []
     if coeff.numerator != 1:
         nums.append(str(coeff.numerator))
     if coeff.denominator != 1:
         dens.append(str(coeff.denominator))
     for base, exp in mono:
-        target = nums if exp > 0 else dens
         e = abs(exp)
+        if exp < 0 and isinstance(base, Add):
+            sums += [_print_atom(base)] * e
+            continue
+        target = nums if exp > 0 else dens
         target.append(_print_atom(base) + (f"^{e}" if e != 1 else ""))
     top = "*".join(nums) if nums else "1"
-    if not dens:
-        return top
-    bottom = dens[0] if len(dens) == 1 else "(" + "*".join(dens) + ")"
-    return f"{top}/{bottom}"
+    if dens:
+        top += "/" + (dens[0] if len(dens) == 1 else "(" + "*".join(dens) + ")")
+    return top + "".join("/" + s for s in sums)
 
 
 def to_text(e: Expr) -> str:

@@ -13,7 +13,8 @@ from .expr import (
     sub as esub, substitute, to_text, vars_of, params_of,
 )
 from .numeric import (
-    FIXED_POINT_TOL, PSI_TOL, _max_abs, numeric_rank, probe_points,
+    FIXED_POINT_TOL, PSI_CHECK_SEED, PSI_SOLVE_SEED, PSI_TOL, _max_abs,
+    numeric_rank, probe_points,
 )
 from .solve import SolveError, solve_equations
 
@@ -198,8 +199,8 @@ class SystemModel:
         g-value histories, params), NaN if any entry is: `invert_extension`
         checks it, `validate` reports it."""
         p, psi, worst = self.param_values, None, 0.0
-        for trial, pt in enumerate(probe_points(self.analysis_point(), 11,
-                                                perturb=self.coordinates)):
+        for trial, pt in enumerate(probe_points(
+                self.analysis_point(), PSI_CHECK_SEED, perturb=self.coordinates)):
             at = [pt[v] for v in self.coordinates]
             slots = self.fg(at + p)
             try:    # compiled at the first probe: a leaf psi may not read fails it
@@ -320,7 +321,7 @@ def _solve_psi(sys: SystemModel, g):
     eqs = [esub(fi, s) for fi, s in zip(sys.f, slots_x)]
     eqs += [esub(gj, s) for gj, s in zip(g, slots_z)]
     bind = list(zip(slots_x, sys.f)) + list(zip(slots_z, g))
-    probes = list(probe_points(sys.analysis_point(), 5, 5,
+    probes = list(probe_points(sys.analysis_point(), PSI_SOLVE_SEED, 5,
                                perturb=sys.coordinates, bind=bind))
     sol = solve_equations(eqs, list(sys.coordinates), probes)
     applied = dict(zip(slots_x + slots_z, [*sys.state_vars, *sys.histories]))

@@ -1,27 +1,27 @@
 """Numeric primitives: SVD ranks, jet-space probe points, trajectory
-simulation, parameterization verification and Newton inversion with a block
-triangular step solve."""
+simulation, Newton inversion with a block triangular step solve and the fold
+of verification residuals. How a tower is read along a trajectory lives with
+the tower (`analysis.Tower.windows_along`, `analysis.Parameterization.check`);
+`verify_parameterization` is the entry point that calls the two."""
 
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .expr import EvalError, Par, ZERO, differentiate, evaluate, jacobian
 
 __all__ = [
-    "numeric_rank", "eval_matrix", "probe_points",
-    "RankProbe", "probe_rank", "Trajectory",
+    "numeric_rank", "eval_matrix", "probe_points", "probe_rank", "Trajectory",
     "random_inputs", "simulate", "SimulationError", "verify_parameterization",
-    "ResidualReport", "newton_solve", "block_triangular_solver", "Window",
-    "tower_windows", "check_windows", "fold_residuals",
+    "ResidualReport", "newton_solve", "block_triangular_solver",
+    "fold_residuals",
 ]
 
-# The threshold of each numeric decision (README, "Numerical conventions").
+# The threshold of each numeric decision and the seed of each random draw
+# (README, "Numerical conventions").
 RANK_TOL = 1e-8          # singular values above RANK_TOL * sigma_max count
 RESIDUAL_TOL = 1e-8      # the largest trajectory (and user F) residual accepted
 NONZERO_TOL = 1e-9       # dependence, chain-lead identity and solver pivots
@@ -31,7 +31,10 @@ NEWTON_TOL = 1e-12       # Newton stops at this residual infinity norm
 NEWTON_MAX_ITER = 60
 PROBE_RADIUS = 1e-2
 PROBE_COUNT = 10
-SEED = 2023              # every draw's stream: probes SEED, trajectories SEED + 1
+SEED = 2023              # probes SEED, trajectories SEED + 1, Lemma 1 SEED + 3
+PSI_CHECK_SEED = 11      # the probes of psi's residual (`SystemModel.psi_residual`)
+PSI_SOLVE_SEED = 5       # the pivot probes of psi's solve (`model._solve_psi`)
+PATTERN_SEED = 0         # the block solver's remainder check
 
 
 def numeric_rank(M) -> int:
@@ -98,14 +101,6 @@ def _magnitudes(exprs, points):
             except EvalError:
                 continue
             yield a if a == a else 0.0
-
-
-@dataclass
-class RankProbe:
-    at_point: int | None
-    generic: int
-    per_point: list
-    required: int | None = None
 
 
 def probe_rank(rows, cols, probes) -> int:
@@ -212,64 +207,12 @@ class ResidualReport:
         }
 
 
-class Window(namedtuple("Window", "k x u y w bindings")):
-    """Step k of a verification window: state x and input u at k, measured
-    targets y (`Tower.targets` order), exact tower point w, and the (keys,
-    values) that `pt` binds on first read (Newton reads none of them)."""
-
-    @cached_property
-    def pt(self) -> dict:
-        return dict(zip(*self.bindings))
-
-
-def tower_windows(tower, traj: Trajectory, k_window) -> list:
-    """The `Window` of each step of `k_window` along `traj`, for `tower`,
-    read by position (`Tower.window_plan`): the tower's compiled outputs run
-    once per trajectory time, on the states, inputs and parameters there."""
-    lo, hi, keys, at = tower.window_plan
-    values = [traj.params[p] for p in tower.context.base_model.param_leaves]
-    outputs = {}    # trajectory time -> output values
-    out = []
-    for k in k_window:
-        ys = []
-        for t in range(k + lo, k + hi + 1):
-            if t not in outputs:
-                i = traj.index(t)
-                outputs[t] = tower.output_kernel([*traj.x[i], *traj.u[i], *values])
-            ys += outputs[t]
-        x, u, y = traj.state(k), traj.inputs(k), [ys[p] for p in at]
-        w = tower.trajectory_seed(y, x, u)
-        out.append(Window(k, x, u, y, w, (keys, values + ys + w)))
-    return out
-
-
 def verify_parameterization(sys, cand, param, traj: Trajectory,
                             k_window) -> ResidualReport:
-    """Check |x(k) - F_x(y-shifts)| and |u(k) - F_u(y-shifts)| along the
-    trajectory for each k in the window, read by `param.tower`, which was
-    built from `sys` and `cand`."""
-    return check_windows(param, tower_windows(param.tower, traj, k_window))
-
-
-def check_windows(param, windows) -> ResidualReport:
-    """The residuals of `verify_parameterization` at `windows`, folded by
-    `fold_residuals`; an EvalError is raised again, same type, naming its k."""
-    tower = param.tower
-
-    def residuals(win):
-        try:
-            if param.F_x is not None:
-                fx = [evaluate(e, win.pt) for e in param.F_x]
-                fu = [evaluate(e, win.pt) for e in param.F_u]
-            else:
-                fx, fu, _ = tower.recover(win.y, [
-                    a + o * (1.0 + abs(a)) for a, o in zip(win.w, tower.seed_offset)])
-        except EvalError as ex:
-            raise type(ex)(f"at window k = {win.k}: {ex}") from ex
-        return (win.k, _max_abs([a - b for a, b in zip(fx, win.x)]),
-                _max_abs([a - b for a, b in zip(fu, win.u)]))
-
-    return fold_residuals(map(residuals, windows))
+    """Check |x(k) - F_x(y-shifts)| and |u(k) - F_u(y-shifts)| at each k of
+    the window along `traj` (`Tower.windows_along`, `Parameterization.check`)
+    for `param.tower`, which was built from `sys` and `cand`."""
+    return param.check(param.tower.windows_along(traj, k_window))
 
 
 def fold_residuals(rows) -> ResidualReport:
@@ -352,7 +295,7 @@ def block_triangular_solver(nonzeros, n: int):
     remainder that is singular for every value of its nonzeros (raised
     here), a zero pivot or a singular remainder raises
     `EvalError("singular Jacobian in Newton solve")`. The remainder is
-    checked at its nonzeros' values drawn from `random.Random(0)`: its
+    checked at its nonzeros' values drawn from `Random(PATTERN_SEED)`: its
     rank there is its structural rank with probability 1, and is full
     exactly when the pattern has a perfect matching."""
     at = {ij: p for p, ij in enumerate(nonzeros)}
@@ -374,7 +317,7 @@ def block_triangular_solver(nonzeros, n: int):
     lines = [line for i, j in front for line in pivot(i, j)]
     if rows:
         rows, cols = sorted(rows), sorted(cols)
-        rng = random.Random(0)
+        rng = random.Random(PATTERN_SEED)
         generic = [[rng.uniform(-1.0, 1.0) if (i, j) in at else 0.0 for j in cols]
                    for i in rows]
         if numeric_rank(generic) < len(rows):

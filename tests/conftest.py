@@ -97,7 +97,7 @@ def trajectory_point(traj, k: int, sys, input_depth: int = 0,
                      zeta_depth: int = 0) -> dict:
     """Jet bindings of `traj` at time k: parameters, states, input
     forward-shifts up to `input_depth` and g-histories down to
-    `zeta_depth`. `tower_windows` binds the outputs by position instead;
+    `zeta_depth`. `Tower.windows_along` binds the outputs by position instead;
     this dict is the reference the tests compare it with."""
     pt = dict(traj.params)
     pt.update(zip(sys.state_vars, traj.state(k)))

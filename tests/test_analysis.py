@@ -15,9 +15,9 @@ import pytest
 import difflat
 from difflat import analysis, model, numeric, systems
 from difflat.analysis import (
-    VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate, _rank_drop,
-    _try_tower, analyze, backward_depths, build_tower, classify, invert_tower,
-    normalize_inputs, relative_degrees, verification_trajectory,
+    VERIFY_STEPS, AnalysisError, AnalyzeOptions, FlatCandidate, RankProbe,
+    _rank_drop, _try_tower, analyze, backward_depths, build_tower, classify,
+    invert_tower, normalize_inputs, relative_degrees, verification_trajectory,
 )
 from difflat.expr import (
     EvalError, Var, add, compile_exprs, differentiate, evaluate, jacobian,
@@ -25,12 +25,11 @@ from difflat.expr import (
 )
 from difflat.model import ModelError, SystemModel, invert_extension
 from difflat.numeric import (
-    SEED, RankProbe, check_windows, eval_matrix, newton_solve, numeric_rank,
-    tower_windows, verify_parameterization,
+    SEED, eval_matrix, newton_solve, numeric_rank, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 from difflat.solve import SolveError
-from difflat.sysfile import loads_system
+from difflat.sysfile import loads_system, print_system
 from conftest import lowest_F_v_shifts, trajectory_point
 from test_cli import VTOL_RELABELED_SWAPPED
 
@@ -292,7 +291,7 @@ def test_vtol_newton_matches_the_tree_walked_reference(reports, vtol):
     for seed in (1, 2):
         traj = verification_trajectory(sysm, idx, 6, random.Random(seed),
                                        vtol.options.input_boxes)
-        for win in tower_windows(imp, traj, range(6)):
+        for win in imp.windows_along(traj, range(6)):
             offset = 1e-3 * np.cos(np.arange(len(win.w)))
             w0 = [a + o * (1.0 + abs(a)) for a, o in zip(win.w, offset)]
             got, want = imp.recover(win.y, seed=w0), ref_recover(win.pt, w0)
@@ -417,7 +416,7 @@ def _exact_seed_windows(text):
     rows = compile_exprs(tower.row_exprs(), tower.leaves)
     params = list(rep.model.param_bindings().values())
     out = []
-    for win in tower_windows(tower, traj, range(VERIFY_STEPS)):
+    for win in tower.windows_along(traj, range(VERIFY_STEPS)):
         values = list(win.w) + params
         residual = np.array(rows(values)) - [win.pt[t] for t in tower.targets]
         _, us = tower.states_inputs(win.w)
@@ -459,7 +458,7 @@ def test_relabeled_swapped_vtol_starts_on_the_singular_locus():
     assert _rank_drop(first) == (f"tower rank {ranks[0]} < required 10 at "
                                  "verification window k = 0")
     with pytest.raises(EvalError, match=r"^at window k = 0: Newton "):
-        check_windows(invert_tower(sysm, cand, first), first.windows)
+        invert_tower(sysm, cand, first).check(first.windows)
     windows = _exact_seed_windows(VTOL_RELABELED_SWAPPED)
     assert [k for k, *_ in windows] == list(range(VERIFY_STEPS))
     for k, rank, row_err, u_err in windows:
@@ -647,6 +646,27 @@ def test_a_user_F_stands_in_when_the_solver_cannot_invert_the_tower(
     assert param.diagnostics[-1] == (
         "restricted solver could not invert the tower: forced")
     assert analysis._verify(param)["pass"]
+
+
+@pytest.mark.parametrize("name", ["robot", "academic"])
+def test_a_correct_user_F_is_cross_checked_and_prints_back(reports, name):
+    """A system's own inverted F, supplied as its [parameterization], is
+    accepted: the tower is inverted, the user F agrees with it exactly, and
+    printing and re-parsing the file gives back the same F trees."""
+    param = reports[name].parameterization
+    F = (*param.F_x, *param.F_u)
+    rows = [f"{to_text(v)} = {to_text(e)}"
+            for v, e in zip(reports[name].model.coordinates, F)]
+    sf = loads_system(systems.source(name).replace(
+        "[equilibrium]", "[parameterization]\n" + "\n".join(rows)
+        + "\n\n[equilibrium]"))
+    rep = analyze(sf.model, sf.candidate, sf.options)
+    assert rep.parameterization.source == "tower_inverted"
+    assert rep.parameterization.diagnostics[-1] == (
+        "user_F cross-checked against the inverted tower (0)")
+    for user_F in (sf.candidate.user_F,
+                   loads_system(print_system(sf)).candidate.user_F):
+        assert all(a is b for a, b in zip((*user_F[0], *user_F[1]), F, strict=True))
 
 
 def test_the_search_auto_selects_a_missing_extension_map():

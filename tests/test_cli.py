@@ -183,6 +183,53 @@ def test_extend_academic(paths, tmp_path, capsys):
     assert print_system(reparsed, header=header) == text
 
 
+_SUM_IN_A_DENOMINATOR = """
+[dims]
+n = 3
+m = 2
+
+[dynamics]
+x1+ = x2
+x2+ = {x2}
+x3+ = {x3}
+
+[output]
+y1 = x1
+y2 = x3
+
+[equilibrium]
+x3 = 1
+"""
+
+
+def test_extend_round_trips_a_sum_in_a_product_denominator(tmp_path, capsys):
+    """The extended system of a row dividing by a state and a sum prints
+    that row so that it re-parses to the same tree: printed as
+    `ubar2/(x3*(2 + x1))`, it would re-parse multiplied out, and `extend`
+    would fail its round trip."""
+    path, out_file = tmp_path / "sum.sys", tmp_path / "sum_ext.sys"
+    path.write_text(_SUM_IN_A_DENOMINATOR.format(
+        x2="u1", x3="x3 + u2/x3/(2 + x1)"), encoding="utf-8")
+    rc, out, err = run(capsys, "extend", str(path), "--json",
+                       "--out", str(out_file))
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["roundtrip"] == "ok"
+    assert "x3+ = ubar2/x3/(2 + x1) + x3\n" in out_file.read_text(encoding="utf-8")
+
+
+def test_print_is_idempotent_on_a_sum_in_a_product_denominator(tmp_path,
+                                                              capsys):
+    path = tmp_path / "sum.sys"
+    path.write_text(_SUM_IN_A_DENOMINATOR.format(x2="u1/x3/(2 + u2)", x3="x3"),
+                    encoding="utf-8")
+    rc, once, _ = run(capsys, "print", str(path))
+    path.write_text(once, encoding="utf-8")
+    rc2, twice, _ = run(capsys, "print", str(path))
+    assert rc == rc2 == 0
+    assert "x2+ = u1/x3/(2 + u2)\n" in once
+    assert twice == once
+
+
 def test_extend_vtol_and_robot(paths, tmp_path, capsys):
     for name, dim, rank in (("vtol", 8, 10), ("robot", 5, 7)):
         out_file = tmp_path / f"{name}_ext.sys"

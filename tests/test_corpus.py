@@ -6,10 +6,15 @@ and certify_linearizing and is checked against its known answer with
 `workloads.check`, in fresh interpreters under PYTHONHASHSEED 0 and 3. Only
 the known failure may fail; fixing it empties the set below. Each case's
 tower-search diagnostics, or the error text of a rejected case, must equal
-`tests/golden/corpus_diagnostics.json` under both hash seeds; run this file
-(`PYTHONPATH=src python tests/test_corpus.py`) to rewrite it. A seeded sample
+`tests/golden/corpus_diagnostics.json` under both hash seeds. A seeded sample
 of the state relabelings of vtol with swapped outputs runs the same way and
-must pass.
+must pass. A matrix of pure changes of units runs the same way: robot,
+academic and vtol with u1 or u2 rescaled by 10^-6, 10^-3, 10^3 or 10^6
+(`workloads.rescale_input`), each held to its system's known answer. Only
+its known failures may fail, and its diagnostics or error texts must equal
+`tests/golden/rescale_diagnostics.json`, which pins those failures'
+messages too. Run this file
+(`PYTHONPATH=src python tests/test_corpus.py`) to rewrite both goldens.
 """
 
 import functools
@@ -23,8 +28,18 @@ import difflat
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "corpus_diagnostics.json"
+RESCALE_GOLDEN = ROOT / "tests" / "golden" / "rescale_diagnostics.json"
 KNOWN_FAILURES = {
     "vtol/permute-532146/rescale-u2-1e-4",   # no admissible tower
+}
+# float gates a change of units alone trips (ROADMAP item 6): the message of
+# each is pinned in `RESCALE_GOLDEN`
+RESCALE_FAILURES = {
+    "robot/rescale-u1-1e-6",     # trajectory residual 3.21e-08
+    "vtol/rescale-u1-1e-6",      # psi residual 2.05e-08
+    "vtol/rescale-u2-1e-6",      # psi residual 3.44e-08
+    "vtol/rescale-u2-1e-3",      # trajectory residual 6.1e-07
+    "vtol/rescale-u2-1e6",       # trajectory residual 0.000942
 }
 
 SWEEP = """
@@ -38,6 +53,10 @@ from difflat.analysis import AnalysisError
 def cases():
     if MODE == "corpus":
         return [(c.name, c.text, c.answer) for c in W.corpus_deck(1, 4)]
+    if MODE == "rescale":
+        return [(f"{s}/rescale-u{j}-1e{e}", W.rescale_input(W.source(s), j, e),
+                 W.KNOWN[s]) for s in ("robot", "academic", "vtol")
+                for j in (1, 2) for e in (-6, -3, 3, 6)]
     # 12 of the 720 relabelings, drawn once from a fixed seed
     perms = random.Random("vtol/swap/relabelings").sample(
         list(itertools.permutations(range(1, 7))), 12)
@@ -103,6 +122,18 @@ def test_corpus_diagnostics_match_the_golden():
         assert not changed, (seed, changed)
 
 
+def test_rescaled_inputs_fail_no_more_than_the_known_cases():
+    for seed, out in _sweep("rescale").items():
+        assert set(out["failed"]) <= RESCALE_FAILURES, (seed, out["failed"])
+
+
+def test_rescale_diagnostics_match_the_golden():
+    """Each case's diagnostics, or the message it fails with, is pinned."""
+    golden = json.loads(RESCALE_GOLDEN.read_text(encoding="utf-8"))
+    for seed, out in _sweep("rescale").items():
+        assert out["diagnostics"] == golden, seed
+
+
 def test_relabeled_swapped_vtol_sample_passes():
     """The tower search must not accept a tower whose Jacobian is singular
     at a verification window while another admissible one is regular at
@@ -112,7 +143,8 @@ def test_relabeled_swapped_vtol_sample_passes():
 
 
 if __name__ == "__main__":
-    diagnostics = _sweep("corpus")["0"]["diagnostics"]
-    GOLDEN.write_text(json.dumps(diagnostics, sort_keys=True, indent=2) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    for mode, path in (("corpus", GOLDEN), ("rescale", RESCALE_GOLDEN)):
+        diagnostics = _sweep(mode)["0"]["diagnostics"]
+        path.write_text(json.dumps(diagnostics, sort_keys=True, indent=2) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {path}", file=sys.stderr)

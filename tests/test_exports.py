@@ -157,3 +157,35 @@ def test_every_parameter_of_a_function_is_read():
             sources[name] = fh.read()
     unread = sorted(set(_unread_parameters(sources)) - _UNREAD_ALLOWED)
     assert not unread, f"parameters no body reads: {unread}"
+
+
+def _tower_readers(source: str) -> list:
+    """The functions of `source`, methods and nested functions included,
+    other than `verify_parameterization`, with a parameter named `tower` or
+    `param`."""
+    out = []
+    for name, fn in _functions(ast.parse(source)):
+        a = fn.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        if name != "verify_parameterization" and params & {"tower", "param"}:
+            out.append(name)
+    return sorted(out)
+
+
+def test_the_tower_reader_check_finds_a_tower_parameter():
+    source = ("def verify_parameterization(sys, cand, param, traj, ks):\n"
+              "    return param\n"
+              "def windows(tower, traj):\n    return tower\n"
+              "def fold(rows, *, param=None):\n    return rows\n")
+    assert _tower_readers(source) == ["fold", "windows"]
+
+
+def test_numeric_reads_no_tower():
+    """`numeric` is the layer `analysis` imports: a tower is read along a
+    trajectory by its own methods (`Tower.windows_along`,
+    `Parameterization.check`), and only the entry point
+    `verify_parameterization` takes a parameterization."""
+    with open(importlib.util.find_spec("difflat.numeric").origin,
+              encoding="utf-8") as fh:
+        readers = _tower_readers(fh.read())
+    assert not readers, f"numeric functions that take a tower: {readers}"

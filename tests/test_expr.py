@@ -609,6 +609,20 @@ def test_print_parse_round_trip_on_rational_functions():
         assert parse_expression(to_text(e), T) == e
 
 
+def test_a_sum_in_the_denominator_is_divided_by_alone():
+    """Printed in one product with another denominator factor, or as a
+    power, a sum would be multiplied out by the parser before it is
+    inverted (`x1/(x4*(x2 + x3))` re-parses as `x1/(x2*x4 + x3*x4)`)."""
+    x1, x4, s = var("x", 1), var("x", 4), add(var("x", 2), var("x", 3))
+    for e, text in ((mul(x1, pow_(s, -1), pow_(x4, -1)), "x1/x4/(x2 + x3)"),
+                    (mul(x1, pow_(s, -2)), "x1/(x2 + x3)/(x2 + x3)"),
+                    (mul(Fraction(-2, 3), x1, pow_(s, -1)), "-2*x1/3/(x2 + x3)"),
+                    (mul(x1, pow_(s, -1)), "x1/(x2 + x3)"),
+                    (mul(x1, pow_(x4, -1), pow_(var("x", 2), -1)), "x1/(x2*x4)")):
+        assert to_text(e) == text
+        assert parse_expression(text, T) is e
+
+
 def test_leaf_total_order():
     # (family, component, shift) lexicographic
     e = add(var("u", 1), var("x", 2), var("x", 1, 1), var("x", 1))

@@ -14,9 +14,8 @@ from difflat.expr import (
 )
 from difflat.numeric import (
     NONZERO_TOL, PROBE_COUNT, PROBE_RADIUS, SimulationError,
-    block_triangular_solver, check_windows, newton_solve, numeric_rank,
-    probe_points, random_inputs, simulate, tower_windows,
-    verify_parameterization,
+    block_triangular_solver, newton_solve, numeric_rank, probe_points,
+    random_inputs, simulate, verify_parameterization,
 )
 from difflat.parsing import DimTable, parse_expression
 from difflat.solve import SolveError, solve_equations
@@ -374,7 +373,7 @@ def test_window_bindings_match_trajectory_points(reports, corpus):
         us = random_inputs(random.Random(11), [pt0[v] for v in sysm.input_vars],
                            {}, H + K)
         traj = simulate(sysm, [pt0[v] for v in sysm.state_vars], us, H, K)
-        windows = tower_windows(tower, traj, range(-1, 6))
+        windows = tower.windows_along(traj, range(-1, 6))
         assert [win.k for win in windows] == list(range(-1, 6))
         for win in windows:
             pt = dict(traj.params)
@@ -398,14 +397,14 @@ def test_a_nan_residual_fails_verification(reports):
     gives a NaN residual, which fails the 1e-8 gate and names its window."""
     rep = reports["robot"]
     windows = rep.tower.windows
-    assert check_windows(rep.parameterization, windows).passed
+    assert rep.parameterization.check(windows).passed
     for field in ("x", "u"):
         for i in (0, -1):
             poisoned = list(windows)
             values = list(getattr(windows[3], field))
             values[i] = math.nan
             poisoned[3] = windows[3]._replace(**{field: values})
-            out = check_windows(rep.parameterization, poisoned)
+            out = rep.parameterization.check(poisoned)
             worst = out.max_residual_x if field == "x" else out.max_residual_u
             assert math.isnan(worst) and not out.passed, (field, i)
             assert out.worst_k == windows[3].k

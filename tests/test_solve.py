@@ -4,6 +4,7 @@ import random
 import pytest
 
 from difflat.expr import cos, evaluate, mul, sin, sub, to_text, var
+from difflat.parsing import DimTable, parse_expression
 from difflat.solve import SolveError, solve_equations
 
 x1, x2, x3 = var("x", 1), var("x", 2), var("x", 3)
@@ -126,14 +127,16 @@ def test_solutions_of_the_existing_systems_are_unchanged():
     den = "(-cos(y1[1])*sin(y1[-1])/cos(y1[-1]) + sin(y1[1]))"
     want = [
         {"u1": "y2[1]/cos(x3 - y1)", "u2": "-x3 + y1"},
-        {"x1": f"-y2[-1]*cos(y1[1])/(cos(y1[-1])*{den}) + y2/{den}",
-         "x2": f"-y2[-1]*cos(y1[1])*sin(y1[-1])/(cos(y1[-1])^2*{den}) "
-               f"- y2[-1]/cos(y1[-1]) + y2*sin(y1[-1])/(cos(y1[-1])*{den})"},
+        {"x1": f"-y2[-1]*cos(y1[1])/cos(y1[-1])/{den} + y2/{den}",
+         "x2": f"-y2[-1]*cos(y1[1])*sin(y1[-1])/cos(y1[-1])^2/{den} "
+               f"- y2[-1]/cos(y1[-1]) + y2*sin(y1[-1])/cos(y1[-1])/{den}"},
         {"x1": "y1/2 - y2/2", "x2": "y1/2 + y2/2"},
         {"x1": "y1",
-         "x2": "y1[1]/(y1^2*(2 - 1/y1)) + y1[1]/y1 - y2/(y1*(2 - 1/y1))",
-         "x3": "-y1[1]/(y1*(2 - 1/y1)) + y2/(2 - 1/y1)"},
+         "x2": "y1[1]/y1^2/(2 - 1/y1) + y1[1]/y1 - y2/y1/(2 - 1/y1)",
+         "x3": "-y1[1]/y1/(2 - 1/y1) + y2/(2 - 1/y1)"},
     ]
     for (eqs, unknowns, probes), expected in zip(systems, want, strict=True):
         sol = solve_equations(eqs, unknowns, probes)
         assert {str(v): to_text(e) for v, e in sol.items()} == expected
+        for v, e in sol.items():    # each text re-parses to the solved tree
+            assert parse_expression(expected[str(v)], DimTable(3, 2)) is e
