@@ -58,7 +58,6 @@ __all__ = [
     "verification_trajectory",
 ]
 
-SHIFT_CAP_FACTOR = 2
 VERIFY_STEPS = 12
 
 
@@ -127,7 +126,7 @@ class TowerContext:
     base_model: SystemModel        # the analyzed model (psi resolved if used)
     u_inverse: dict | None         # {original u leaf: expr over (x, ubar)}
     zeta_inverse: dict | None      # {zeta_j[-1]: expr over (x, zetabar[-1])}
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list              # the tower search's log, shared by its towers
 
 
 @dataclass
@@ -382,7 +381,6 @@ class Parameterization:
 
     F_x: tuple | None
     F_u: tuple | None
-    indices: ShiftIndices
     source: str                    # "tower_inverted" | "user_supplied" | "tower_implicit"
     tower: Tower
     diagnostics: list = field(default_factory=list)
@@ -416,15 +414,10 @@ class Classification:
     rank_Fu_at_R2: int
     rank_Fx_at_minusR1: int
     rank_g_of_F: int | None
-    diagnostics: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # Shift indices.
-
-def _shift_cap(sys: SystemModel) -> int:
-    return SHIFT_CAP_FACTOR * (sys.n + sys.m)
-
 
 @dataclass(frozen=True)
 class _Chain:
@@ -584,6 +577,10 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
         raise AnalysisError("towers are defined for two-input systems (m = 2)")
     if not cand.is_xu_flat(sys):
         raise AnalysisError("tower construction needs an (x,u)-flat candidate")
+    clash = [to_text(v) for v in sys.coordinates if v.family in ("ubar", "zetabar")]
+    if clash:
+        raise AnalysisError(f"model coordinates {', '.join(clash)} are in the ubar or "
+                            "zetabar family the tower's transforms define; rename them")
     rho = relative_degrees(sys, cand)
     diags, fallback = [], None
     try:
@@ -601,14 +598,17 @@ def build_tower(sys: SystemModel, cand: FlatCandidate,
         raise AnalysisError(
             "no permutation admits the Prop. 2-4 tower structure:\n  - "
             + "\n  - ".join(diags))
-    fallback.context.diagnostics = diags
     return fallback
 
 
 def _admissible_towers(sys, cand, rho, boxes, diags):
-    """The admissible towers in search order, the backward ones lazily."""
+    """The admissible towers in search order, the backward ones lazily. The
+    backward depths are taken once the model has psi: before the forward
+    towers, which report them, and again only for the model the backward
+    search runs on if that differs (an auto-selected g or a solved psi)."""
+    gamma = None if sys.psi_x is None else backward_depths(sys, cand)
     for sigma_y in _SIGMA_Y:
-        t = _try_tower(sys, cand, rho, None, sigma_y, "forward", boxes, diags)
+        t = _try_tower(sys, cand, rho, gamma, sigma_y, "forward", boxes, diags)
         if t is not None:
             yield t
 
@@ -619,7 +619,8 @@ def _admissible_towers(sys, cand, rho, boxes, diags):
         sysb = sysb.with_g(choice.g).with_psi(choice.psi_x, choice.psi_u)
         diags.append(f"auto-selected extension map g = {choice.selected_coordinates}")
     sysb = invert_extension(sysb)    # solves for a missing psi, checks any psi
-    gamma = backward_depths(sysb, cand)
+    if sysb is not sys:
+        gamma = backward_depths(sysb, cand)
     # Prop. 3 hypothesis, the outputs jointly regular in u, for every sigma_y
     leaves = set().union(*map(vars_of, cand.phi)) | set(sysb.input_vars)
     rank = probe_rank(list(cand.phi), list(sysb.input_vars),
@@ -673,7 +674,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, boxes, diags):
 
     r11 = r12 = r21 = r22 = d1 = d2 = 0
     if forward:
-        cap = _shift_cap(sys)
+        cap = sys.n    # rho1 + r22 <= n in every admissible tower
         ubar2 = sys_bar.input_vars[1]
         r22 = _first_dependent_shift(
             sys_bar, phi_bar[1],
@@ -729,7 +730,7 @@ def _try_tower(sys, cand, rho, gamma, sigma_y, mode, boxes, diags):
                        d1=d1, d2=d2, sigma_y=sigma_y)
     ctx = TowerContext(mode=mode, sys_bar=sys_bar, base_model=sys,
                        u_inverse=u_inverse, zeta_inverse=zeta_inverse,
-                       diagnostics=list(diags))
+                       diagnostics=diags)
     tower = Tower(rows=rows, variables=variables, indices=idx, context=ctx,
                   sources=sources, outputs=cand.phi)
     try:
@@ -832,8 +833,7 @@ def _unpermute(sigma_y, first_val, second_val):
 # ---------------------------------------------------------------------------
 # Tower inversion.
 
-def invert_tower(sys: SystemModel, cand: FlatCandidate,
-                 tower: Tower) -> Parameterization:
+def invert_tower(cand: FlatCandidate, tower: Tower) -> Parameterization:
     """Solve the tower equations for the parameterizing map.
 
     Stage A solves states and chain variables from the rows below the top
@@ -842,11 +842,7 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate,
     user-supplied map, then to the implicit (Newton) parameterization of the
     tower map itself. Pivots are picked at the tower's windows; `analyze`
     verifies the result there."""
-    idx = tower.indices
-    rows_cnt = len(tower.rows)
-    if rows_cnt != len(tower.variables):
-        raise AnalysisError(
-            f"tower is not square: {rows_cnt} rows, {len(tower.variables)} variables")
+    sys, idx = tower.context.base_model, tower.indices
     diags = list(tower.context.diagnostics)
 
     top_shift = {j: idx.r2[j - 1] for j in (1, 2)}
@@ -880,8 +876,8 @@ def invert_tower(sys: SystemModel, cand: FlatCandidate,
         else:
             source = "tower_implicit"
 
-    param = Parameterization(F_x=F_x, F_u=F_u, indices=idx, source=source,
-                             tower=tower, diagnostics=diags)
+    param = Parameterization(F_x=F_x, F_u=F_u, source=source, tower=tower,
+                             diagnostics=diags)
     if F_x is not None:
         _check_shapes(idx, F_x, F_u)
         if cand.user_F is not None and source == "tower_inverted":
@@ -909,7 +905,7 @@ def _cross_check_user_F(cand, param, diags):
     """The user-supplied F in the inverted F's leaf windows and equal to it
     at every verification window where both evaluate, of which there must be
     one."""
-    _check_shapes(param.indices, *cand.user_F, whose="user-supplied ")
+    _check_shapes(param.tower.indices, *cand.user_F, whose="user-supplied ")
     mine, theirs = (*param.F_x, *param.F_u), (*cand.user_F[0], *cand.user_F[1])
     deviations = []
     for pt in (win.pt for win in param.tower.windows):
@@ -961,17 +957,16 @@ def verification_trajectory(sys, idx: ShiftIndices, steps: int, rng, boxes):
 # ---------------------------------------------------------------------------
 # Classification.
 
-def classify(sys: SystemModel, param: Parameterization) -> Classification:
+def classify(param: Parameterization) -> Classification:
     """Decide the flatness class from the index data and certify the rank
     conditions of the Jacobian submatrices of F. The ranks are read off the
     inverse of the tower Jacobian at the tower's windows, for symbolic and
     Newton parameterizations alike (`_tower_ranks`)."""
-    idx = param.indices
-    diags = list(param.diagnostics)
-
+    tower = param.tower
+    sys, idx = tower.context.base_model, tower.indices
     cols_R2 = [Var("y", j + 1, idx.r2[j]) for j in range(2)]
     cols_mR1 = [Var("y", j + 1, -idx.r1[j]) for j in range(2)]
-    rank_fu, rank_fx, rank_gf = _tower_ranks(sys, param, cols_R2, cols_mR1)
+    rank_fu, rank_fx, rank_gf = _tower_ranks(tower, cols_R2, cols_mR1)
 
     if idx.size_R == sys.n:
         kind = "linearizing"
@@ -996,16 +991,15 @@ def classify(sys: SystemModel, param: Parameterization) -> Classification:
                 "general classification contradicted: rank d_y[R2] F_u = "
                 f"{rank_fu}, rank d_y[-R1] F_x = {rank_fx} (one is full)")
     return Classification(kind=kind, rank_Fu_at_R2=rank_fu,
-                          rank_Fx_at_minusR1=rank_fx, rank_g_of_F=rank_gf,
-                          diagnostics=diags)
+                          rank_Fx_at_minusR1=rank_fx, rank_g_of_F=rank_gf)
 
 
-def _tower_ranks(sys, param, cols_R2, cols_mR1):
+def _tower_ranks(tower, cols_R2, cols_mR1):
     """Generic (max) ranks of d_y[R2] F_u, d_y[-R1] F_x and d_y[-R1] g(F)
     at the tower's windows, read off the inverse tower Jacobian (implicit
     function theorem). A window where the blocks cannot be evaluated, the
     tower Jacobian is singular or an entry is not finite is skipped."""
-    tower = param.tower
+    sys = tower.context.base_model
     col_idx_R2 = [tower.targets.index(c) for c in cols_R2]
     col_idx_mR1 = [tower.targets.index(c) for c in cols_mR1]
     if sys.g is not None:
@@ -1108,21 +1102,20 @@ def normalize_inputs(sys: SystemModel,
 
 @dataclass
 class AnalysisReport:
-    system: str
     indices: ShiftIndices
     classification: Classification
     tower: Tower
     parameterization: Parameterization
     validation: object
     residuals: dict
-    model: SystemModel | None = None  # the analyzed model, psi resolved
+    model: SystemModel             # the analyzed model, psi resolved
 
     def to_json(self):
         tower_txt = {f"y{j}[{s}]": to_text(e)
                      for (j, s), e in self.tower.rows.items()}
         return {
             "schema": "1",
-            "system": self.system,
+            "system": self.model.name,
             **self.indices.to_json(),
             "classification": self.classification.kind,
             "ranks": {
@@ -1143,14 +1136,13 @@ class AnalysisReport:
             "parameterization_source": self.parameterization.source,
             "residuals": self.residuals,
             "validation": self.validation.to_json() if self.validation else None,
-            "diagnostics": self.classification.diagnostics,
+            "diagnostics": self.parameterization.diagnostics,
         }
 
 
 def analyze(sys: SystemModel, cand: FlatCandidate,
             opts: AnalyzeOptions | None = None) -> AnalysisReport:
     """validate -> indices -> tower -> parameterization -> classification."""
-    from dataclasses import replace
     from .model import validate as validate_model
     opts = opts or AnalyzeOptions()
     if sys.g is not None and sys.psi_x is None:
@@ -1159,14 +1151,8 @@ def analyze(sys: SystemModel, cand: FlatCandidate,
     if not vrep.passed:
         raise AnalysisError(f"standing assumptions fail: {vrep.to_json()}")
     tower = build_tower(sys, cand, opts)
-    sys = tower.context.base_model
-    if tower.indices.gamma is None and sys.psi_x is not None:
-        gamma = backward_depths(sys, cand)
-        tower.indices = replace(tower.indices, gamma=gamma)
-    param = invert_tower(sys, cand, tower)
+    param = invert_tower(cand, tower)
     residuals = {} if opts.skip_verification else _verify(param)
-    cls = classify(sys, param)
-    return AnalysisReport(system=sys.name, indices=param.indices,
-                          classification=cls, tower=tower,
-                          parameterization=param, validation=vrep,
-                          residuals=residuals, model=sys)
+    return AnalysisReport(indices=tower.indices, classification=classify(param),
+                          tower=tower, parameterization=param, validation=vrep,
+                          residuals=residuals, model=tower.context.base_model)

@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
         rng = first if args.trials else None
         for _ in range(11):
             try:
-                traj = verification_trajectory(model, param.indices, args.steps,
+                traj = verification_trajectory(model, param.tower.indices, args.steps,
                                                rng, sf.options.input_boxes)
                 reports.append(verify_parameterization(
                     model, sf.candidate, param, traj, range(0, args.steps)))

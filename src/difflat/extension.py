@@ -33,7 +33,6 @@ class ExtendedSystem:
     """The extended model over the tower variables, the tower it was read
     off (chain lengths, transforms) and the candidate over its coordinates."""
 
-    base: SystemModel
     model: SystemModel
     tower: Tower
     output: tuple                  # candidate outputs over extended coordinates
@@ -112,7 +111,7 @@ def build_combined(sys: SystemModel, cand: FlatCandidate,
         f=tuple(ctx.sys_bar.shift(v, 1) for v in state), state_vars=tuple(state),
         input_vars=(u1, u2), params=sys.params,
         point={v: tower.point[v] for v in tower.variables}, name=sys.name + "_ext")
-    return ExtendedSystem(base=sys, model=model, tower=tower, output=output)
+    return ExtendedSystem(model=model, tower=tower, output=output)
 
 
 def certify_linearizing(ext: ExtendedSystem,

@@ -219,6 +219,9 @@ def loads_system(text: str, path: str = "") -> SystemFile:
     psi_x = psi_u = None
     inv_rows = parse_rows("inverse")
     if inv_rows:
+        if g is None:
+            raise SystemFileError("[inverse] needs the [extension] map g",
+                                  headers["inverse"])
         if len(inv_rows) != n + m:
             raise SystemFileError(
                 f"[inverse] needs {n + m} rows (all states and inputs), "

@@ -458,7 +458,7 @@ def test_relabeled_swapped_vtol_starts_on_the_singular_locus():
     assert _rank_drop(first) == (f"tower rank {ranks[0]} < required 10 at "
                                  "verification window k = 0")
     with pytest.raises(EvalError, match=r"^at window k = 0: Newton "):
-        invert_tower(sysm, cand, first).check(first.windows)
+        invert_tower(cand, first).check(first.windows)
     windows = _exact_seed_windows(VTOL_RELABELED_SWAPPED)
     assert [k for k, *_ in windows] == list(range(VERIFY_STEPS))
     for k, rank, row_err, u_err in windows:
@@ -473,7 +473,7 @@ def test_tower_rank_diagnostic_names_the_deficient_rank():
     sf = loads_system(text)
     rep = analyze(sf.model, sf.candidate, sf.options)
     assert rep.indices.sigma_y == (1, 0)
-    assert rep.classification.diagnostics[0] == (
+    assert rep.parameterization.diagnostics[0] == (
         "forward sigma_y=(0, 1): tower rank 2 < required 10 at verification "
         "window k = 0")
 
@@ -505,7 +505,7 @@ def test_without_a_regular_tower_the_first_admissible_one_is_kept():
     rep = analyze(sf.model, sf.candidate, sf.options)
     assert rep.classification.kind == "backward_flat"
     assert rep.residuals["pass"]
-    drops = [d for d in rep.classification.diagnostics
+    drops = [d for d in rep.parameterization.diagnostics
              if "at verification window" in d]
     assert drops and drops[0].startswith(
         f"{rep.tower.context.mode} sigma_y={rep.indices.sigma_y}: ")
@@ -573,13 +573,13 @@ def test_a_probe_with_non_finite_blocks_is_skipped(reports, robot, monkeypatch):
 
     monkeypatch.setattr(param.tower, "jacobian_blocks", poison)
     poison.count = 1
-    cls = classify(rep.model, param)
+    cls = classify(param)
     assert len(poisoned) == 1
     assert cls == rep.classification
     poisoned.clear()
     poison.count = VERIFY_STEPS
     with pytest.raises(AnalysisError, match="no verification window"):
-        classify(rep.model, param)
+        classify(param)
     assert len(poisoned) == VERIFY_STEPS
 
 
@@ -613,11 +613,13 @@ def test_user_F_cross_check_disagreement_raises(academic):
     ("y1[9]", "user-supplied F_x leaf y1[9] outside the window [-1, 1]"),
     ("y1 + 10^400", "user-supplied parameterization does not evaluate at "
                     "any verification window"),
+    ("x3", "user-supplied F_x contains a non-output leaf x3"),
 ])
 def test_user_F_the_windows_cannot_evaluate_is_rejected(reports, robot, x3, why):
     """A user F is held to the inverted F's leaf windows, and must evaluate
     at some verification window: robot's own F with x3 moved outside its
-    window, or overflowing everywhere, is not passed as cross-checked."""
+    window, overflowing everywhere or read off the state itself is not
+    passed as cross-checked."""
     param = reports["robot"].parameterization
     F_x, F_u = param.F_x, param.F_u
     cand = FlatCandidate(phi=robot.candidate.phi,
@@ -640,7 +642,7 @@ def test_a_user_F_stands_in_when_the_solver_cannot_invert_the_tower(
         raise SolveError("forced")
 
     monkeypatch.setattr(analysis, "solve_equations", unsolvable)
-    param = invert_tower(rep.model, cand, rep.tower)
+    param = invert_tower(cand, rep.tower)
     assert param.source == "user_supplied"
     assert (param.F_x, param.F_u) == F
     assert param.diagnostics[-1] == (
@@ -667,6 +669,19 @@ def test_a_correct_user_F_is_cross_checked_and_prints_back(reports, name):
     for user_F in (sf.candidate.user_F,
                    loads_system(print_system(sf)).candidate.user_F):
         assert all(a is b for a, b in zip((*user_F[0], *user_F[1]), F, strict=True))
+
+
+def test_the_r22_search_stops_at_n():
+    """Every admissible tower has r22 <= n - rho1, so the search for r22
+    stops at shift n: robot with y = (x3, x3) never reaches ubar2."""
+    sf = loads_system(systems.source("robot").replace(
+        "y2 = x1*sin(u2) - x2*cos(u2)", "y2 = x3"))
+    with pytest.raises(AnalysisError) as ei:
+        analyze(sf.model, sf.candidate, sf.options)
+    lines = str(ei.value).splitlines()
+    assert [ln for ln in lines if "ubar2" in ln] == [
+        f"  - {mode} sigma_y={sigma_y}: no ubar2 dependence up to shift 3"
+        for mode in ("forward", "combined") for sigma_y in ((0, 1), (1, 0))]
 
 
 def test_the_search_auto_selects_a_missing_extension_map():
@@ -853,7 +868,7 @@ def test_mutual_exclusion(reports):
 def test_robot_records_combined_route_diagnostic(reports):
     # phi1 = x3 has no input dependence, so rank d_u phi < m: the backward
     # construction does not apply and a diagnostic routes it to the combined one
-    diags = " ".join(reports["robot"].classification.diagnostics)
+    diags = " ".join(reports["robot"].parameterization.diagnostics)
     assert "combined" in diags and "rank d_u phi" in diags
 
 

@@ -21,6 +21,7 @@ def run():
 @pytest.mark.parametrize("args, units", [
     (["academic", "--trace", "0"], 1),
     (["loop", "implicit-vtol", "--seed", "3", "--blocks", "1", "--trace", "0"], 25),
+    (["academic", "--trace", "1"], 1),
 ])
 def test_a_benchmark_run_fails_no_unit(run, args, units):
     result = run.run_child(args, 0)

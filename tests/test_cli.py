@@ -64,6 +64,32 @@ def test_analyze_input_error_exit_code(paths, tmp_path, capsys):
     assert "dynamics" in err
 
 
+def test_a_system_failing_the_standing_assumptions_is_an_input_error(
+        tmp_path, capsys):
+    """One state cannot take two independent inputs: analyze exits 1 and
+    reports the failed ranks."""
+    bad = tmp_path / "one_state.sys"
+    bad.write_text("[dims]\nn = 1\nm = 2\n\n[dynamics]\nx1+ = x1 + u1*u2\n\n"
+                   "[output]\ny1 = x1\ny2 = u1\n\n[equilibrium]\n", encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(bad))
+    assert (rc, out) == (1, "")
+    assert err.startswith("analysis error: standing assumptions fail: "
+                          "{'ranks': {'d_u_f': [0, 2], ")
+
+
+def test_an_emitted_extension_is_rejected_on_reanalysis(paths, tmp_path, capsys):
+    """An extension's coordinates (ubar1, ubar2, zetabar1[-1]) are the names
+    the tower's transforms define, so analyzing the file `extend` wrote is
+    an analysis error that names them, not a traceback."""
+    out_file = tmp_path / "robot_ext.sys"
+    assert run(capsys, "extend", paths["robot"], "--out", str(out_file))[0] == 0
+    rc, out, err = run(capsys, "analyze", str(out_file))
+    assert (rc, out) == (1, "")
+    assert err == ("analysis error: model coordinates zetabar1[-1], ubar1, ubar1[1], "
+                   "ubar2 are in the ubar or zetabar family the tower's transforms "
+                   "define; rename them\n")
+
+
 def test_a_psi_row_over_an_input_is_an_input_error(tmp_path, capsys):
     """A declared psi may read only the states and the g-value histories:
     robot's psi with the row x1 = u1 fails as an input error that names

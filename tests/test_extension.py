@@ -71,7 +71,7 @@ def test_academic_prelongation_structure(exts):
     assert ext.model.f[0] == Var("zetabar", 1, -1)
     assert ext.model.f[1] == var("x", 1)
     # base rows unchanged
-    assert ext.model.f[2:] == ext.base.f
+    assert ext.model.f[2:] == ext.tower.context.base_model.f
 
 
 def test_robot_combined_structure(exts):
@@ -380,7 +380,7 @@ def test_extension_preserves_base_parameterization(exts, reports, corpus):
         traj = simulate(model, x0, us, H, K)
         # base states sit inside the extended state vector
         base_idx = [list(model.state_vars).index(v)
-                    for v in ext.base.state_vars]
+                    for v in ext.tower.context.base_model.state_vars]
         # evaluate the base candidate along the embedded base trajectory and
         # recover the base states through the base parameterization
         # build a base trajectory directly from the embedded coordinates

@@ -209,6 +209,8 @@ def test_input_inference_error_reports_the_first_dynamics_line():
     ("y2 = x2", "y3 = x2", "[output]", "[output] must define y1..y2"),
     ("[output]", "[extension]\ng1 = x1\ng3 = x2\n[output]", "[extension]",
      "[extension] must define g1..g2"),
+    ("[output]", "[inverse]\nx1 = x1\nx2 = x2\nu1 = u1\nu2 = u2\n[output]",
+     "[inverse]", "[inverse] needs the [extension] map g"),
 ])
 def test_row_and_section_errors_name_their_line(row, broken, at, message):
     """An exact division by zero, a pole of f at the equilibrium, a
